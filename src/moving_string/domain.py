@@ -311,7 +311,16 @@ def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
             raise ConfigurationError(
                 f"unknown preset {spec.name!r}; known: {sorted(_PRESETS)}"
             ) from None
-        data = builder(L, **spec.params)
+        try:
+            data = builder(L, **spec.params)
+            for f in (data.phi0, data.phi0_x, data.phi1):  # mistyped values fail here
+                np.asarray(f(np.array([0.0, L])), dtype=float)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"bad parameters for preset {spec.name!r} {spec.params}: {exc}"
+            ) from None
     elif spec.kind == "table":
         if spec.table is None:
             raise ConfigurationError("table spec carries no data")

@@ -45,6 +45,12 @@ class TestConstants:
         assert rc == 2
         assert "ill-posed" in capsys.readouterr().err
 
+    def test_rejects_misspelled_preset_parameter(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, preset={"name": "sine_mode", "params": {"amplitud": 0.1}})
+        rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad parameters for preset 'sine_mode'" in capsys.readouterr().err
+
 
 class TestCoeffs:
     def test_csv_layout(self, tmp_path, capsys):

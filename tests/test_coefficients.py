@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from moving_string import parseval_sum, solve
+from moving_string import derive_constants, initial_data, parseval_sum, solve
+from moving_string.coefficients import _mapped_knots, _table
+from moving_string.extension import ExtensionField
+from moving_string.quadrature import Panelization
 
 from conftest import get_solution, make_config
 
@@ -158,3 +161,42 @@ class TestSolutionContainer:
         a = solve(cfg)
         b = solve(cfg)
         np.testing.assert_array_equal(a.c, b.c)
+
+
+class TestTableAgainstHighPrecision:
+    """The stepped-phasor table against a 40-digit evaluation of the same
+    Simpson sum, at v = 0.99 where the right-extended axis reaches
+    L2 ~ 628.  A coarse panel density keeps the reference cheap; the
+    recurrence error does not depend on it."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_table(self, side):
+        mp = pytest.importorskip("mpmath")
+        cfg = make_config(0.99)
+        consts, data = derive_constants(cfg), initial_data(cfg)
+        n_max, ppu = 24, 1
+        got = _table(data, consts, n_max, ppu, side)
+
+        L, v = consts.L, consts.v
+        if side == "plus":
+            a, b, cut, sign_vel, omega = 0.0, consts.L2, L, 1.0, -(1 - mp.mpf(v))
+        else:
+            a, b, cut, sign_vel, omega = -consts.L1, L, 0.0, -1.0, 1 + mp.mpf(v)
+        p = Panelization(a, b, breakpoints=(cut, *_mapped_knots(data, consts, side)),
+                         panels_per_unit=ppu)
+        slope = ExtensionField("slope", data, consts)
+        velocity = ExtensionField("velocity", data, consts)
+        nodes = np.concatenate([s.nodes for s in p.segments])
+        wg = np.concatenate([
+            s.weights * (slope.on_segment(s.nodes, (s.lo, s.hi))
+                         + sign_vel * velocity.on_segment(s.nodes, (s.lo, s.hi)))
+            for s in p.segments])
+        with mp.workdps(40):
+            pos = []
+            for n in range(1, n_max + 1):
+                k = omega * mp.pi * n / mp.mpf(L)
+                total = mp.fsum(mp.mpf(w) * mp.expj(k * mp.mpf(x)) for x, w in zip(nodes, wg))
+                pos.append(complex(total / (4 * n * mp.pi * 1j)))
+        # real integrand: c_{-n} is exactly conj(c_n)
+        ref = np.concatenate([np.conj(pos[::-1]), pos])
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12

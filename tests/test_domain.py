@@ -59,10 +59,18 @@ class TestDerivedConstants:
 
     @given(L=lengths, v1=speeds, v2=speeds)
     def test_period_monotone_in_speed(self, L, v1, v2):
-        if abs(v1 - v2) < 1e-9:  # equal periods within roundoff
-            return
+        # T_v = 2 L / (1 - v * v) in float64.  Correctly rounded division
+        # is monotone, so the period never decreases with v.  Strict order
+        # needs the denominators apart: below v ~ 1e-8, v * v vanishes
+        # against 1 and both periods are exactly 2 L.  Denominators one
+        # ulp apart can still round to the same quotient; two ulps apart
+        # differ by a relative 2^-52 or more, beyond one rounding step.
         lo, hi = sorted((v1, v2))
-        assert derive_constants(L=L, v=lo).T_v < derive_constants(L=L, v=hi).T_v
+        t_lo = derive_constants(L=L, v=lo).T_v
+        t_hi = derive_constants(L=L, v=hi).T_v
+        assert t_lo <= t_hi
+        if 1.0 - hi * hi < math.nextafter(1.0 - lo * lo, 0.0):
+            assert t_lo < t_hi
 
     @pytest.mark.parametrize("v", [1.0, 1.2, -0.1, 2.0])
     def test_ill_posed_speeds_rejected(self, v):
@@ -151,6 +159,19 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError, match="unknown preset"):
             build_initial_data(InitialDataSpec.preset("nope"), 1.0)
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("sine_mode", {"amplitud": 0.1}),                  # misspelled
+            ("sine_mode", {"amplitude": "big"}),               # mistyped
+            ("sine_velocity", {"amplitude": "big"}),           # mistyped, phi1 only
+            ("bump", {"center": "x", "width": 1.0}),
+        ],
+    )
+    def test_bad_preset_parameters(self, name, params):
+        with pytest.raises(ConfigurationError, match=f"bad parameters for preset '{name}'"):
+            build_initial_data(InitialDataSpec.preset(name, **params), math.pi)
 
 
 class TestTabulatedData:

@@ -1,5 +1,6 @@
 """Series evaluation: fields, traces, derivative consistency, periodicity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from moving_string import (
     field_components,
     velocity_trace,
 )
-from moving_string.series import sample_moving_grid
+from moving_string.series import _trace_values, sample_moving_grid
 
 from conftest import get_solution
 
@@ -175,3 +176,95 @@ class TestGridSampler:
     def test_tiny_grid_rejected(self, sine_v03):
         with pytest.raises(ValueError):
             sample_moving_grid(sine_v03, 1, 5, 1.0)
+
+
+def _mp_field(sol, x, t):
+    """(phi, phi_x, phi_t) at one point from the table by 40-digit mpmath,
+    straight from the two-family definition."""
+    import mpmath as mp
+
+    c = sol.consts
+    L, v, x, t = (mp.mpf(float(a)) for a in (c.L, c.v, x, t))
+    th1 = mp.pi * (1 - v) * (t + x) / L
+    th2 = mp.pi * (1 + v) * (t - x) / L
+    phi = phx = pht = mp.mpc(0)
+    for n, cn in zip(sol.n, sol.c):
+        e1, e2 = mp.expj(int(n) * th1), mp.expj(int(n) * th2)
+        cn = mp.mpc(cn.real, cn.imag)
+        phi += cn * (e1 - e2)
+        d = 1j * mp.pi / L * int(n) * cn
+        phx += d * ((1 - v) * e1 + (1 + v) * e2)
+        pht += d * ((1 - v) * e1 - (1 + v) * e2)
+    return phi, phx, pht
+
+
+def _mp_trace(sol, endpoint, t):
+    import mpmath as mp
+
+    c = sol.consts
+    L, v, T, t = (mp.mpf(float(a)) for a in (c.L, c.v, c.T_v, t))
+    total = mp.mpc(0)
+    for n, cn in zip(sol.n, sol.c):
+        term = 2j * mp.pi / L * int(n) * mp.mpc(cn.real, cn.imag) * mp.expj(2 * mp.pi * int(n) * t / T)
+        if endpoint == "right":
+            term *= mp.expj(-int(n) * mp.pi * (1 + v))
+        total += term
+    return total
+
+
+def _rel_dev(new, ref):
+    ref = np.array([complex(r) for r in ref])
+    return np.max(np.abs(np.asarray(new) - ref)) / np.max(np.abs(ref))
+
+
+class TestAgainstHighPrecision:
+    """The Horner sums against a 40-digit evaluation of the same table.
+
+    n_max = 160 and times up to 3 T_v; the error bound is about
+    n_max * eps * Sum |c_n| (times |n| for the derivatives).
+    """
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            yield
+
+    @staticmethod
+    def _points(sol):
+        c = sol.consts
+        rng = np.random.default_rng(11)
+        t = np.concatenate([[0.0, 3 * c.T_v], rng.uniform(0, 3 * c.T_v, 10)])
+        frac = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 10)])
+        return c.v * t + frac * c.L, t
+
+    @pytest.mark.parametrize("v", [0.3, 0.99])
+    def test_field_components(self, v):
+        sol = get_solution(v, n_max=160, ppu=32)
+        x, t = self._points(sol)
+        got = field_components(sol, x, t)
+        ref = list(zip(*(_mp_field(sol, xi, ti) for xi, ti in zip(x, t))))
+        for component, exact in zip(got[:3], ref):
+            assert _rel_dev(component, exact) <= 1e-12
+
+    @pytest.mark.parametrize("v", [0.3, 0.99])
+    @pytest.mark.parametrize("endpoint", ["left", "right"])
+    def test_trace_values(self, v, endpoint):
+        sol = get_solution(v, n_max=160, ppu=32)
+        t = np.linspace(0.0, 3 * sol.consts.T_v, 13)
+        got = _trace_values(sol, endpoint, t)
+        assert _rel_dev(got, [_mp_trace(sol, endpoint, ti) for ti in t]) <= 1e-12
+
+
+class TestConjugateAsymmetryIsMeasured:
+    def test_perturbed_negative_mode_shows_imaginary_residual(self, sine_v03):
+        # imag_residual must measure the table, not be zero by construction
+        c = sine_v03.c.copy()
+        c[sine_v03.n_max - 3] += 1e-6            # c_{-3} off conj(c_3)
+        sol = dataclasses.replace(sine_v03, c=c)
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0, sol.consts.T_v, 20)
+        x = sol.consts.v * t + rng.uniform(0, 1, 20) * sol.consts.L
+        assert field_components(sine_v03, x, t)[3] < 1e-15
+        assert field_components(sol, x, t)[3] > 1e-7
+        assert boundary_trace(sol, "left", np.sort(t)).imag_residual > 1e-7

@@ -80,23 +80,24 @@ def _validate_domain(sol: SpectralSolution, x, t) -> None:
         raise ValueError("x outside the moving interval (v t, L + v t)")
 
 
-def _halves(sol: SpectralSolution, weights: np.ndarray):
-    """``weights[n] * c_n`` for weights of shape (2 n_max, k), split into the
-    n = 1..n_max and n = -1..-n_max halves (both ordered by |n|)."""
+def _halves(sol: SpectralSolution, weights: np.ndarray) -> np.ndarray:
+    """``weights[n] * c_n`` for weights of shape (2 n_max, k), as an
+    (n_max, k, 2) array: [..., 0] runs over n = 1..n_max and [..., 1] over
+    n = -1..-n_max."""
     wc = weights * sol.c[:, None]
     m = sol.n_max
-    return wc[m:], wc[m - 1::-1]
+    return np.stack([wc[m:], wc[m - 1::-1]], axis=-1)
 
 
-def _power_sum(pos: np.ndarray, neg: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Sum_{m=1..N} pos[m-1] z^m + neg[m-1] conj(z)^m at z = e^{i theta}.
+def _power_sum(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Sum_{m=1..N} coef[m-1, :, 0] z^m + coef[m-1, :, 1] conj(z)^m at
+    z = e^{i theta}, by Horner's rule in z and in conj(z).
 
-    Horner's rule in z and in conj(z).  ``pos`` and ``neg`` have shape
-    (N, k): k coefficient sets share each phasor.  ``theta`` has shape
-    (r, P); the result has shape (k, r, P).  Points go through in blocks so
-    the accumulators stay small.
+    ``coef`` comes from ``_halves``: k coefficient sets share each phasor.
+    ``theta`` has shape (r, P); the result has shape (k, r, P).  Points go
+    through in blocks so the accumulators stay small.
     """
-    coef = np.stack([pos, neg], axis=-1)[::-1, :, None, :, None]  # (N, k, 1, 2, 1)
+    coef = coef[::-1, :, None, :, None]                       # (N, k, 1, 2, 1)
     k, (r, npts) = coef.shape[1], theta.shape
     out = np.empty((k, r, npts), dtype=complex)
     for lo in range(0, npts, _BLOCK):
@@ -124,8 +125,8 @@ def field_components(sol: SpectralSolution, x, t, validate: bool = True):
     theta = np.stack([(math.pi * (1.0 - v) / L) * (t + x).ravel(),
                       (math.pi * (1.0 + v) / L) * (t - x).ravel()])
     n = sol.n.astype(float)
-    (p1, p2), (q1, q2) = _power_sum(*_halves(sol, np.column_stack([np.ones_like(n), n])),
-                                    theta)
+    coef = _halves(sol, np.column_stack([np.ones_like(n), n]))  # P(z): c_n, Q(z): n c_n
+    (p1, p2), (q1, q2) = _power_sum(coef, theta)
     d = 1j * math.pi / L
     phi = p1 - p2
     phx = d * ((1.0 - v) * q1 + (1.0 + v) * q2)
@@ -154,7 +155,7 @@ def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
     if endpoint == "right":
         weights = weights * np.exp(-1j * math.pi * (1.0 + c.v) * sol.n)
     theta = (2.0 * math.pi / c.T_v) * times.reshape(1, -1)
-    return _power_sum(*_halves(sol, weights[:, None]), theta)[0, 0].reshape(times.shape)
+    return _power_sum(_halves(sol, weights[:, None]), theta)[0, 0].reshape(times.shape)
 
 
 def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:

@@ -205,9 +205,10 @@ def _mp_trace(sol, endpoint, t):
     L, v, T, t = (mp.mpf(float(a)) for a in (c.L, c.v, c.T_v, t))
     total = mp.mpc(0)
     for n, cn in zip(sol.n, sol.c):
-        term = 2j * mp.pi / L * int(n) * mp.mpc(cn.real, cn.imag) * mp.expj(2 * mp.pi * int(n) * t / T)
+        n, cn = int(n), mp.mpc(cn.real, cn.imag)
+        term = 2j * mp.pi / L * n * cn * mp.expj(2 * mp.pi * n * t / T)
         if endpoint == "right":
-            term *= mp.expj(-int(n) * mp.pi * (1 + v))
+            term *= mp.expj(-n * mp.pi * (1 + v))
         total += term
     return total
 

@@ -4,6 +4,7 @@ supports)."""
 
 __version__ = "0.1.0"
 
+from .certify import Check, certify
 from .coefficients import (
     ParsevalSums,
     SpectralSolution,
@@ -63,6 +64,7 @@ from .series import (
 __all__ = [
     "__version__",
     "CharacteristicSolver",
+    "Check",
     "ConfigurationError",
     "CrossValidation",
     "DerivedConstants",
@@ -83,6 +85,7 @@ __all__ = [
     "TraceSeries",
     "boundary_trace",
     "build_initial_data",
+    "certify",
     "check_periodicity",
     "coefficients_minus",
     "coefficients_plus",

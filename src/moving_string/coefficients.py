@@ -31,7 +31,7 @@ import numpy as np
 
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
 from .extension import ExtensionField
-from .quadrature import Panelization, require_finite
+from .quadrature import Panelization, integrate, require_finite
 
 __all__ = [
     "SpectralSolution",
@@ -62,9 +62,10 @@ def _mapped_knots(data: InitialData, consts: DerivedConstants, side: str) -> lis
     return cuts
 
 
-def _table(data: InitialData, consts: DerivedConstants, n_max: int,
-           panels_per_unit: int, side: str) -> np.ndarray:
-    """Coefficient table for one formula, ordered by mode_numbers(n_max)."""
+def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
+             side: str):
+    """Panels, extended integrand slope~ +- velocity~ and kernel frequency
+    unit of one coefficient formula."""
     if side == "plus":
         a, b, cut = 0.0, consts.L2, consts.L
         sign_vel, omega_unit = +1.0, -math.pi * (1.0 - consts.v) / consts.L
@@ -76,11 +77,21 @@ def _table(data: InitialData, consts: DerivedConstants, n_max: int,
     cuts = [cut, *_mapped_knots(data, consts, side)]
     p = Panelization(a, b, breakpoints=tuple(cuts), panels_per_unit=panels_per_unit)
 
+    def integrand(x, seg):
+        return slope.on_segment(x, seg) + sign_vel * velocity.on_segment(x, seg)
+
+    return p, integrand, omega_unit
+
+
+def _table(data: InitialData, consts: DerivedConstants, n_max: int,
+           panels_per_unit: int, side: str) -> np.ndarray:
+    """Coefficient table for one formula, ordered by mode_numbers(n_max)."""
+    p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side)
+
     # One field evaluation per segment, reused for every n.
     wg = []
     for seg in p.segments:
-        g = (slope.on_segment(seg.nodes, (seg.lo, seg.hi))
-             + sign_vel * velocity.on_segment(seg.nodes, (seg.lo, seg.hi)))
+        g = integrand(seg.nodes, (seg.lo, seg.hi))
         require_finite(seg.nodes, g)
         wg.append(seg.weights * g)
     wg = np.concatenate(wg)
@@ -180,23 +191,13 @@ class ParsevalSums:
 def parseval_sum(sol: SpectralSolution) -> ParsevalSums:
     """Sum |n c_n|^2 from the table and from both extended-data integrals."""
     table = math.fsum((np.abs(sol.n * sol.c) ** 2).tolist())
-    consts, data = sol.consts, sol.data
-    ppu = sol.cfg.quadrature.panels_per_unit
-    slope = ExtensionField("slope", data, consts)
-    velocity = ExtensionField("velocity", data, consts)
+    L, v = sol.consts.L, sol.consts.v
 
-    def squared(sign_vel, a, b, cut, side):
-        p = Panelization(a, b, breakpoints=tuple([cut, *_mapped_knots(data, consts, side)]),
-                         panels_per_unit=ppu)
-        total = []
-        for seg in p.segments:
-            g = (slope.on_segment(seg.nodes, (seg.lo, seg.hi))
-                 + sign_vel * velocity.on_segment(seg.nodes, (seg.lo, seg.hi)))
-            require_finite(seg.nodes, g)
-            total.append(math.fsum((seg.weights * g * g).tolist()))
-        return math.fsum(total)
+    def squared(side):
+        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.quadrature.panels_per_unit,
+                                   side)
+        return integrate(lambda x, seg: integrand(x, seg) ** 2, p)
 
-    L, v = consts.L, consts.v
-    plus = L / (8.0 * math.pi ** 2 * (1.0 - v)) * squared(+1.0, 0.0, consts.L2, L, "plus")
-    minus = L / (8.0 * math.pi ** 2 * (1.0 + v)) * squared(-1.0, -consts.L1, L, 0.0, "minus")
+    plus = L / (8.0 * math.pi ** 2 * (1.0 - v)) * squared("plus")
+    minus = L / (8.0 * math.pi ** 2 * (1.0 + v)) * squared("minus")
     return ParsevalSums(table_sum=table, integral_plus=plus, integral_minus=minus)

@@ -45,6 +45,17 @@ __all__ = [
 SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
 
 
+def _check_geometry(L: float, v: float) -> None:
+    """Reject a non-positive or non-finite L and a speed outside the well-posed range."""
+    if not (L > 0 and math.isfinite(L)):
+        raise ConfigurationError(f"support separation L must be positive and finite, got {L}")
+    if not (0.0 <= v < 1.0):
+        raise ConfigurationError(
+            f"axial speed v={v} violates the well-posedness condition "
+            f"{SPEED_CONDITION}; v >= 1 makes the problem ill-posed"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Density of the composite Simpson rule used everywhere.
@@ -54,15 +65,12 @@ class QuadratureSpec:
     """
 
     panels_per_unit: int = 256
-    rule: str = "composite-simpson"
 
     def __post_init__(self) -> None:
         if self.panels_per_unit < 8:
             raise ConfigurationError(
                 f"panels_per_unit must be >= 8, got {self.panels_per_unit}"
             )
-        if self.rule != "composite-simpson":
-            raise ConfigurationError(f"unsupported quadrature rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,7 @@ class StringConfig:
     quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self) -> None:
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ConfigurationError(f"support separation L must be positive, got {self.L}")
-        if not (0.0 <= self.v < 1.0):
-            raise ConfigurationError(
-                f"axial speed v={self.v} violates the well-posedness condition "
-                f"{SPEED_CONDITION}; v >= 1 makes the problem ill-posed"
-            )
+        _check_geometry(self.L, self.v)
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
 
@@ -152,12 +154,7 @@ def derive_constants(cfg: StringConfig | None = None, *, L: float | None = None,
         L, v = cfg.L, cfg.v
     if L is None or v is None:
         raise ConfigurationError("derive_constants needs a config or both L and v")
-    if not (L > 0):
-        raise ConfigurationError(f"L must be positive, got {L}")
-    if not (0.0 <= v < 1.0):
-        raise ConfigurationError(
-            f"axial speed v={v} violates {SPEED_CONDITION}; v >= 1 is ill-posed"
-        )
+    _check_geometry(L, v)
     gamma = (1.0 + v) / (1.0 - v)
     return DerivedConstants(
         L=L,

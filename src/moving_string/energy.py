@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import SpectralSolution
 from .domain import DerivedConstants, InitialData, QuadratureSpec
-from .quadrature import Panelization
+from .quadrature import Panelization, integrate
 from .series import field_components
 
 __all__ = [
@@ -43,15 +43,14 @@ def _energy_integrals(sol: SpectralSolution, t: float):
     c = sol.consts
     p = Panelization(c.v * t, c.L + c.v * t,
                      panels_per_unit=sol.cfg.quadrature.panels_per_unit)
-    calE, E, cross = [], [], []
-    for seg in p.segments:
-        _, phx, pht, _ = field_components(sol, seg.nodes, t)
-        w = seg.weights
-        calE.append(math.fsum((0.5 * w * ((pht + c.v * phx) ** 2
-                                          + (1.0 - c.v ** 2) * phx ** 2)).tolist()))
-        E.append(math.fsum((0.5 * w * (pht ** 2 + phx ** 2)).tolist()))
-        cross.append(math.fsum((w * phx * pht).tolist()))
-    return math.fsum(calE), math.fsum(E), math.fsum(cross)
+
+    def densities(x, seg):
+        _, phx, pht, _ = field_components(sol, x, t)
+        return [0.5 * ((pht + c.v * phx) ** 2 + (1.0 - c.v ** 2) * phx ** 2),
+                0.5 * (pht ** 2 + phx ** 2),
+                phx * pht]
+
+    return tuple(integrate(densities, p).tolist())
 
 
 def energy_at(sol: SpectralSolution, t: float) -> tuple[float, float]:
@@ -75,15 +74,14 @@ def initial_energies(data: InitialData, consts: DerivedConstants,
     p = Panelization(0.0, consts.L, breakpoints=tuple(data.knots),
                      panels_per_unit=quad.panels_per_unit)
     v = consts.v
-    calE, E = [], []
-    for seg in p.segments:
-        p0x = np.asarray(data.phi0_x(seg.nodes), dtype=float)
-        p1 = np.asarray(data.phi1(seg.nodes), dtype=float)
-        w = seg.weights
-        calE.append(math.fsum((0.5 * w * ((p1 + v * p0x) ** 2
-                                          + (1.0 - v * v) * p0x ** 2)).tolist()))
-        E.append(math.fsum((0.5 * w * (p1 ** 2 + p0x ** 2)).tolist()))
-    return math.fsum(calE), math.fsum(E)
+
+    def densities(x, seg):
+        p0x = np.asarray(data.phi0_x(x), dtype=float)
+        p1 = np.asarray(data.phi1(x), dtype=float)
+        return [0.5 * ((p1 + v * p0x) ** 2 + (1.0 - v * v) * p0x ** 2),
+                0.5 * (p1 ** 2 + p0x ** 2)]
+
+    return tuple(integrate(densities, p).tolist())
 
 
 @dataclass(frozen=True, eq=False)

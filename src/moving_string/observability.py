@@ -21,7 +21,7 @@ truncated series would leak ~1/n_max tails ahead of the front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,14 +91,16 @@ def _check_endpoint(endpoint: str) -> None:
 
 
 def _report(sol, mode, T, M, integral, rhs, tol):
+    """Report against the identity's right-hand side ``rhs``; None where no
+    exact identity applies."""
     e0 = spectral_energy(sol)
     factor = (1.0 - sol.consts.v ** 2) ** 2 / 4.0
-    if rhs > 0.0:
-        residual = abs(integral - rhs) / rhs
-        vacuous = False
+    if rhs is None:
+        residual, vacuous = None, e0 == 0.0
+    elif rhs > 0.0:
+        residual, vacuous = abs(integral - rhs) / rhs, False
     else:
-        residual = abs(integral)
-        vacuous = True
+        residual, vacuous = abs(integral), True
     return ObservabilityReport(
         endpoint_mode=mode,
         T=T,
@@ -140,22 +142,8 @@ def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
     _check_endpoint(endpoint)
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    c = sol.consts
     integral = _slope_trace_integral(sol, endpoint, T)
-    e0 = spectral_energy(sol)
-    M = math.ceil(T / c.T_v)
-    factor = (1.0 - c.v ** 2) ** 2 / 4.0
-    return ObservabilityReport(
-        endpoint_mode=endpoint,
-        T=T,
-        M=M,
-        integral=integral,
-        identity_residual=None,
-        inverse_constant_check=bool(e0 <= factor * integral * (1.0 + tol) + tol * e0),
-        direct_constant=integral / e0 if e0 > 0 else 0.0,
-        energy0=e0,
-        vacuous=e0 == 0.0,
-    )
+    return _report(sol, endpoint, T, math.ceil(T / sol.consts.T_v), integral, None, tol)
 
 
 def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
@@ -182,9 +170,7 @@ def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
     rhs = 4.0 * M / (v * (1.0 - v ** 2)) ** 2 * spectral_energy(sol)
     rep = _report(sol, endpoint, T, M, integral, rhs, tol)
     ratio = int_t / int_x if int_x > 0.0 else None
-    return ObservabilityReport(
-        **{**rep.__dict__, "trace_ratio": ratio, "vacuous": rep.vacuous or int_x == 0.0}
-    )
+    return replace(rep, trace_ratio=ratio, vacuous=rep.vacuous or int_x == 0.0)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ errors in the extension maps.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,6 @@ class CharacteristicSolver:
                         ).reshape(x.shape)
 
 
-def characteristics_eval(cs: CharacteristicSolver, x: float, t: float) -> float:
-    """Displacement at (x, t) via the reflected characteristic profiles."""
-    return cs.value(x, t)
-
-
 @dataclass(frozen=True, eq=False)
 class FrozenFrameFD:
     """FD history in frozen coordinates: u[k, j] ~ phi(eta_j + v tau_k, tau_k)."""
@@ -225,6 +221,12 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
             f"reduce cfl (needs v dtau / deta < 1)"
         )
 
+    history = (n_steps + 1) * (nx + 1) * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if history > memory:
+        raise ConfigurationError(
+            f"FD history of {history / 2**30:.3g} GiB exceeds physical memory "
+            f"({memory / 2**30:.3g} GiB); lower nx or use --method characteristics")
     eta = np.linspace(0.0, L, nx + 1)
     u = np.zeros((n_steps + 1, nx + 1))
     u[0] = np.asarray(data.phi0(eta), dtype=float)
@@ -287,8 +289,7 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
 
     max_char = max_fd = None
     if "characteristics" in methods:
-        cs = CharacteristicSolver(data, consts)
-        vals = np.array([cs.value(xi, ti) for xi, ti in zip(x, t)])
+        vals = CharacteristicSolver(data, consts).value_many(x, t)
         max_char = float(np.max(np.abs(phi - vals)))
     if "fd" in methods:
         fd = fd_solve(cfg, nx=nx, cfl=cfl, t_final=consts.T_v)

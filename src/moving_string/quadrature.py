@@ -7,8 +7,12 @@ density, and results are reproducible bit-for-bit.  Each panel spans two
 equal sub-intervals; every segment between breakpoints gets at least one
 panel, i.e. an even sub-interval count >= 2.
 
+An integrand may stack k functions on the same nodes, returning an array
+of shape (k, nodes); ``integrate`` then returns the k integrals as an
+array, so several functionals of one field evaluation share its cost.
 Sums are accumulated with ``math.fsum`` (exactly rounded, order
-independent), which is stronger than any fixed summation order.
+independent), per segment and then across segments, which is stronger
+than any fixed summation order.
 """
 
 from __future__ import annotations
@@ -71,20 +75,21 @@ class Panelization:
 
 
 def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:
-    """Raise NumericError naming the first node whose value is non-finite."""
+    """Raise NumericError naming the first node at which any stacked row of
+    ``values`` is non-finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
-        node = np.asarray(nodes)[np.argmax(bad)]
+        at_node = np.any(bad, axis=tuple(range(bad.ndim - 1)))
+        node = np.asarray(nodes)[np.argmax(at_node)]
         raise NumericError(f"integrand non-finite at node x = {node!r}")
 
 
-def _fsum_weighted(weights: np.ndarray, values: np.ndarray):
+def _fsum_rows(values: np.ndarray) -> np.ndarray:
+    """``math.fsum`` along the last axis; complex parts are summed apart."""
     if np.iscomplexobj(values):
-        return complex(
-            math.fsum((weights * values.real).tolist()),
-            math.fsum((weights * values.imag).tolist()),
-        )
-    return math.fsum((weights * values).tolist())
+        return _fsum_rows(values.real) + 1j * _fsum_rows(values.imag)
+    rows = values.reshape(-1, values.shape[-1]).tolist()
+    return np.array([math.fsum(r) for r in rows]).reshape(values.shape[:-1])
 
 
 def integrate(f, p: Panelization):
@@ -92,16 +97,15 @@ def integrate(f, p: Panelization):
 
     ``f(x, (lo, hi))`` is called once per smooth segment with the array of
     that segment's nodes; the segment bounds let piecewise integrands
-    resolve one-sided limits at shared endpoints.  Raises NumericError if
-    any node evaluates non-finite.
+    resolve one-sided limits at shared endpoints.  ``f`` returns the
+    values at the nodes, or k stacked rows of them (shape (k, nodes)), in
+    which case the result is the length-k array of integrals.  Raises
+    NumericError if any node evaluates non-finite.
     """
     parts = []
     for seg in p.segments:
         vals = np.asarray(f(seg.nodes, (seg.lo, seg.hi)))
         require_finite(seg.nodes, vals)
-        parts.append(_fsum_weighted(seg.weights, vals))
-    if any(isinstance(v, complex) for v in parts):
-        return complex(
-            math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts)
-        )
-    return math.fsum(parts)
+        parts.append(_fsum_rows(seg.weights * vals))
+    total = _fsum_rows(np.stack(parts, axis=-1))
+    return total if total.ndim else total.item()

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from moving_string import certify, load_config, solve
 from moving_string.cli import main
 
 
@@ -25,6 +27,12 @@ def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24, ppu=128):
 
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
+
+
+def certify_records(cfg):
+    """The library's check records for ``cfg`` as validate.json entries."""
+    return [{k: val for k, val in asdict(c).items() if not (k == "note" and val is None)}
+            for c in certify(solve(load_config(cfg)), 1e-6, 0)]
 
 
 class TestConstants:
@@ -153,6 +161,13 @@ class TestOracleCmd:
         assert doc["max_abs_series_vs_fd"] is None
         assert doc["seed"] == 0
 
+    def test_fd_history_beyond_memory_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, v=0.99, n_max=8)
+        rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--method", "fd", "--samples", "5", "--nx", "4096"])
+        assert rc == 2
+        assert "--method characteristics" in capsys.readouterr().err
+
 
 class TestFiguresCmd:
     def test_demo_surface_data(self, tmp_path, capsys):
@@ -190,6 +205,7 @@ class TestValidateCmd:
         doc = json.loads((out / "validate.json").read_text())
         assert doc["summary"]["checks_total"] >= 14
         assert doc["summary"]["checks_failed"] == 0
+        assert doc["checks"] == certify_records(cfg)
 
     def test_ill_posed_config_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, v=1.2)
@@ -203,6 +219,7 @@ class TestValidateCmd:
         assert rc == 0
         doc = json.loads((out / "validate.json").read_text())
         assert any(c["vacuous"] for c in doc["checks"])
+        assert doc["checks"] == certify_records(cfg)
 
     def test_tabulated_data_with_velocity_full_suite(self, tmp_path, capsys):
         # CSV -> natural splines -> extensions with phi1 != 0 ->

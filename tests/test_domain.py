@@ -109,6 +109,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             StringConfig(L=0.0, v=0.3, initial=InitialDataSpec.preset("zero"))
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_L_in_derive_constants(self, L):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            derive_constants(L=L, v=0.3)
+
     def test_bad_n_max(self):
         with pytest.raises(ConfigurationError):
             make_config(0.3, n_max=0)

@@ -146,6 +146,9 @@ class TestFrozenFrameFD:
             fd_solve(cfg, nx=64, cfl=0.8)
         with pytest.raises(ConfigurationError):
             fd_solve(cfg, nx=64, t_final=-1.0)
+        # ~1e8 steps x 4097 nodes: a 3 TiB history is refused before allocating
+        with pytest.raises(ConfigurationError, match="--method characteristics"):
+            fd_solve(make_config(0.99), nx=4096)
 
     def test_eval_outside_slab_rejected(self):
         fd = fd_solve(make_config(0.3), nx=64, t_final=1.0)

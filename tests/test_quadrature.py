@@ -89,6 +89,9 @@ class TestProperties:
         combo = integrate(lambda x, s: a * np.sin(x) + b * np.cos(x), p)
         parts = a * integrate(f, p) + b * integrate(g, p)
         assert combo == pytest.approx(parts, abs=1e-13)
+        stacked = integrate(lambda x, s: np.stack([np.sin(x), np.cos(x)]), p)
+        assert stacked.shape == (2,)
+        assert stacked[0] == integrate(f, p) and stacked[1] == integrate(g, p)
 
     def test_determinism(self):
         p = Panelization(0.0, math.pi, breakpoints=(1.0,), panels_per_unit=32)
@@ -105,3 +108,6 @@ class TestProperties:
         p = Panelization(0.0, 1.0, breakpoints=(0.5,), panels_per_unit=8)
         with pytest.raises(NumericError, match="0.5"):
             integrate(f, p)
+        # NaN in the second row only: the named node must still be x = 0.5
+        with pytest.raises(NumericError, match="0.5"):
+            integrate(lambda x, seg: np.stack([np.cos(x), f(x, seg)]), p)

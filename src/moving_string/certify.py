@@ -131,7 +131,7 @@ def certify(sol: SpectralSolution, tol: float = 1e-6, seed: int = 0) -> list[Che
     per = check_periodicity(sol, np.column_stack([xs, ts]))
     checks.append(Check("series_periodicity", per < 1e-12, per, 1e-12))
 
-    char_vals = CharacteristicSolver(sol.data, c).value_many(xs[:50], ts[:50])
+    char_vals = CharacteristicSolver(sol.data, c).value(xs[:50], ts[:50])
     phi, _, _, _ = field_components(sol, xs[:50], ts[:50])
     char_diff = float(np.max(np.abs(phi - char_vals)))
     checks.append(Check("characteristics_agreement", char_diff < 1e-2, char_diff, 1e-2,

@@ -232,7 +232,7 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
         xb = 0.0 if endpoint == "left" else consts.L
 
         def f(t, seg):
-            return np.array([cs.slope(xb + v * ti, ti) ** 2 for ti in t])
+            return cs.slope(xb + v * t, t) ** 2
 
         # trace kinks sit at knot preimages under s = (1+v) t and
         # s = L - (1-v) t; register both as panel boundaries

@@ -10,7 +10,7 @@ the functional equations
 
 each reflection rescaling the argument by gamma_v or 1/gamma_v.  Evaluation
 reduces the argument through these maps until it lands in [0, L]; the
-recursion depth is finite for bounded time and guarded.  Derivative
+number of reflections is finite for bounded time and guarded.  Derivative
 profiles follow the same maps with chain-rule factors gamma_v^{+-1}.  This
 solver is exact up to the accuracy of the phi1 antiderivative, precomputed
 by cell-wise Simpson on a dense grid and interpolated with a cubic spline.
@@ -23,11 +23,16 @@ maps the moving interval onto (0, L) and turns the wave equation into
 discretized with centered second differences in tau and eta and the
 centered cross stencil
 (u_{j+1}^{n+1} - u_{j-1}^{n+1} - u_{j+1}^{n-1} + u_{j-1}^{n-1})/(4 de dt)
-for the mixed term.  Each step solves a constant tridiagonal system; the
-first step is seeded by a Taylor expansion with u_tau(eta, 0) =
-phi1(eta) + v phi0_x(eta) (chain rule through eta = x - v t).  The scheme
-shares nothing with the reflection geometry, guarding against common-mode
-errors in the extension maps.
+for the mixed term.  The implicit system is the same tridiagonal matrix at
+every step, so it is LU-factored once (LAPACK dgttrf) and each step only
+back-substitutes (dgttrs).  The first step is seeded by a Taylor expansion
+with u_tau(eta, 0) = phi1(eta) + v phi0_x(eta) (chain rule through
+eta = x - v t).  The scheme shares nothing with the reflection geometry,
+guarding against common-mode errors in the extension maps.
+
+Both oracles evaluate whole arrays of sample points in one call: the
+reflection reduction runs elementwise with per-point reflection counts, and
+the FD history is sampled by vectorized bilinear interpolation.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import SpectralSolution
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
@@ -80,80 +85,83 @@ class CharacteristicSolver:
         self._psi = _cumulative_simpson(data.phi1, 0.0, consts.L, antiderivative_cells)
         self._slack = 1e-9 * max(1.0, consts.L)
 
-    # profile values on the data range [0, L]
-    def _F0(self, s: float) -> float:
-        return 0.5 * (float(self.data.phi0(s)) + float(self._psi(s)))
+    def _reduce(self, s: np.ndarray, forward: np.ndarray):
+        """Map profile arguments into the data range, elementwise.
 
-    def _G0(self, s: float) -> float:
-        return 0.5 * (float(self.data.phi0(s)) - float(self._psi(s)))
-
-    def _F0d(self, s: float) -> float:
-        return 0.5 * (float(self.data.phi0_x(s)) + float(self.data.phi1(s)))
-
-    def _G0d(self, s: float) -> float:
-        return 0.5 * (float(self.data.phi0_x(s)) - float(self.data.phi1(s)))
-
-    def _reduce(self, kind: str, s: float):
-        """Map (kind, s) into the data range; returns (kind, s, sign, dscale).
-
-        ``sign`` multiplies profile values (one flip per reflection);
-        ``dscale`` is the full chain-rule factor for derivatives, where the
-        value flip and the negative slope of each argument map cancel, so
-        derivatives only rescale by gamma_v^{+-1}.
+        ``s`` holds the arguments and ``forward`` is True where the profile
+        is F, False where it is G.  Returns the reduced (s, forward, sign,
+        dscale): ``sign`` multiplies profile values (one flip per
+        reflection); ``dscale`` is the full chain-rule factor for
+        derivatives, where the value flip and the negative slope of each
+        argument map cancel, so derivatives only rescale by gamma_v^{+-1}.
+        A reflection lands F arguments above 0 and G arguments below L, so
+        only the incoming arguments can leave the profile domain.
         """
         g = self.consts.gamma_v
         L = self.consts.L
-        sign, dscale = 1.0, 1.0
+        slack = self._slack
+        if np.any(forward & (s < -slack)):
+            raise ValueError(f"forward profile argument {s[forward].min()} < 0")
+        if np.any(~forward & (s > L + slack)):
+            raise ValueError(f"backward profile argument {s[~forward].max()} > L")
+        s, forward = s.copy(), forward.copy()
+        sign, dscale = np.ones_like(s), np.ones_like(s)
         for _ in range(MAX_REFLECTIONS):
-            if kind == "F":
-                if s <= L + self._slack:
-                    if s < -self._slack:
-                        raise ValueError(f"forward profile argument {s} < 0")
-                    return kind, min(max(s, 0.0), L), sign, dscale
-                kind, s = "G", L - (s - L) / g
-                sign, dscale = -sign, dscale / g
-            else:
-                if s >= -self._slack:
-                    if s > L + self._slack:
-                        raise ValueError(f"backward profile argument {s} > L")
-                    return kind, min(max(s, 0.0), L), sign, dscale
-                kind, s = "F", -g * s
-                sign, dscale = -sign, dscale * g
-        raise RecursionError(
-            f"more than {MAX_REFLECTIONS} boundary reflections; time too large"
-        )
+            right = forward & (s > L + slack)   # F past the right support
+            left = ~forward & (s < -slack)      # G past the left support
+            flip = right | left
+            if not flip.any():
+                break
+            s[right] = L - (s[right] - L) / g
+            s[left] = -g * s[left]
+            forward ^= flip
+            sign[flip] *= -1.0
+            dscale[right] /= g
+            dscale[left] *= g
+        else:
+            raise RecursionError(
+                f"more than {MAX_REFLECTIONS} boundary reflections; time too large"
+            )
+        return np.clip(s, 0.0, L), forward, sign, dscale
 
-    def _profile(self, kind: str, s: float) -> float:
-        kind, s, sign, _ = self._reduce(kind, s)
-        return sign * (self._F0(s) if kind == "F" else self._G0(s))
-
-    def _profile_d(self, kind: str, s: float) -> float:
-        kind, s, _, dscale = self._reduce(kind, s)
-        return dscale * (self._F0d(s) if kind == "F" else self._G0d(s))
-
-    def _check_point(self, x: float, t: float) -> None:
+    def _waves(self, x, t, derivative: bool):
+        """Forward (x + t) and backward (x - t) profile terms at the points:
+        values, or their derivatives when ``derivative`` is set."""
         c = self.consts
-        if t < -self._slack:
-            raise ValueError("time must be nonnegative")
-        if not (c.v * t - self._slack <= x <= c.L + c.v * t + self._slack):
-            raise ValueError("x outside the moving interval (v t, L + v t)")
-
-    def value(self, x: float, t: float) -> float:
-        self._check_point(x, t)
-        return self._profile("F", x + t) + self._profile("G", x - t)
-
-    def slope(self, x: float, t: float) -> float:
-        self._check_point(x, t)
-        return self._profile_d("F", x + t) + self._profile_d("G", x - t)
-
-    def velocity(self, x: float, t: float) -> float:
-        self._check_point(x, t)
-        return self._profile_d("F", x + t) - self._profile_d("G", x - t)
-
-    def value_many(self, x, t) -> np.ndarray:
         x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        return np.array([self.value(xi, ti) for xi, ti in zip(x.ravel(), t.ravel())]
-                        ).reshape(x.shape)
+        if np.any(t < -self._slack):
+            raise ValueError("time must be nonnegative")
+        if not np.all((c.v * t - self._slack <= x) & (x <= c.L + c.v * t + self._slack)):
+            raise ValueError("x outside the moving interval (v t, L + v t)")
+        n = x.size
+        args = np.concatenate([(x + t).ravel(), (x - t).ravel()])
+        s, forward, sign, dscale = self._reduce(args, np.arange(2 * n) < n)
+        d = self.data
+        if derivative:
+            p1 = np.asarray(d.phi1(s), float)
+            prof = dscale * (0.5 * (np.asarray(d.phi0_x(s), float) + np.where(forward, p1, -p1)))
+        else:
+            psi = self._psi(s)
+            prof = sign * (0.5 * (np.asarray(d.phi0(s), float) + np.where(forward, psi, -psi)))
+        return prof[:n].reshape(x.shape), prof[n:].reshape(x.shape)
+
+    def value(self, x, t):
+        """phi at points (x, t) inside the moving interval, t >= 0; a float
+        for scalar input, an array of the broadcast shape otherwise."""
+        f, b = self._waves(x, t, derivative=False)
+        return _as_output(f + b)
+
+    def slope(self, x, t):
+        f, b = self._waves(x, t, derivative=True)
+        return _as_output(f + b)
+
+    def velocity(self, x, t):
+        f, b = self._waves(x, t, derivative=True)
+        return _as_output(f - b)
+
+
+def _as_output(a: np.ndarray):
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,21 +174,26 @@ class FrozenFrameFD:
     v: float
     L: float
 
-    def eval(self, x: float, t: float) -> float:
-        """Bilinear interpolation, mapped back through x = eta + v t."""
+    def eval(self, x, t):
+        """Bilinear interpolation, mapped back through x = eta + v t; a float
+        for scalar input, an array of the broadcast shape otherwise."""
+        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
         e = x - self.v * t
+        t_end = float(self.tau[-1])
         slack = 1e-9 * max(1.0, self.L)
-        if not (-slack <= e <= self.L + slack) or not (-slack <= t <= self.tau[-1] + slack):
-            raise ValueError(f"point (x={x}, t={t}) outside the computed slab")
-        e = min(max(e, 0.0), self.L)
-        t = min(max(t, 0.0), float(self.tau[-1]))
-        k = min(int(t / (self.tau[1] - self.tau[0])), len(self.tau) - 2)
-        j = min(int(e / (self.eta[1] - self.eta[0])), len(self.eta) - 2)
+        inside = (-slack <= e) & (e <= self.L + slack) & (-slack <= t) & (t <= t_end + slack)
+        if not np.all(inside):
+            i = np.argmin(inside.ravel())
+            raise ValueError(f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
+        e = np.clip(e, 0.0, self.L)
+        t = np.clip(t, 0.0, t_end)
+        k = np.minimum((t / (self.tau[1] - self.tau[0])).astype(int), len(self.tau) - 2)
+        j = np.minimum((e / (self.eta[1] - self.eta[0])).astype(int), len(self.eta) - 2)
         wt = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
         we = (e - self.eta[j]) / (self.eta[j + 1] - self.eta[j])
         u = self.u
-        return float((1 - wt) * ((1 - we) * u[k, j] + we * u[k, j + 1])
-                     + wt * ((1 - we) * u[k + 1, j] + we * u[k + 1, j + 1]))
+        return _as_output((1 - wt) * ((1 - we) * u[k, j] + we * u[k, j + 1])
+                          + wt * ((1 - we) * u[k + 1, j] + we * u[k + 1, j + 1]))
 
     def energy_series(self):
         """Material-derivative energy at interior time levels (drift probe)."""
@@ -241,17 +254,32 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
     u[1] = u[0] + dtau * rate + 0.5 * dtau ** 2 * (2.0 * v * d_rate + (1.0 - v * v) * d2u)
     u[1, 0] = u[1, -1] = 0.0
 
+    # constant tridiagonal matrix: 1 on the diagonal, beta below, -beta above
     m = nx - 1
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -beta   # superdiagonal
-    ab[1, :] = 1.0
-    ab[2, :-1] = beta   # subdiagonal
+    dl, d, du, du2, ipiv, info = dgttrf(np.full(m - 1, beta), np.ones(m), np.full(m - 1, -beta))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
+    two_u = np.empty(m)
+    lap = np.empty(m)
+    rhs = np.empty((m, 1))   # dgttrs takes a column of right-hand sides
+    b = rhs[:, 0]
     for k in range(1, n_steps):
         un, um = u[k], u[k - 1]
-        rhs = (2.0 * un[1:-1] - um[1:-1]
-               + lam2 * (un[2:] - 2.0 * un[1:-1] + un[:-2])
-               - beta * (um[2:] - um[:-2]))
-        u[k + 1, 1:-1] = solve_banded((1, 1), ab, rhs)
+        # 2 un - um + lam2 (un+ - 2 un + un-) - beta (um+ - um-), evaluated in
+        # that order so every level keeps the bits of the plain expression
+        np.multiply(2.0, un[1:-1], out=two_u)
+        np.subtract(un[2:], two_u, out=lap)
+        np.add(lap, un[:-2], out=lap)
+        np.multiply(lam2, lap, out=lap)
+        np.subtract(two_u, um[1:-1], out=b)
+        np.add(b, lap, out=b)
+        np.subtract(um[2:], um[:-2], out=lap)
+        np.multiply(beta, lap, out=lap)
+        np.subtract(b, lap, out=b)
+        x, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
+        u[k + 1, 1:-1] = x[:, 0]
     tau = np.linspace(0.0, t_final, n_steps + 1)
     return FrozenFrameFD(eta=eta, tau=tau, u=u, v=v, L=L)
 
@@ -289,11 +317,11 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
 
     max_char = max_fd = None
     if "characteristics" in methods:
-        vals = CharacteristicSolver(data, consts).value_many(x, t)
+        vals = CharacteristicSolver(data, consts).value(x, t)
         max_char = float(np.max(np.abs(phi - vals)))
     if "fd" in methods:
         fd = fd_solve(cfg, nx=nx, cfl=cfl, t_final=consts.T_v)
-        vals = np.array([fd.eval(xi, ti) for xi, ti in zip(x, t)])
+        vals = fd.eval(x, t)
         max_fd = float(np.max(np.abs(phi - vals)))
     return CrossValidation(
         sample_count=sample_count,

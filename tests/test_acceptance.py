@@ -171,8 +171,8 @@ class TestCriterion9Periodicity:
         x = c.v * t + rng.uniform(0.0, 1.0, 100) * c.L
         series_resid = check_periodicity(sol, np.column_stack([x, t]))
         cs = CharacteristicSolver(sol.data, c)
-        before = cs.value_many(x, t)
-        after = cs.value_many(x + c.v * c.T_v, t + c.T_v)
+        before = cs.value(x, t)
+        after = cs.value(x + c.v * c.T_v, t + c.T_v)
         char_resid = float(np.max(np.abs(after - before)))
         ok = verdict(9, series_resid < 1e-12 and char_resid < 1e-6,
                      f"shift-periodicity residuals: series {series_resid:.2e} "

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from moving_string import (
     CharacteristicSolver,
     ConfigurationError,
+    InitialDataSpec,
+    build_initial_data,
     check_periodicity,
     cross_validate,
     derive_constants,
@@ -80,8 +83,8 @@ class TestCharacteristicsMovingCase:
         rng = np.random.default_rng(3)
         t = rng.uniform(0, c.T_v, 40)
         x = c.v * t + rng.uniform(0, 1, 40) * c.L
-        before = cs.value_many(x, t)
-        after = cs.value_many(x + c.v * c.T_v, t + c.T_v)
+        before = cs.value(x, t)
+        after = cs.value(x + c.v * c.T_v, t + c.T_v)
         assert np.max(np.abs(after - before)) < 1e-6
 
     def test_domain_validated(self):
@@ -97,7 +100,116 @@ class TestCharacteristicsMovingCase:
             cs.value(c.v * t + 1.0, t)
 
 
+def reflection_count(s, forward, L, g):
+    """Support reflections that carry a profile argument into [0, L]."""
+    count = 0
+    while (forward and s > L) or (not forward and s < 0.0):
+        s, forward = (L - (s - L) / g, False) if forward else (-g * s, True)
+        count += 1
+    return count
+
+
+class TestCharacteristicsOnArrays:
+    # spline-tabulated data with phi1 != 0, so the F and G profiles differ
+    # and every profile evaluation is plain per-element arithmetic
+    L, V = math.pi, 0.5
+
+    @pytest.fixture(scope="class")
+    def cs(self):
+        x = np.linspace(0.0, self.L, 41)
+        spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x) ** 2, 0.05 * np.cos(3 * x) + 0.02 * x)
+        return CharacteristicSolver(build_initial_data(spec, self.L),
+                                    derive_constants(L=self.L, v=self.V))
+
+    @pytest.fixture(scope="class")
+    def mixed_points(self, cs):
+        c = cs.consts
+        rng = np.random.default_rng(7)
+        t = np.concatenate([np.zeros(5), rng.uniform(0.0, 3.0 * c.T_v, 60),
+                            [0.0, 0.0, 0.4 * c.T_v, 2.5 * c.T_v]])
+        x = c.v * t + np.concatenate([np.linspace(0.0, c.L, 5), rng.uniform(0.0, c.L, 60),
+                                      [0.0, c.L, 0.0, c.L]])
+        return x, t
+
+    def test_mixed_array_has_every_reflection_depth(self, cs, mixed_points):
+        c = cs.consts
+        x, t = mixed_points
+        counts = [reflection_count(xi + ti, True, c.L, c.gamma_v)
+                  + reflection_count(xi - ti, False, c.L, c.gamma_v) for xi, ti in zip(x, t)]
+        assert {0, 1} <= set(counts)
+        assert max(counts) >= 2
+
+    @pytest.mark.parametrize("method", ["value", "slope", "velocity"])
+    def test_array_equals_pointwise(self, cs, mixed_points, method):
+        x, t = mixed_points
+        fn = getattr(cs, method)
+        pointwise = [fn(xi, ti) for xi, ti in zip(x, t)]
+        assert all(isinstance(p, float) for p in pointwise)
+        out = fn(x, t)
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(out, pointwise)
+        # broadcasting a scalar time against an array of positions
+        c = cs.consts
+        xs = c.v * t[7] + np.linspace(0.0, c.L, 9)
+        np.testing.assert_array_equal(fn(xs, t[7]), [fn(xi, t[7]) for xi in xs])
+
+    def test_one_point_outside_interval_rejected(self, cs, mixed_points):
+        x, t = mixed_points
+        x = x.copy()
+        x[17] = cs.consts.v * t[17] - 0.5
+        with pytest.raises(ValueError):
+            cs.value(x, t)
+
+    def test_one_point_too_deep_rejected(self, cs, mixed_points):
+        c = cs.consts
+        x, t = mixed_points
+        x, t = x.copy(), t.copy()
+        t[23] = 300 * c.T_v
+        x[23] = c.v * t[23] + 1.0
+        for fn in (cs.value, cs.slope, cs.velocity):
+            with pytest.raises(RecursionError):
+                fn(x, t)
+
+
 class TestFrozenFrameFD:
+    def test_history_matches_reference_banded_march(self):
+        # the factor-once march reproduces a per-step banded solve bit for
+        # bit, marching from the same two seeded levels
+        cfg = make_config(0.5)
+        nx, t_final, v = 64, 2.0, 0.5
+        fd = fd_solve(cfg, nx=nx, t_final=t_final)
+        n_steps = len(fd.tau) - 1
+        deta = cfg.L / nx
+        dtau = t_final / n_steps
+        beta = v * dtau / (2.0 * deta)
+        lam2 = (1.0 - v * v) * (dtau / deta) ** 2
+        ab = np.zeros((3, nx - 1))
+        ab[0, 1:] = -beta
+        ab[1, :] = 1.0
+        ab[2, :-1] = beta
+        ref = np.zeros_like(fd.u)
+        ref[:2] = fd.u[:2]
+        for k in range(1, n_steps):
+            un, um = ref[k], ref[k - 1]
+            rhs = (2.0 * un[1:-1] - um[1:-1]
+                   + lam2 * (un[2:] - 2.0 * un[1:-1] + un[:-2])
+                   - beta * (um[2:] - um[:-2]))
+            ref[k + 1, 1:-1] = solve_banded((1, 1), ab, rhs)
+        assert n_steps > 100
+        np.testing.assert_array_equal(fd.u, ref)
+
+    def test_eval_on_arrays(self):
+        fd = fd_solve(make_config(0.3), nx=64, t_final=1.0)
+        rng = np.random.default_rng(5)
+        t = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 1.0, 0.0, 1.0]])
+        x = 0.3 * t + np.concatenate([rng.uniform(0.0, fd.L, 200), [0.0, 0.0, fd.L, fd.L]])
+        pointwise = [fd.eval(xi, ti) for xi, ti in zip(x, t)]
+        assert all(isinstance(p, float) for p in pointwise)
+        np.testing.assert_array_equal(fd.eval(x, t), pointwise)
+        t[100] = 2.0
+        with pytest.raises(ValueError, match="outside the computed slab"):
+            fd.eval(x, t)
+
     def test_second_order_convergence(self):
         # standing wave, error measured in L^2 at t=1; doubling nx should
         # cut the error by ~4

@@ -91,12 +91,24 @@ def write_json(path: Path, obj) -> None:
 
 def write_csv(path: Path, header: list[str], rows, block_size: int = 0) -> None:
     """Write CSV rows; with ``block_size`` > 0 a blank line separates every
-    block of that many rows (gnuplot grid scans)."""
+    block of that many rows (gnuplot grid scans).
+
+    Every row is formatted by one ``%`` string built from the first row's
+    column types: ``%d`` for integers and ``%.17g`` for floats, the bytes
+    ``fmt`` gives.  An ndarray of rows is converted with ``tolist``.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        if block_size and i and i % block_size == 0:
-            lines.append("")
-        lines.append(",".join(fmt(v) for v in row))
+    if len(rows):
+        row_fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
+                           for v in rows[0])
+        body = [row_fmt % tuple(row) for row in rows]
+        step = block_size or len(body)
+        for i in range(0, len(body), step):
+            if i:
+                lines.append("")
+            lines.extend(body[i:i + step])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -201,8 +213,7 @@ def _emit_field(man: Manifest, sol, nx: int, nt: int, t_final: float, stem: str)
     X, T, phi, phx, pht = sample_moving_grid(sol, nx, nt, t_final)
     if not all(np.all(np.isfinite(a)) for a in (phi, phx, pht)):
         raise NumericError("non-finite values in computed output")
-    rows = [(X[i, j], T[i, j], phi[i, j], phx[i, j], pht[i, j])
-            for i in range(nx) for j in range(nt)]
+    rows = np.stack([X, T, phi, phx, pht], axis=-1).reshape(nx * nt, 5)
     man.emit_csv(f"{stem}.csv", ["x", "t", "phi", "phi_x", "phi_t"], rows,
                  block_size=nt)
     man.emit_text(f"{stem}.gp", _GNUPLOT_SURFACE.format(name=stem, csv=f"{stem}.csv"))

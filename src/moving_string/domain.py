@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError
 
@@ -293,6 +292,8 @@ def _build_tabulated(table, L: float) -> InitialData:
         raise ConfigurationError(
             "tabulated phi0 must vanish at both supports (pinned-end compatibility)"
         )
+    from scipy.interpolate import CubicSpline  # only tabulated data need it
+
     s0 = CubicSpline(x, p0, bc_type="natural")
     s1 = CubicSpline(x, p1, bc_type="natural")
     d0 = s0.derivative()

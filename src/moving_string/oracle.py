@@ -12,8 +12,9 @@ each reflection rescaling the argument by gamma_v or 1/gamma_v.  Evaluation
 reduces the argument through these maps until it lands in [0, L]; the
 number of reflections is finite for bounded time and guarded.  Derivative
 profiles follow the same maps with chain-rule factors gamma_v^{+-1}.  This
-solver is exact up to the accuracy of the phi1 antiderivative, precomputed
-by cell-wise Simpson on a dense grid and interpolated with a cubic spline.
+solver is exact up to the accuracy of the phi1 antiderivative psi: cell-wise
+Simpson sums on a dense grid give psi at the cell edges, and psi(s) is the
+value at the edge e below s plus one Simpson step over [e, s].
 
 Frozen-frame finite differences.  The substitution eta = x - v t, tau = t
 maps the moving interval onto (0, L) and turns the wave equation into
@@ -42,7 +43,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import SpectralSolution
@@ -60,11 +60,13 @@ __all__ = [
 
 MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
+_ENERGY_BLOCK = 256   # time levels per energy_series block
 
 
-def _cumulative_simpson(fn, a: float, b: float, cells: int) -> CubicSpline:
-    """Antiderivative of ``fn`` on [a, b]: per-cell Simpson with midpoints,
-    cubic-spline interpolated between the cell boundaries."""
+def _cumulative_simpson(fn, a: float, b: float, cells: int):
+    """Antiderivative of ``fn`` on [a, b], zero at a: cumulative per-cell
+    Simpson sums at the cell edges, plus one Simpson step over the partial
+    cell [e, s] from the edge e below each argument s."""
     edges = np.linspace(a, b, cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     h = (b - a) / cells
@@ -72,7 +74,16 @@ def _cumulative_simpson(fn, a: float, b: float, cells: int) -> CubicSpline:
     f_mids = np.asarray(fn(mids), dtype=float)
     increments = h / 6.0 * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:])
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return CubicSpline(edges, values)
+
+    def psi(s):
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.floor((s - a) / h).astype(int), 0, cells - 1)
+        e = edges[i]
+        f_mid = np.asarray(fn(0.5 * (e + s)), dtype=float)
+        f_s = np.asarray(fn(s), dtype=float)
+        return values[i] + (s - e) / 6.0 * (f_edges[i] + 4.0 * f_mid + f_s)
+
+    return psi
 
 
 class CharacteristicSolver:
@@ -196,16 +207,18 @@ class FrozenFrameFD:
                           + wt * ((1 - we) * u[k + 1, j] + we * u[k + 1, j + 1]))
 
     def energy_series(self):
-        """Material-derivative energy at interior time levels (drift probe)."""
+        """Material-derivative energy at interior time levels (drift probe),
+        computed ``_ENERGY_BLOCK`` levels at a time to bound the temporaries."""
         dtau = self.tau[1] - self.tau[0]
-        times, energies = [], []
-        for k in range(1, len(self.tau) - 1):
-            u_tau = (self.u[k + 1] - self.u[k - 1]) / (2.0 * dtau)
-            u_eta = np.gradient(self.u[k], self.eta)
+        last = len(self.tau) - 1
+        energies = []
+        for k in range(1, last, _ENERGY_BLOCK):
+            stop = min(k + _ENERGY_BLOCK, last)
+            u_tau = (self.u[k + 1:stop + 1] - self.u[k - 1:stop - 1]) / (2.0 * dtau)
+            u_eta = np.gradient(self.u[k:stop], self.eta, axis=1)
             dens = 0.5 * (u_tau ** 2 + (1.0 - self.v ** 2) * u_eta ** 2)
-            times.append(float(self.tau[k]))
-            energies.append(float(np.trapezoid(dens, self.eta)))
-        return np.array(times), np.array(energies)
+            energies.append(np.trapezoid(dens, self.eta, axis=1))
+        return self.tau[1:-1].copy(), np.concatenate(energies)
 
 
 def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moving_string
 from moving_string import certify, load_config, solve
-from moving_string.cli import main
+from moving_string.cli import fmt, main, write_csv
+from moving_string.series import sample_moving_grid
 
 
 def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24, ppu=128):
@@ -98,6 +104,21 @@ class TestSimulate:
         first = rows[0].split(",")
         assert float(first[0]) == pytest.approx(0.3 * float(first[1]), abs=1e-12)
 
+    def test_field_csv_lines_are_fmt_of_grid(self, tmp_path, capsys):
+        # every row is the fmt rendering of the grid values, i-major
+        cfg = write_cfg(tmp_path, n_max=8)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", cfg, "--out", str(out),
+                   "--nx", "7", "--nt", "5", "--t-final", "2.0"])
+        assert rc == 0
+        grids = sample_moving_grid(solve(load_config(cfg)), 7, 5, 2.0)
+        expected = ["x,t,phi,phi_x,phi_t"]
+        for i in range(7):
+            if i:
+                expected.append("")
+            expected += [",".join(fmt(g[i, j]) for g in grids) for j in range(5)]
+        assert (out / "field.csv").read_text() == "\n".join(expected) + "\n"
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # the bump slope scales by amplitude / (width/4), which overflows
         # for a near-max-double amplitude -> non-finite integrand -> exit 3
@@ -109,6 +130,62 @@ class TestSimulate:
             rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    ROWS = [(3, 0.1, -0.0, 1e-320, -2.5e300),
+            (-7, 1.0 / 3.0, math.pi, 5e-324, 123456789.0),
+            (0, -1e-17, 2.0 ** 60, float("inf"), float("nan"))]
+
+    @staticmethod
+    def reference(header, rows, block_size=0):
+        lines = [",".join(header)]
+        for i, row in enumerate(rows):
+            if block_size and i and i % block_size == 0:
+                lines.append("")
+            lines.append(",".join(fmt(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("block_size", [0, 1, 2, 3])
+    def test_mixed_rows_match_fmt(self, tmp_path, block_size):
+        rows = self.ROWS + [(np.int64(11), np.float64(0.7), 2.0, -1.5, 1e-5)]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcde"), rows, block_size)
+        assert path.read_text() == self.reference(list("abcde"), rows, block_size)
+
+    def test_ndarray_rows_match_fmt(self, tmp_path):
+        rows = np.array([r[1:] for r in self.ROWS] * 3)
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcd"), rows, block_size=2)
+        assert path.read_text() == self.reference(list("abcd"), rows.tolist(), 2)
+
+    def test_no_rows_writes_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [], block_size=3)
+        assert path.read_text() == "a,b\n"
+
+
+class TestImportPath:
+    def test_cli_import_leaves_out_scipy_interpolate(self):
+        # only tabulated data need scipy.interpolate; they import it when
+        # they are built, and still solve
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import moving_string.cli",
+            "assert 'scipy.interpolate' not in sys.modules, 'imported eagerly'",
+            "from moving_string import InitialDataSpec, QuadratureSpec, StringConfig, solve",
+            "x = np.linspace(0.0, np.pi, 41)",
+            "spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.05 * np.sin(2 * x))",
+            "sol = solve(StringConfig(L=np.pi, v=0.3, initial=spec, n_max=8,",
+            "                         quadrature=QuadratureSpec(panels_per_unit=64)))",
+            "assert 'scipy.interpolate' in sys.modules",
+            "assert np.all(np.isfinite(sol.c_plus)) and np.any(sol.c_plus != 0)",
+        ])
+        src = str(Path(moving_string.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEnergyCmd:

@@ -19,6 +19,9 @@ from moving_string import (
     initial_data,
 )
 
+from moving_string import oracle
+from moving_string.oracle import _cumulative_simpson
+
 from conftest import get_solution, make_config
 
 
@@ -57,6 +60,48 @@ class TestCharacteristicsExactCases:
     def test_zero_data(self):
         cs = char_solver(0.3, preset="zero")
         assert cs.value(2.0, 2.0) == 0.0
+
+
+class TestAntiderivative:
+    """psi = int_0^s phi1 for phi1 = sin(k pi x / L): edge sums plus one
+    Simpson step over the partial cell, against (1 - cos(w s)) / w."""
+
+    L = math.pi
+
+    @pytest.mark.parametrize("k, tol", [(1, 1e-13), (20, 1e-11)])
+    def test_sine_antiderivative(self, k, tol):
+        w = k * math.pi / self.L
+        cells = 4096
+        psi = _cumulative_simpson(lambda x: np.sin(w * x), 0.0, self.L, cells)
+        rng = np.random.default_rng(11)
+        s = np.concatenate([[0.0, self.L], np.linspace(0.0, self.L, cells + 1),
+                            rng.uniform(0.0, self.L, 20000)])
+        err = np.max(np.abs(psi(s) - (1.0 - np.cos(w * s)) / w))
+        assert err < tol
+        assert psi(np.array(0.0)) == 0.0
+
+    def test_velocity_data_many_reflections(self):
+        # phi1 = sin(3x), v = 0: phi = sin(3x) sin(3t) / 3 at every depth
+        cs = char_solver(0.0, preset="sine_velocity", amplitude=1.0, mode=3)
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, 20.0, 500)
+        x = rng.uniform(0.0, math.pi, 500)
+        exact = np.sin(3 * x) * np.sin(3 * t) / 3
+        assert np.max(np.abs(cs.value(x, t) - exact)) < 1e-13
+
+    def test_moving_traveling_wave_before_reflection(self):
+        # phi1 = -phi0_x makes F = (phi0 + psi)/2 vanish on [0, L], so until
+        # the wave meets a support phi(x, t) = phi0(x - t): psi must cancel
+        # phi0 to rounding
+        cs = char_solver(0.3, preset="traveling_sine", amplitude=0.1, mode=2, sign=-1)
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, math.pi / 2, 2000)
+        x = rng.uniform(0.0, math.pi, 2000)
+        keep = (x >= t) & (x + t <= math.pi)
+        x, t = x[keep], t[keep]
+        assert x.size > 200
+        exact = 0.1 * np.sin(2 * (x - t))
+        assert np.max(np.abs(cs.value(x, t) - exact)) < 1e-14
 
 
 class TestCharacteristicsMovingCase:
@@ -245,6 +290,23 @@ class TestFrozenFrameFD:
         _, calE = fd.energy_series()
         drift = (calE.max() - calE.min()) / calE.mean()
         assert drift < 0.01
+
+    @pytest.mark.parametrize("block", [7, 256])
+    def test_energy_series_matches_per_level_loop(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "_ENERGY_BLOCK", block)
+        fd = fd_solve(make_config(0.5), nx=64, t_final=6.0)
+        assert len(fd.tau) > 2 * 256
+        dtau = fd.tau[1] - fd.tau[0]
+        times, energies = [], []
+        for k in range(1, len(fd.tau) - 1):
+            u_tau = (fd.u[k + 1] - fd.u[k - 1]) / (2.0 * dtau)
+            u_eta = np.gradient(fd.u[k], fd.eta)
+            dens = 0.5 * (u_tau ** 2 + (1.0 - fd.v ** 2) * u_eta ** 2)
+            times.append(float(fd.tau[k]))
+            energies.append(float(np.trapezoid(dens, fd.eta)))
+        got_times, got = fd.energy_series()
+        np.testing.assert_array_equal(got_times, times)
+        np.testing.assert_array_equal(got, energies)
 
     def test_zero_data_stays_zero(self):
         fd = fd_solve(make_config(0.7, preset="zero"), nx=64, t_final=1.0)

@@ -5,9 +5,10 @@ Runs every subcommand below on every ``configs/*.json`` and
 ``perfbench/configs/*.json`` of NEW_ROOT, once with OLD_ROOT/src and once
 with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
 every written file byte for byte.  Only the manifest's ``duration_seconds``
-and ``out_dir`` are ignored.  For each differing file it prints the first
-differing line and, where both lines parse as numbers field by field, the
-largest absolute difference on that line.
+and ``out_dir`` are ignored.  For each differing file it prints how many
+lines differ, the first differing line and, over all differing lines whose
+fields parse as numbers pair by pair, the largest absolute difference and
+the line and field where it occurs.
 
 Exit status: 1 if any output from ``configs/`` differs, else 0 (differences
 on ``perfbench/configs`` are reported only).
@@ -58,24 +59,48 @@ def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes
     return files
 
 
-def first_difference(a: bytes, b: bytes) -> str:
+def describe_difference(a: bytes, b: bytes) -> str:
     la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
-    for i, (x, y) in enumerate(zip(la, lb), 1):
-        if x != y:
-            return f"line {i}: {x.strip()!r} -> {y.strip()!r}{_abs_diff(x, y)}"
-    return f"line {min(len(la), len(lb)) + 1}: {len(la)} lines -> {len(lb)} lines"
+    pairs = [(i, x, y) for i, (x, y) in enumerate(zip(la, lb), 1) if x != y]
+    parts = []
+    if pairs:
+        i, x, y = pairs[0]
+        parts.append(f"{len(pairs)} lines differ, first line {i}: {x.strip()!r} -> {y.strip()!r}")
+    if len(la) != len(lb):
+        parts.append(f"{len(la)} lines -> {len(lb)} lines")
+    worst, opaque = None, 0
+    for i, x, y in pairs:
+        d = _abs_diff(x, y)
+        if d is None:
+            opaque += 1
+        elif worst is None or d[0] > worst[0]:
+            worst = (d[0], i, d[1], y.strip())
+    if worst is not None:
+        diff, i, field, line = worst
+        parts.append(f"largest abs diff {diff:.3g} at line {i} field {field} ({line[:60]!r})")
+    if opaque:
+        parts.append(f"{opaque} differing lines not numeric field by field")
+    return "; ".join(parts)
 
 
-def _abs_diff(x: str, y: str) -> str:
-    fx, fy = re.split(r"[,:\s]+", x.strip()), re.split(r"[,:\s]+", y.strip())
-    diffs = []
-    for p, q in zip(fx, fy):
+def _abs_diff(x: str, y: str) -> tuple[float, int] | None:
+    """(largest |p - q|, 1-based field) over the fields of two lines, or None
+    unless both split into the same number of fields that are equal or
+    both numeric."""
+    fx, fy = re.split(r"[,:;=\s]+", x.strip()), re.split(r"[,:;=\s]+", y.strip())
+    if len(fx) != len(fy):
+        return None
+    best = None
+    for k, (p, q) in enumerate(zip(fx, fy), 1):
         try:
-            diffs.append(abs(float(p) - float(q)))
+            d = abs(float(p) - float(q))
         except ValueError:
             if p != q:
-                return ""
-    return f" (abs diff {max(diffs):.3g})" if diffs and len(fx) == len(fy) else ""
+                return None
+            continue
+        if best is None or d > best[0]:
+            best = (d, k)
+    return best
 
 
 def compare(old: Path, new: Path, config: Path, name: str, scratch: Path) -> list[str]:
@@ -84,7 +109,7 @@ def compare(old: Path, new: Path, config: Path, name: str, scratch: Path) -> lis
     out = scratch / f"{tag.replace('/', '-')}-{name}"
     a, b = run(old, config, args, out / "old"), run(new, config, args, out / "new")
     return [f"{tag} {name} {f}: " + ("missing on one side" if f not in a or f not in b
-                                      else first_difference(a[f], b[f]))
+                                      else describe_difference(a[f], b[f]))
             for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
 
 

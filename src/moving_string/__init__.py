@@ -58,6 +58,7 @@ from .series import (
     check_periodicity,
     eval_field,
     field_components,
+    field_on_moving_grid,
     velocity_trace,
 )
 
@@ -98,6 +99,7 @@ __all__ = [
     "extend_velocity",
     "fd_solve",
     "field_components",
+    "field_on_moving_grid",
     "initial_data",
     "initial_energies",
     "integrate",

@@ -33,6 +33,7 @@ __all__ = [
     "StringConfig",
     "DerivedConstants",
     "build_initial_data",
+    "check_tolerance",
     "derive_constants",
     "moving_interval",
     "load_config",
@@ -53,6 +54,12 @@ def _check_geometry(L: float, v: float) -> None:
             f"axial speed v={v} violates the well-posedness condition "
             f"{SPEED_CONDITION}; v >= 1 makes the problem ill-posed"
         )
+
+
+def check_tolerance(tol: float) -> None:
+    """Reject an identity tolerance that is not finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -378,6 +385,8 @@ def load_config(path: str | Path) -> StringConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -26,7 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import InitialDataSpec, StringConfig, build_initial_data, derive_constants
+from .domain import (
+    InitialDataSpec,
+    StringConfig,
+    build_initial_data,
+    check_tolerance,
+    derive_constants,
+)
 from .energy import spectral_energy
 from .errors import ConfigurationError
 from .oracle import CharacteristicSolver
@@ -85,9 +91,10 @@ def _velocity_trace_integral(sol: SpectralSolution, endpoint: str, T: float) -> 
     return integrate(sq, p)
 
 
-def _check_endpoint(endpoint: str) -> None:
+def _check_args(endpoint: str, tol: float) -> None:
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
+    check_tolerance(tol)
 
 
 def _report(sol, mode, T, M, integral, rhs, tol):
@@ -117,7 +124,7 @@ def _report(sol, mode, T, M, integral, rhs, tol):
 def observe_one_endpoint(sol: SpectralSolution, endpoint: str, M: int,
                          tol: float = 1e-6) -> ObservabilityReport:
     """Slope-trace integral over M whole periods at one moving support."""
-    _check_endpoint(endpoint)
+    _check_args(endpoint, tol)
     if M < 1:
         raise ValueError(f"period count M must be >= 1, got {M}")
     T = M * sol.consts.T_v
@@ -128,6 +135,7 @@ def observe_one_endpoint(sol: SpectralSolution, endpoint: str, M: int,
 
 def observe_both_endpoints(sol: SpectralSolution, tol: float = 1e-6) -> ObservabilityReport:
     """Two-endpoint observation over the shortened horizons L/(1+v), L/(1-v)."""
+    check_tolerance(tol)
     c = sol.consts
     left = _slope_trace_integral(sol, "left", c.L / (1.0 + c.v))
     right = _slope_trace_integral(sol, "right", c.L / (1.0 - c.v))
@@ -139,9 +147,9 @@ def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
                     tol: float = 1e-6) -> ObservabilityReport:
     """Fractional-horizon observation: only the direct inequality applies,
     with constant 4 ceil(T/T_v) / (1 - v^2)^2."""
-    _check_endpoint(endpoint)
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    _check_args(endpoint, tol)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     integral = _slope_trace_integral(sol, endpoint, T)
     return _report(sol, endpoint, T, math.ceil(T / sol.consts.T_v), integral, None, tol)
 
@@ -157,7 +165,7 @@ def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
     the factor v^2: ``identity_residual`` is measured against
     4 M calE(0) / (v (1 - v^2))^2, the value the trace relation implies.
     """
-    _check_endpoint(endpoint)
+    _check_args(endpoint, tol)
     if M < 1:
         raise ValueError(f"period count M must be >= 1, got {M}")
     v = sol.consts.v

@@ -84,12 +84,18 @@ def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:
         raise NumericError(f"integrand non-finite at node x = {node!r}")
 
 
-def _fsum_rows(values: np.ndarray) -> np.ndarray:
-    """``math.fsum`` along the last axis; complex parts are summed apart."""
+def _fsum_rows(values: np.ndarray, weights=1.0) -> np.ndarray:
+    """``math.fsum`` of ``weights * values`` along the last axis; complex
+    parts are summed apart.
+
+    Each row is weighted and converted to Python floats on its own, so a
+    tall stack is never copied whole nor held as one list of boxed floats.
+    """
     if np.iscomplexobj(values):
-        return _fsum_rows(values.real) + 1j * _fsum_rows(values.imag)
-    rows = values.reshape(-1, values.shape[-1]).tolist()
-    return np.array([math.fsum(r) for r in rows]).reshape(values.shape[:-1])
+        return _fsum_rows(values.real, weights) + 1j * _fsum_rows(values.imag, weights)
+    rows = values.reshape(-1, values.shape[-1])
+    return np.array([math.fsum((weights * r).tolist()) for r in rows]).reshape(
+        values.shape[:-1])
 
 
 def integrate(f, p: Panelization):
@@ -106,6 +112,6 @@ def integrate(f, p: Panelization):
     for seg in p.segments:
         vals = np.asarray(f(seg.nodes, (seg.lo, seg.hi)))
         require_finite(seg.nodes, vals)
-        parts.append(_fsum_rows(seg.weights * vals))
+        parts.append(_fsum_rows(vals, seg.weights))
     total = _fsum_rows(np.stack(parts, axis=-1))
     return total if total.ndim else total.item()

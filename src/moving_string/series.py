@@ -12,6 +12,19 @@ the partial sum, so the error grows like n_max * eps * Sum |c_n| (times
 Results are real for real data; the discarded imaginary part, which also
 picks up any conjugate asymmetry of the table, is monitored and reported
 with every sample instead of silently dropped.
+
+On the moving interval x = v t + s both phases split into a time part and
+a space part: pi (1-v)(t+x)/L = 2 pi t/T_v + pi (1-v) s/L and
+pi (1+v)(t-x)/L = 2 pi t/T_v - pi (1+v) s/L.  Every mode of both families
+therefore carries the same factor e^{2 pi i n t/T_v}, the source of the
+T_v-periodicity of the energies, times a mode shape in s.  On a grid of
+times x relative abscissae the sums become one (times x modes) by
+(modes x abscissae) matrix product: ``field_on_moving_grid`` folds the
+table (each family with its own entries c_n, never conj(c_{-n})) into
+the time factors and multiplies by the mode shapes e^{i n pi (1-v) s/L}
+and e^{-i n pi (1+v) s/L}, built as powers of one phasor per abscissa,
+block by block.  ``field_components`` stays the evaluator for scattered
+points.
 """
 
 from __future__ import annotations
@@ -28,13 +41,16 @@ __all__ = [
     "TraceSeries",
     "eval_field",
     "field_components",
+    "field_on_moving_grid",
     "boundary_trace",
     "velocity_trace",
     "check_periodicity",
 ]
 
 _DOMAIN_SLACK = 1e-9
-_BLOCK = 8192  # points per Horner pass: a field block works in about 1.5 MB
+# points per Horner pass (a field block works in about 1.5 MB), and modes x
+# abscissae per family in a grid block's phasor table
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,56 @@ def field_components(sol: SpectralSolution, x, t, validate: bool = True):
     return phi.real.reshape(shape), phx.real.reshape(shape), pht.real.reshape(shape), resid
 
 
+def _mode_powers(z: np.ndarray, m: int) -> np.ndarray:
+    """Rows z^n for n = -m..-1, 1..m (the mode order) at unit phasors z."""
+    pos = np.cumprod(np.broadcast_to(z, (m, z.size)), axis=0)
+    return np.concatenate([pos[::-1].conj(), pos])
+
+
+def field_on_moving_grid(sol: SpectralSolution, times, s):
+    """(phi, phi_x, phi_t, imag_residual) at x = v t_k + s_j.
+
+    ``times`` and ``s`` are 1-D; each field has shape (len(times), len(s)).
+    Times must be finite and nonnegative and every s must lie in [0, L].
+    ``imag_residual`` is the max |Im| over the three sums, as in
+    ``field_components``.  The abscissae go through in blocks so that the
+    mode-shape tables stay about as small as a Horner block.
+    """
+    c = sol.consts
+    L, v = c.L, c.v
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    slack = _DOMAIN_SLACK * max(1.0, L)
+    if times.ndim != 1 or s.ndim != 1:
+        raise ValueError("times and s must be one-dimensional")
+    if not np.all(np.isfinite(times) & (times >= -slack)):
+        raise ValueError("time must be finite and nonnegative")
+    if not np.all(np.isfinite(s) & (s >= -slack) & (s <= L + slack)):
+        raise ValueError("s outside the reference interval [0, L]")
+    m, k = sol.n_max, times.size
+    n = sol.n.astype(float)
+    # rows 0..k-1: c_n e^{2 pi i n t/T_v} (phi); rows k..2k-1: the same rows
+    # times i pi n / L (phi_x and phi_t)
+    wc = np.exp((2j * math.pi / c.T_v) * np.outer(times, n)) * sol.c
+    w = np.concatenate([wc, wc * ((1j * math.pi / L) * n)])
+    out = np.empty((3, k, s.size))
+    resid = 0.0
+    step = max(1, _BLOCK // len(n))
+    for lo in range(0, s.size, step):
+        sb = s[lo:lo + step]
+        b = sb.size
+        # columns: the block's abscissae in family 1, then in family 2
+        z = np.exp((1j * math.pi / L) * np.concatenate([(1.0 - v) * sb, -(1.0 + v) * sb]))
+        f = w @ _mode_powers(z, m)
+        p1, p2, q1, q2 = f[:k, :b], f[:k, b:], f[k:, :b], f[k:, b:]
+        blk = np.stack([p1 - p2, (1.0 - v) * q1 + (1.0 + v) * q2,
+                        (1.0 - v) * q1 - (1.0 + v) * q2])
+        out[:, :, lo:lo + step] = blk.real
+        if blk.size:
+            resid = max(resid, float(np.max(np.abs(blk.imag))))
+    return out[0], out[1], out[2], resid
+
+
 def eval_field(sol: SpectralSolution, x: float, t: float) -> FieldSample:
     """Displacement, slope and velocity at one point of the moving domain."""
     phi, phx, pht, resid = field_components(sol, float(x), float(t))
@@ -207,10 +273,12 @@ def sample_moving_grid(sol: SpectralSolution, nx: int, nt: int, t_final: float):
     """
     if nx < 2 or nt < 2:
         raise ValueError("grid needs nx >= 2 and nt >= 2")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     c = sol.consts
     tg = np.linspace(0.0, t_final, nt)
     frac = np.linspace(0.0, 1.0, nx)
     X = c.v * tg[None, :] + frac[:, None] * c.L
     T = np.broadcast_to(tg[None, :], X.shape)
-    phi, phx, pht, _ = field_components(sol, X, T)
-    return X, np.array(T), phi, phx, pht
+    phi, phx, pht, _ = field_on_moving_grid(sol, tg, frac * c.L)
+    return X, np.array(T), phi.T, phx.T, pht.T

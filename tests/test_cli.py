@@ -66,6 +66,53 @@ class TestConstants:
         assert "bad parameters for preset 'sine_mode'" in capsys.readouterr().err
 
 
+class TestBadInputExitsTwo:
+    """Bad input is a usage error (exit 2 with a message), not a traceback
+    and not a numeric failure."""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        rc = main(["constants", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon(self, tmp_path, capsys, horizon):
+        cfg = write_cfg(tmp_path, n_max=6)
+        rc = main(["observe", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--endpoint", "left", "--horizon", horizon])
+        assert rc == 2
+        assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_final", ["nan", "inf"])
+    def test_non_finite_simulate_horizon(self, tmp_path, capsys, t_final):
+        cfg = write_cfg(tmp_path, n_max=6)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--nx", "4", "--nt", "4", "--t-final", t_final])
+        assert rc == 2
+        assert "t_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["energy", "--times", "4"],
+        ["observe", "--endpoint", "both"],
+        ["observe", "--endpoint", "right", "--horizon", "1.5"],
+    ], ids=["validate", "energy", "observe", "observe-horizon"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance(self, tmp_path, capsys, argv, tol):
+        cfg = write_cfg(tmp_path, n_max=6)
+        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o"), "--tol", tol])
+        assert rc == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    def test_non_finite_energy_horizon(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, n_max=6)
+        with np.errstate(invalid="ignore"):   # linspace(0, inf) holds nan
+            rc = main(["energy", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--times", "4", "--t-final", "inf"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestCoeffs:
     def test_csv_layout(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)

@@ -1,6 +1,7 @@
 """Energy functionals: conservation, spectral identity, two-sided bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,10 +97,14 @@ class TestBounds:
         assert rep.E.max() / rep.E.min() > 1.5
 
     def test_report_requires_valid_times(self, sine_v03):
-        with pytest.raises(ValueError):
-            energy_report(sine_v03, [])
-        with pytest.raises(ValueError):
-            energy_report(sine_v03, [-1.0])
+        for times in ([], [-1.0], [0.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                energy_report(sine_v03, times)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_report_requires_valid_tolerance(self, sine_v03, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            energy_report(sine_v03, [0.0, 1.0], tol=tol)
 
     def test_zero_data_vacuous(self):
         sol = get_solution(0.3, preset="zero")
@@ -116,6 +121,37 @@ class TestMixedTermIdentity:
         for t in (0.0, 1.0, 3.7):
             calE, E, cross = _energy_integrals(sol, t)
             assert E + v * cross == pytest.approx(calE, rel=1e-10)
+
+
+class TestSweep:
+    def test_one_sweep_matches_single_times(self, sine_v07):
+        times = np.linspace(0.0, 2 * sine_v07.consts.T_v, 29)
+        sweep = _energy_integrals(sine_v07, times)
+        for k in (0, 5, 28):
+            single = _energy_integrals(sine_v07, times[k])
+            for a, b in zip(sweep, single):
+                assert np.shape(b) == ()
+                assert a[k] == pytest.approx(float(b), rel=1e-12)
+
+    def test_report_carries_the_cross_term(self, sine_v07):
+        rep = energy_report(sine_v07, np.linspace(0.0, sine_v07.consts.T_v, 9))
+        assert rep.cross.shape == rep.E.shape == (9,)
+        np.testing.assert_allclose(rep.E + sine_v07.consts.v * rep.cross, rep.calE,
+                                   rtol=1e-10)
+
+    def test_sweep_working_set_stays_small(self, sine_v03):
+        # the certificate's 33-time sweep: the grid runs in node blocks, the
+        # times in passes of at most 12, and the sums convert one row at a
+        # time (about 1.3 MB traced; one 33-time pass read 2.6 MB)
+        times = np.linspace(0.0, 2 * sine_v03.consts.T_v, 33)
+        energy_report(sine_v03, times)
+        tracemalloc.start()
+        try:
+            energy_report(sine_v03, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestPeriodicityOfE:

@@ -55,6 +55,18 @@ class TestOneEndpointIdentity:
             observe_one_endpoint(sine_v03, "middle", 1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("observe", [
+    lambda sol, tol: observe_one_endpoint(sol, "left", 1, tol),
+    lambda sol, tol: observe_both_endpoints(sol, tol),
+    lambda sol, tol: observe_horizon(sol, "right", 2.5, tol),
+    lambda sol, tol: velocity_trace_equivalent(sol, "left", 1, tol),
+], ids=["one_endpoint", "both_endpoints", "horizon", "velocity_trace"])
+def test_invalid_tolerance_rejected(sine_v03, observe, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        observe(sine_v03, tol)
+
+
 class TestTwoEndpointIdentity:
     def test_v0_closed_form(self, sine_v0):
         # both traces are +-cos(t)/10 over horizons L/(1+v) = L/(1-v) = pi:
@@ -92,6 +104,11 @@ class TestDirectInequality:
         vals = [observe_horizon(sine_v03, "right", T).integral
                 for T in (1.0, 2.0, 4.0, 6.9)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+    def test_invalid_horizon_rejected(self, sine_v03, T):
+        with pytest.raises(ValueError, match="horizon"):
+            observe_horizon(sine_v03, "left", T)
 
     def test_inverse_holds_at_full_period(self, sine_v03):
         rep = observe_horizon(sine_v03, "left", sine_v03.consts.T_v)

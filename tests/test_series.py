@@ -13,7 +13,7 @@ from moving_string import (
     field_components,
     velocity_trace,
 )
-from moving_string.series import _trace_values, sample_moving_grid
+from moving_string.series import _trace_values, field_on_moving_grid, sample_moving_grid
 
 from conftest import get_solution
 
@@ -165,6 +165,50 @@ class TestInitialDataReproduction:
         assert l2_vel < 1e-2
 
 
+class TestMovingGrid:
+    """The grid evaluator against the scattered-point Horner sums.
+
+    Horner forms x = v t + s in floating point, so its own error grows with
+    the horizon and with v; the near-critical accuracy of the grid is
+    pinned against mpmath in ``TestAgainstHighPrecision`` instead.
+    """
+
+    @pytest.mark.parametrize("v,preset,params,periods", [
+        (0.3, "sine_mode", {}, 2.0),
+        (0.7, "bump", {"center": 1.2, "width": 1.0, "amplitude": 0.1}, 1.0),
+    ])
+    def test_agrees_with_field_components(self, v, preset, params, periods):
+        sol = get_solution(v, preset=preset, n_max=80, **params)
+        c = sol.consts
+        times = np.linspace(0.0, periods * c.T_v, 13)
+        s = np.linspace(0.0, c.L, 301)
+        got = field_on_moving_grid(sol, times, s)
+        X = c.v * times[:, None] + s[None, :]
+        T = np.broadcast_to(times[:, None], X.shape)
+        ref = field_components(sol, X, T)
+        for component, exact in zip(got[:3], ref[:3]):
+            assert component.shape == (13, 301)
+            assert np.max(np.abs(component - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert got[3] < 1e-14
+
+    @pytest.mark.parametrize("times,s", [
+        ([-0.5], [1.0]),
+        ([math.nan], [1.0]),
+        ([math.inf], [1.0]),
+        ([1.0], [-0.01]),
+        ([1.0], [math.pi + 0.01]),
+        ([1.0], [math.nan]),
+        ([[1.0]], [1.0]),
+    ])
+    def test_domain_rejected(self, sine_v03, times, s):
+        with pytest.raises(ValueError):
+            field_on_moving_grid(sine_v03, times, s)
+
+    def test_interval_ends_admitted(self, sine_v03):
+        phi, _, _, _ = field_on_moving_grid(sine_v03, [0.0, 2.5], [0.0, sine_v03.consts.L])
+        assert np.max(np.abs(phi)) < 1e-8
+
+
 class TestGridSampler:
     def test_grid_shape_and_domain(self, sine_v03):
         X, T, phi, phx, pht = sample_moving_grid(sine_v03, 8, 5, 2.0)
@@ -177,14 +221,21 @@ class TestGridSampler:
         with pytest.raises(ValueError):
             sample_moving_grid(sine_v03, 1, 5, 1.0)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -1.0])
+    def test_bad_horizon_rejected(self, sine_v03, t_final):
+        with pytest.raises(ValueError):
+            sample_moving_grid(sine_v03, 4, 5, t_final)
 
-def _mp_field(sol, x, t):
+
+def _mp_field(sol, x, t, s=None):
     """(phi, phi_x, phi_t) at one point from the table by 40-digit mpmath,
-    straight from the two-family definition."""
+    straight from the two-family definition.  Given ``s``, the point is
+    x = v t + s, formed at 40 digits (``x`` is then ignored)."""
     import mpmath as mp
 
     c = sol.consts
-    L, v, x, t = (mp.mpf(float(a)) for a in (c.L, c.v, x, t))
+    L, v, t = (mp.mpf(float(a)) for a in (c.L, c.v, t))
+    x = mp.mpf(float(x)) if s is None else v * t + mp.mpf(float(s))
     th1 = mp.pi * (1 - v) * (t + x) / L
     th2 = mp.pi * (1 + v) * (t - x) / L
     phi = phx = pht = mp.mpc(0)
@@ -249,6 +300,17 @@ class TestAgainstHighPrecision:
             assert _rel_dev(component, exact) <= 1e-12
 
     @pytest.mark.parametrize("v", [0.3, 0.99])
+    def test_moving_grid(self, v):
+        # the grid's diagonal holds the points (t_i, s_i) of the scattered test
+        sol = get_solution(v, n_max=160, ppu=32)
+        x, t = self._points(sol)
+        s = np.clip(x - sol.consts.v * t, 0.0, sol.consts.L)
+        got = field_on_moving_grid(sol, t, s)
+        ref = list(zip(*(_mp_field(sol, None, ti, si) for ti, si in zip(t, s))))
+        for component, exact in zip(got[:3], ref):
+            assert _rel_dev(np.diag(component), exact) <= 1e-12
+
+    @pytest.mark.parametrize("v", [0.3, 0.99])
     @pytest.mark.parametrize("endpoint", ["left", "right"])
     def test_trace_values(self, v, endpoint):
         sol = get_solution(v, n_max=160, ppu=32)
@@ -269,3 +331,6 @@ class TestConjugateAsymmetryIsMeasured:
         assert field_components(sine_v03, x, t)[3] < 1e-15
         assert field_components(sol, x, t)[3] > 1e-7
         assert boundary_trace(sol, "left", np.sort(t)).imag_residual > 1e-7
+        s = x - sol.consts.v * t
+        assert field_on_moving_grid(sine_v03, t, s)[3] < 1e-15
+        assert field_on_moving_grid(sol, t, s)[3] > 1e-7

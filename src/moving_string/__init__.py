@@ -48,6 +48,7 @@ from .oracle import (
     CrossValidation,
     FrozenFrameFD,
     cross_validate,
+    fd_sample,
     fd_solve,
 )
 from .quadrature import Panelization, integrate
@@ -97,6 +98,7 @@ __all__ = [
     "eval_field",
     "extend_slope",
     "extend_velocity",
+    "fd_sample",
     "fd_solve",
     "field_components",
     "field_on_moving_grid",

@@ -233,6 +233,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = _load(args)
+    if args.t_final is not None and not math.isfinite(args.t_final):
+        raise ConfigurationError(f"--t-final must be finite, got {args.t_final}")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v
     times = np.linspace(0.0, t_final, args.times)

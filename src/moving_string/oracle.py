@@ -31,13 +31,23 @@ with u_tau(eta, 0) = phi1(eta) + v phi0_x(eta) (chain rule through
 eta = x - v t).  The scheme shares nothing with the reflection geometry,
 guarding against common-mode errors in the extension maps.
 
+One generator, ``_march``, steps the scheme and hands out overlapping
+blocks of time levels.  ``fd_solve`` takes one block as long as the whole
+history (for the energy probe and library callers); ``fd_sample``, which
+``cross_validate`` uses, locates each sample's cell before marching and
+gathers its four corners from a window of ``_SAMPLE_WINDOW`` levels, so its
+memory is O(nx) and its bound is the work n_steps * (nx + 1), not the
+history's size.  Both interpolate with the same cell arithmetic, so the
+sampled values equal ``fd_solve(...).eval`` bit for bit.
+
 Both oracles evaluate whole arrays of sample points in one call: the
 reflection reduction runs elementwise with per-point reflection counts, and
-the FD history is sampled by vectorized bilinear interpolation.
+the FD values come from vectorized bilinear interpolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -54,6 +64,7 @@ __all__ = [
     "CharacteristicSolver",
     "FrozenFrameFD",
     "fd_solve",
+    "fd_sample",
     "CrossValidation",
     "cross_validate",
 ]
@@ -61,6 +72,8 @@ __all__ = [
 MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
+_SAMPLE_WINDOW = 64   # time levels fd_sample holds at once
+_MAX_NODE_STEPS = 10**10   # fd_sample work bound, n_steps * (nx + 1)
 
 
 def _cumulative_simpson(fn, a: float, b: float, cells: int):
@@ -175,6 +188,39 @@ def _as_output(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
 
 
+def _level_time(t_final: float, n_steps: int, k):
+    """tau_k of the uniform levels, rounded as np.linspace(0, t_final,
+    n_steps + 1) rounds them: k (t_final / n_steps), and t_final at the end."""
+    return np.where(k == n_steps, t_final, k * (t_final / n_steps))
+
+
+def _cells(x, t, v: float, L: float, eta: np.ndarray, n_steps: int, level):
+    """Bilinear cell of each point (x, t) in frozen coordinates e = x - v t:
+    the level k and node j below it, and the weights wt, we toward k + 1 and
+    j + 1.  ``level(k)`` gives tau_k for k in 0..n_steps.  Raises ValueError
+    for a point outside the computed slab."""
+    x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+    e = x - v * t
+    t_end = float(level(n_steps))
+    slack = 1e-9 * max(1.0, L)
+    inside = (-slack <= e) & (e <= L + slack) & (-slack <= t) & (t <= t_end + slack)
+    if not np.all(inside):
+        i = np.argmin(inside.ravel())
+        raise ValueError(f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
+    e = np.clip(e, 0.0, L)
+    t = np.clip(t, 0.0, t_end)
+    k = np.minimum((t / (level(1) - level(0))).astype(int), n_steps - 1)
+    j = np.minimum((e / (eta[1] - eta[0])).astype(int), len(eta) - 2)
+    wt = (t - level(k)) / (level(k + 1) - level(k))
+    we = (e - eta[j]) / (eta[j + 1] - eta[j])
+    return k, j, wt, we
+
+
+def _bilinear(u00, u01, u10, u11, wt, we):
+    """Interpolate the corners u[k, j], u[k, j + 1], u[k + 1, j], u[k + 1, j + 1]."""
+    return (1 - wt) * ((1 - we) * u00 + we * u01) + wt * ((1 - we) * u10 + we * u11)
+
+
 @dataclass(frozen=True, eq=False)
 class FrozenFrameFD:
     """FD history in frozen coordinates: u[k, j] ~ phi(eta_j + v tau_k, tau_k)."""
@@ -188,23 +234,11 @@ class FrozenFrameFD:
     def eval(self, x, t):
         """Bilinear interpolation, mapped back through x = eta + v t; a float
         for scalar input, an array of the broadcast shape otherwise."""
-        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        e = x - self.v * t
-        t_end = float(self.tau[-1])
-        slack = 1e-9 * max(1.0, self.L)
-        inside = (-slack <= e) & (e <= self.L + slack) & (-slack <= t) & (t <= t_end + slack)
-        if not np.all(inside):
-            i = np.argmin(inside.ravel())
-            raise ValueError(f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
-        e = np.clip(e, 0.0, self.L)
-        t = np.clip(t, 0.0, t_end)
-        k = np.minimum((t / (self.tau[1] - self.tau[0])).astype(int), len(self.tau) - 2)
-        j = np.minimum((e / (self.eta[1] - self.eta[0])).astype(int), len(self.eta) - 2)
-        wt = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
-        we = (e - self.eta[j]) / (self.eta[j + 1] - self.eta[j])
+        k, j, wt, we = _cells(x, t, self.v, self.L, self.eta, len(self.tau) - 1,
+                              self.tau.__getitem__)
         u = self.u
-        return _as_output((1 - wt) * ((1 - we) * u[k, j] + we * u[k, j + 1])
-                          + wt * ((1 - we) * u[k + 1, j] + we * u[k + 1, j + 1]))
+        return _as_output(_bilinear(u[k, j], u[k, j + 1], u[k + 1, j], u[k + 1, j + 1],
+                                    wt, we))
 
     def energy_series(self):
         """Material-derivative energy at interior time levels (drift probe),
@@ -221,15 +255,32 @@ class FrozenFrameFD:
         return self.tau[1:-1].copy(), np.concatenate(energies)
 
 
-def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
-             t_final: float | None = None) -> FrozenFrameFD:
-    """March the implicit frozen-frame scheme to ``t_final`` (default T_v)."""
+@dataclass(frozen=True)
+class _Scheme:
+    """Grid and stencil constants of one frozen-frame FD run."""
+
+    data: InitialData
+    L: float
+    v: float
+    nx: int
+    n_steps: int
+    t_final: float
+    deta: float
+    dtau: float
+    beta: float
+    lam2: float
+
+    def eta(self) -> np.ndarray:
+        return np.linspace(0.0, self.L, self.nx + 1)
+
+
+def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _Scheme:
+    """Validate the FD parameters and size the grid; allocates no grid arrays."""
     if nx < 32:
         raise ConfigurationError(f"nx must be >= 32, got {nx}")
     if not (0.0 < cfl <= 0.5):
         raise ConfigurationError(f"cfl must lie in (0, 0.5], got {cfl}")
     consts = derive_constants(cfg)
-    data = initial_data(cfg)
     L, v = consts.L, consts.v
     if t_final is None:
         t_final = consts.T_v
@@ -246,15 +297,23 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
             f"time step dtau={dtau} breaks tridiagonal diagonal dominance; "
             f"reduce cfl (needs v dtau / deta < 1)"
         )
+    return _Scheme(data=initial_data(cfg), L=L, v=v, nx=nx, n_steps=n_steps,
+                   t_final=t_final, deta=deta, dtau=dtau, beta=beta, lam2=lam2)
 
-    history = (n_steps + 1) * (nx + 1) * 8
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if history > memory:
-        raise ConfigurationError(
-            f"FD history of {history / 2**30:.3g} GiB exceeds physical memory "
-            f"({memory / 2**30:.3g} GiB); lower nx or use --method characteristics")
-    eta = np.linspace(0.0, L, nx + 1)
-    u = np.zeros((n_steps + 1, nx + 1))
+
+def _march(s: _Scheme, eta: np.ndarray, window: int):
+    """March the scheme from tau = 0 to t_final, holding ``window`` (>= 3)
+    time levels at a time.
+
+    Yields ``(k0, block)`` with ``block[r]`` the level k0 + r.  Consecutive
+    blocks overlap by the two levels the stencil reads, so every pair of
+    adjacent levels lies in one block.  A block is overwritten when the
+    generator resumes.  With ``window > n_steps`` the one block is the whole
+    history.
+    """
+    v, deta, dtau, beta, lam2 = s.v, s.deta, s.dtau, s.beta, s.lam2
+    data = s.data
+    u = np.zeros((min(window, s.n_steps + 1), s.nx + 1))
     u[0] = np.asarray(data.phi0(eta), dtype=float)
     u[0, 0] = u[0, -1] = 0.0
     rate = np.asarray(data.phi1(eta), float) + v * np.asarray(data.phi0_x(eta), float)
@@ -268,7 +327,7 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
     u[1, 0] = u[1, -1] = 0.0
 
     # constant tridiagonal matrix: 1 on the diagonal, beta below, -beta above
-    m = nx - 1
+    m = s.nx - 1
     dl, d, du, du2, ipiv, info = dgttrf(np.full(m - 1, beta), np.ones(m), np.full(m - 1, -beta))
     if info != 0:
         raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
@@ -276,8 +335,13 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
     lap = np.empty(m)
     rhs = np.empty((m, 1))   # dgttrs takes a column of right-hand sides
     b = rhs[:, 0]
-    for k in range(1, n_steps):
-        un, um = u[k], u[k - 1]
+    k0, r = 0, 1             # level k sits in row r = k - k0
+    for k in range(1, s.n_steps):
+        if r + 1 == len(u):
+            yield k0, u
+            u[:2] = u[-2:]   # boundary columns stay zero in every row
+            k0, r = k - 1, 1
+        un, um = u[r], u[r - 1]
         # 2 un - um + lam2 (un+ - 2 un + un-) - beta (um+ - um-), evaluated in
         # that order so every level keeps the bits of the plain expression
         np.multiply(2.0, un[1:-1], out=two_u)
@@ -292,9 +356,57 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
         x, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
-        u[k + 1, 1:-1] = x[:, 0]
-    tau = np.linspace(0.0, t_final, n_steps + 1)
-    return FrozenFrameFD(eta=eta, tau=tau, u=u, v=v, L=L)
+        u[r + 1, 1:-1] = x[:, 0]
+        r += 1
+    yield k0, u[:r + 1]
+
+
+def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
+             t_final: float | None = None) -> FrozenFrameFD:
+    """March the implicit frozen-frame scheme to ``t_final`` (default T_v),
+    keeping every time level."""
+    s = _scheme(cfg, nx, cfl, t_final)
+    history = (s.n_steps + 1) * (nx + 1) * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if history > memory:
+        raise ConfigurationError(
+            f"FD history of {history / 2**30:.3g} GiB exceeds physical memory "
+            f"({memory / 2**30:.3g} GiB); lower nx or use --method characteristics")
+    eta = s.eta()
+    (_, u), = _march(s, eta, s.n_steps + 1)
+    tau = _level_time(s.t_final, s.n_steps, np.arange(s.n_steps + 1))
+    return FrozenFrameFD(eta=eta, tau=tau, u=u, v=s.v, L=s.L)
+
+
+def fd_sample(cfg: StringConfig, x, t, nx: int, cfl: float = 0.4,
+              t_final: float | None = None):
+    """``fd_solve(cfg, nx, cfl, t_final).eval(x, t)``, bit for bit, read
+    while the scheme marches: only ``_SAMPLE_WINDOW`` time levels are held
+    at once, so memory is O(nx) whatever the step count.  The work
+    n_steps * (nx + 1) is bounded by ``_MAX_NODE_STEPS`` instead."""
+    s = _scheme(cfg, nx, cfl, t_final)
+    work = s.n_steps * (nx + 1)
+    if work > _MAX_NODE_STEPS:
+        raise ConfigurationError(
+            f"FD oracle needs {s.n_steps} time steps x {nx + 1} nodes = {work:.3g} "
+            f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
+            f"lower nx or use --method characteristics")
+    eta = s.eta()
+    k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.n_steps,
+                          functools.partial(_level_time, s.t_final, s.n_steps))
+    shape, k, j = k.shape, k.ravel(), j.ravel()
+    order = np.argsort(k)
+    k_sorted = k[order]
+    corners = np.empty((4, k.size))
+    done = 0
+    for k0, block in _march(s, eta, _SAMPLE_WINDOW):
+        # points whose levels k and k + 1 both lie in this block
+        stop = int(np.searchsorted(k_sorted, k0 + len(block) - 1))
+        idx = order[done:stop]
+        r, c = k[idx] - k0, j[idx]
+        corners[:, idx] = block[r, c], block[r, c + 1], block[r + 1, c], block[r + 1, c + 1]
+        done = stop
+    return _as_output(_bilinear(*corners, wt.ravel(), we.ravel()).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -333,8 +445,7 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
         vals = CharacteristicSolver(data, consts).value(x, t)
         max_char = float(np.max(np.abs(phi - vals)))
     if "fd" in methods:
-        fd = fd_solve(cfg, nx=nx, cfl=cfl, t_final=consts.T_v)
-        vals = fd.eval(x, t)
+        vals = fd_sample(cfg, x, t, nx=nx, cfl=cfl, t_final=consts.T_v)
         max_fd = float(np.max(np.abs(phi - vals)))
     return CrossValidation(
         sample_count=sample_count,

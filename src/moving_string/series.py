@@ -127,14 +127,13 @@ def _power_sum(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def field_components(sol: SpectralSolution, x, t, validate: bool = True):
+def field_components(sol: SpectralSolution, x, t):
     """Vectorized (phi, phi_x, phi_t, imag_residual) at broadcastable x, t.
 
     Returns real arrays; ``imag_residual`` is the max |Im| over the three
     sums, a free consistency diagnostic for real initial data.
     """
-    if validate:
-        _validate_domain(sol, x, t)
+    _validate_domain(sol, x, t)
     c = sol.consts
     L, v = c.L, c.v
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -106,7 +107,8 @@ class TestBadInputExitsTwo:
 
     def test_non_finite_energy_horizon(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)
-        with np.errstate(invalid="ignore"):   # linspace(0, inf) holds nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before any arithmetic warns
             rc = main(["energy", "--config", cfg, "--out", str(tmp_path / "o"),
                        "--times", "4", "--t-final", "inf"])
         assert rc == 2

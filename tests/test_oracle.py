@@ -1,6 +1,7 @@
 """Characteristics and frozen-frame FD oracles, and cross-validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from moving_string import (
     cross_validate,
     derive_constants,
     eval_field,
+    fd_sample,
     fd_solve,
     initial_data,
 )
@@ -324,10 +326,113 @@ class TestFrozenFrameFD:
         with pytest.raises(ConfigurationError, match="--method characteristics"):
             fd_solve(make_config(0.99), nx=4096)
 
+    @pytest.mark.parametrize("t_final, n_steps", [(1.0, 2), (2 * math.pi, 321), (9.87, 13654)])
+    def test_levels_are_linspace(self, t_final, n_steps):
+        k = np.arange(n_steps + 1)
+        np.testing.assert_array_equal(oracle._level_time(t_final, n_steps, k),
+                                      np.linspace(0.0, t_final, n_steps + 1))
+
     def test_eval_outside_slab_rejected(self):
         fd = fd_solve(make_config(0.3), nx=64, t_final=1.0)
         with pytest.raises(ValueError):
             fd.eval(1.0, 2.0)
+
+
+BUMP = {"center": 1.2, "width": 1.0, "amplitude": 0.1}
+
+
+def slab_points(cfg, t_final, n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, t_final, n)
+    return cfg.v * t + rng.uniform(0.0, 1.0, n) * cfg.L, t
+
+
+class TestFDSampler:
+    """fd_sample reads the march through a window of levels; every value
+    must carry the bits of fd_solve(...).eval at the same point."""
+
+    @pytest.mark.parametrize("v, preset, params", [
+        (0.0, "sine_mode", {}),
+        (0.5, "bump", BUMP),
+        (0.7, "bump", BUMP),
+        (0.3, "zero", {}),
+    ])
+    def test_bitwise_equal_to_history(self, v, preset, params):
+        cfg = make_config(v, preset=preset, **params)
+        t_final = derive_constants(cfg).T_v
+        x, t = slab_points(cfg, t_final, 400)
+        expected = fd_solve(cfg, nx=64, t_final=t_final).eval(x, t)
+        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final), expected)
+
+    def test_edges_and_shared_cells(self):
+        cfg = make_config(0.5, preset="bump", **BUMP)
+        t_final, nx = 3.0, 64
+        fd = fd_solve(cfg, nx=nx, t_final=t_final)
+        L, v = cfg.L, cfg.v
+        deta, dtau = fd.eta[1], fd.tau[1]
+        t = np.array([0.0, 0.0, 0.0, t_final, t_final, t_final,
+                      t_final - 0.3 * dtau, t_final - 0.7 * dtau])
+        s = np.array([0.0, L, 0.4 * L, 0.0, L, 0.6 * L, L - 0.2 * deta, L - 0.9 * deta])
+        # 50 points inside one interior cell
+        rng = np.random.default_rng(3)
+        t = np.concatenate([t, (17 + rng.uniform(0, 1, 50)) * dtau])
+        s = np.concatenate([s, (5 + rng.uniform(0, 1, 50)) * deta])
+        x = s + v * t
+        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=nx, t_final=t_final),
+                                      fd.eval(x, t))
+        assert fd_sample(cfg, L, 0.0, nx=nx, t_final=t_final) == fd.eval(L, 0.0)
+        grid = (x.reshape(2, -1), t.reshape(2, -1))
+        np.testing.assert_array_equal(fd_sample(cfg, *grid, nx=nx, t_final=t_final),
+                                      fd.eval(*grid))
+
+    @pytest.mark.parametrize("window", [3, 4, 7])
+    def test_samples_straddle_windows(self, monkeypatch, window):
+        monkeypatch.setattr(oracle, "_SAMPLE_WINDOW", window)
+        cfg = make_config(0.7, preset="bump", **BUMP)
+        t_final = 2.0
+        fd = fd_solve(cfg, nx=64, t_final=t_final)
+        # one point in every level interval, plus random points
+        dtau = fd.tau[1]
+        t = np.concatenate([(np.arange(len(fd.tau) - 1) + 0.5) * dtau, fd.tau[[0, -1]]])
+        s = np.linspace(0.0, cfg.L, t.size)
+        x = s + cfg.v * t
+        xr, tr = slab_points(cfg, t_final, 300, seed=2)
+        x, t = np.concatenate([x, xr]), np.concatenate([t, tr])
+        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final),
+                                      fd.eval(x, t))
+
+    def test_outside_slab_rejected_before_march(self, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("marched before checking the points")
+
+        monkeypatch.setattr(oracle, "_march", no_march)
+        cfg = make_config(0.3)
+        for x, t in [(1.0, 2.0), (0.0, 0.5), (1.0, -0.1)]:
+            with pytest.raises(ValueError, match="outside the computed slab"):
+                fd_sample(cfg, x, t, nx=64, t_final=1.0)
+
+    def test_work_bound_before_march(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_march", None)
+        # ~1e8 steps x 4097 nodes, far above the node-step bound
+        with pytest.raises(ConfigurationError, match="--method characteristics") as err:
+            fd_sample(make_config(0.99), 1.0, 1.0, nx=4096)
+        assert "102914573 time steps" in str(err.value)
+
+    def test_memory_is_a_window_not_the_history(self):
+        # the FD part of cross_validate on the oracle-bump workload
+        cfg = make_config(0.5, preset="bump", n_max=160, **BUMP)
+        t_final = derive_constants(cfg).T_v
+        x, t = slab_points(cfg, t_final, 4000)
+        s = oracle._scheme(cfg, 1024, 0.4, t_final)
+        history = (s.n_steps + 1) * (s.nx + 1) * 8
+        assert history > 110e6
+        tracemalloc.start()
+        try:
+            fd_sample(cfg, x, t, nx=1024, t_final=t_final)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < history / 20
 
 
 class TestCrossValidation:

@@ -259,6 +259,11 @@ def cmd_energy(args) -> int:
 
 
 def cmd_observe(args) -> int:
+    if args.endpoint == "both" and (args.periods is not None or args.horizon is not None):
+        raise ConfigurationError("--endpoint both observes the fixed horizons "
+                                 "L/(1+v) and L/(1-v); drop --periods and --horizon")
+    if args.periods is not None and args.horizon is not None:
+        raise ConfigurationError("give --periods or --horizon, not both")
     cfg = _load(args)
     sol = solve(cfg)
     if args.endpoint == "both":
@@ -266,7 +271,8 @@ def cmd_observe(args) -> int:
     elif args.horizon is not None:
         rep = observe_horizon(sol, args.endpoint, args.horizon, tol=args.tol)
     else:
-        rep = observe_one_endpoint(sol, args.endpoint, args.periods, tol=args.tol)
+        periods = 1 if args.periods is None else args.periods
+        rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
     man = Manifest("observe", args.config, Path(args.out))
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [
@@ -391,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("observe", help="boundary observation report"))
     p.add_argument("--endpoint", choices=["left", "right", "both"], required=True)
-    p.add_argument("--periods", type=int, default=1, metavar="M")
+    p.add_argument("--periods", type=int, default=None, metavar="M",
+                   help="whole periods T_v to observe (default 1)")
     p.add_argument("--horizon", type=float, default=None,
                    help="fractional horizon (direct inequality only)")
 

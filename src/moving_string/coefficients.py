@@ -12,13 +12,14 @@ slips.  Quadrature splits at the branch boundaries (x = L for the first
 form, x = 0 for the second) plus any data knots mapped through the branch
 argument maps.
 
-The nodes are fixed, so every kernel e^{i omega n x} is a power of one
-phasor per node.  The weighted integrand is evaluated once; the table then
-steps it in place by that phasor, once for n = 1..n_max and once with the
-conjugate phasor for n = -1..-n_max, and reduces each mode with a pairwise
-``ndarray.sum``.  Each step rounds once on a unit-modulus factor, so the
-kernel error grows like n * eps and an integral carries about
-n_max * eps * Sum |weight * integrand| of absolute error.  Memory stays
+The weighted integrand is evaluated once per segment.  A segment's nodes
+are uniform, so its integrals against e^{i omega n x} for every mode,
+n = -n_max..-1 and 1..n_max each with its own phasors, are one blocked
+matrix product (``quadrature.UniformPhasors.analyze``): kernels are split
+into a block factor and an offset factor, and the node sums run in BLAS.
+A kernel's phase error is about eps * (|omega n x| + log2 256), so an
+integral carries at most about n_max * eps * Sum |weight * integrand| of
+absolute error, as stepping one phasor per node did.  Memory stays
 linear in the node count.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
 from .extension import ExtensionField
-from .quadrature import Panelization, integrate, require_finite
+from .quadrature import Panelization, UniformPhasors, integrate, require_finite
 
 __all__ = [
     "SpectralSolution",
@@ -87,25 +88,14 @@ def _table(data: InitialData, consts: DerivedConstants, n_max: int,
            panels_per_unit: int, side: str) -> np.ndarray:
     """Coefficient table for one formula, ordered by mode_numbers(n_max)."""
     p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side)
-
-    # One field evaluation per segment, reused for every n.
-    wg = []
+    n = mode_numbers(n_max)
+    integrals = np.zeros(len(n), dtype=complex)
     for seg in p.segments:
-        g = integrand(seg.nodes, (seg.lo, seg.hi))
+        bounds = (seg.lo, seg.hi)
+        g = integrand(seg.nodes, bounds)
         require_finite(seg.nodes, g)
-        wg.append(seg.weights * g)
-    wg = np.concatenate(wg)
-    step = (1j * omega_unit) * np.concatenate([seg.nodes for seg in p.segments])
-    np.exp(step, out=step)
-    integrals = np.empty((2, n_max), dtype=complex)
-    for family in integrals:           # n = 1..n_max, then n = -1..-n_max
-        kernel = wg.astype(complex)    # wg e^{i omega_unit n x}, stepped in n
-        for m in range(n_max):
-            kernel *= step
-            family[m] = kernel.sum()
-        np.conjugate(step, out=step)
-    pos, neg = integrals
-    return np.concatenate([neg[::-1], pos]) / (4.0 * math.pi * 1j * mode_numbers(n_max))
+        integrals += UniformPhasors(seg.nodes, bounds, omega_unit * n).analyze(seg.weights * g)
+    return integrals / (4.0 * math.pi * 1j * n)
 
 
 def coefficients_plus(data: InitialData, consts: DerivedConstants, n_max: int,

@@ -23,8 +23,15 @@ times x relative abscissae the sums become one (times x modes) by
 table (each family with its own entries c_n, never conj(c_{-n})) into
 the time factors and multiplies by the mode shapes e^{i n pi (1-v) s/L}
 and e^{-i n pi (1+v) s/L}, built as powers of one phasor per abscissa,
-block by block.  ``field_components`` stays the evaluator for scattered
-points.
+block by block.
+
+Along a support, x = x_b + v t, the mode shapes are constants, so each
+trace is a single Fourier series in t: ``slope_trace_rows`` and
+``velocity_trace_rows`` give its coefficient rows.  The observability
+integrals sum those rows on uniform quadrature nodes as blocked matrix
+products (``quadrature.UniformPhasors``).  Horner's rule serves scattered
+points only: ``field_components``, ``boundary_trace`` and
+``velocity_trace``.
 """
 
 from __future__ import annotations
@@ -96,12 +103,11 @@ def _validate_domain(sol: SpectralSolution, x, t) -> None:
         raise ValueError("x outside the moving interval (v t, L + v t)")
 
 
-def _halves(sol: SpectralSolution, weights: np.ndarray) -> np.ndarray:
-    """``weights[n] * c_n`` for weights of shape (2 n_max, k), as an
+def _halves(wc: np.ndarray) -> np.ndarray:
+    """k coefficient sets of shape (2 n_max, k) in mode order as an
     (n_max, k, 2) array: [..., 0] runs over n = 1..n_max and [..., 1] over
     n = -1..-n_max."""
-    wc = weights * sol.c[:, None]
-    m = sol.n_max
+    m = len(wc) // 2
     return np.stack([wc[m:], wc[m - 1::-1]], axis=-1)
 
 
@@ -140,7 +146,7 @@ def field_components(sol: SpectralSolution, x, t):
     theta = np.stack([(math.pi * (1.0 - v) / L) * (t + x).ravel(),
                       (math.pi * (1.0 + v) / L) * (t - x).ravel()])
     n = sol.n.astype(float)
-    coef = _halves(sol, np.column_stack([np.ones_like(n), n]))  # P(z): c_n, Q(z): n c_n
+    coef = _halves(np.column_stack([np.ones_like(n), n]) * sol.c[:, None])  # P: c_n, Q: n c_n
     (p1, p2), (q1, q2) = _power_sum(coef, theta)
     d = 1j * math.pi / L
     phi = p1 - p2
@@ -211,16 +217,42 @@ def eval_field(sol: SpectralSolution, x: float, t: float) -> FieldSample:
     return FieldSample(float(x), float(t), float(phi), float(phx), float(pht), resid)
 
 
-def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
-    """Closed-form slope trace: (2 pi i / L) sum n c_n e^{2 n pi i t / T_v},
-    with the extra per-mode phase e^{-n pi i (1+v)} at the right support."""
+def slope_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
+    """Coefficients d_n, shape (1, 2 n_max), of the closed-form slope trace
+    phi_x(x_b + v t, t) = Sum_n d_n e^{2 pi i n t/T_v}:
+    d_n = (2 pi i / L) n c_n, times e^{-n pi i (1+v)} at the right support."""
     c = sol.consts
-    times = np.asarray(times, dtype=float)
     weights = (2j * math.pi / c.L) * sol.n
     if endpoint == "right":
         weights = weights * np.exp(-1j * math.pi * (1.0 + c.v) * sol.n)
-    theta = (2.0 * math.pi / c.T_v) * times.reshape(1, -1)
-    return _power_sum(_halves(sol, weights[:, None]), theta)[0, 0].reshape(times.shape)
+    return (weights * sol.c)[None]
+
+
+def velocity_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
+    """The two families of the velocity trace phi_t(x_b + v t, t) as
+    coefficient rows of e^{2 pi i n t/T_v}, shape (2, 2 n_max).
+
+    On x = x_b + v t the phases of ``field_components`` become
+    2 pi t/T_v + pi (1-v) x_b/L and 2 pi t/T_v - pi (1+v) x_b/L, so row 0
+    is (i pi / L)(1-v) n c_n e^{i n pi (1-v) x_b/L} and row 1 is
+    -(i pi / L)(1+v) n c_n e^{-i n pi (1+v) x_b/L}.  phi_t is the sum of
+    the two rows' real parts, each row summed on its own; the rows are not
+    merged through phi_t = -v phi_x.
+    """
+    L, v = sol.consts.L, sol.consts.v
+    frac = 0.0 if endpoint == "left" else 1.0          # x_b / L
+    d = (1j * math.pi / L) * sol.n * sol.c
+    return np.stack([(1.0 - v) * d * np.exp((1j * math.pi * (1.0 - v) * frac) * sol.n),
+                     -(1.0 + v) * d * np.exp((-1j * math.pi * (1.0 + v) * frac) * sol.n)])
+
+
+def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
+    """Closed-form slope trace at scattered times by Horner's rule (complex;
+    the imaginary part is the residue ``boundary_trace`` reports)."""
+    times = np.asarray(times, dtype=float)
+    theta = (2.0 * math.pi / sol.consts.T_v) * times.reshape(1, -1)
+    coef = _halves(slope_trace_rows(sol, endpoint).T)
+    return _power_sum(coef, theta)[0, 0].reshape(times.shape)
 
 
 def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:

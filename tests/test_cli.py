@@ -105,6 +105,33 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--endpoint", "both", "--periods", "2"],
+        ["--endpoint", "both", "--horizon", "3"],
+        ["--endpoint", "left", "--periods", "3", "--horizon", "2"],
+    ], ids=["both-periods", "both-horizon", "periods-horizon"])
+    def test_conflicting_observe_flags(self, tmp_path, capsys, flags):
+        cfg = write_cfg(tmp_path, n_max=6)
+        out = tmp_path / "o"
+        rc = main(["observe", "--config", cfg, "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--periods" in err and "--horizon" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--horizon", "1e300"],
+        ["--horizon", "1e7"],
+        ["--periods", "1000000"],
+    ], ids=["horizon-1e300", "horizon-1e7", "periods-1e6"])
+    def test_oversized_observation_horizon(self, tmp_path, capsys, flags):
+        # refused by the quadrature layout's node bound, before allocating
+        cfg = write_cfg(tmp_path, n_max=6)
+        rc = main(["observe", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--endpoint", "left", *flags])
+        assert rc == 2
+        assert "nodes, more than" in capsys.readouterr().err
+
     def test_non_finite_energy_horizon(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)
         with warnings.catch_warnings():
@@ -235,6 +262,44 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBlasThreadDeterminism:
+    """The blocked sums and the energy sweep run in BLAS; outputs must not
+    depend on how many threads it uses."""
+
+    @staticmethod
+    def _outputs(tmp_path, threads):
+        src = str(Path(moving_string.__file__).resolve().parents[1])
+        root = Path(moving_string.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads)}
+        runs = {
+            "validate": ["validate", "--config", str(root / "configs" / "sine_v03.json")],
+            "simulate": ["simulate", "--config", str(root / "configs" / "sine_v07.json"),
+                         "--nx", "30", "--nt", "20"],
+        }
+        found = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-{threads}"
+            proc = subprocess.run([sys.executable, "-m", "moving_string.cli", *argv,
+                                   "--out", str(out)], capture_output=True, env=env,
+                                  timeout=120)
+            found[f"{name}/stdout"] = proc.stdout
+            found[f"{name}/exit"] = proc.returncode
+            for path in sorted(out.iterdir()):
+                doc = path.read_bytes()
+                if path.name == "manifest.json":
+                    doc = json.loads(doc)
+                    del doc["duration_seconds"], doc["out_dir"]
+                found[f"{name}/{path.name}"] = doc
+        return found
+
+    def test_one_and_two_threads_agree(self, tmp_path):
+        one = self._outputs(tmp_path, 1)
+        assert one["validate/exit"] == one["simulate/exit"] == 0
+        assert "validate/validate.json" in one and "simulate/field.csv" in one
+        assert one == self._outputs(tmp_path, 2)
 
 
 class TestEnergyCmd:

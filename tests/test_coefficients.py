@@ -164,19 +164,16 @@ class TestSolutionContainer:
 
 
 class TestTableAgainstHighPrecision:
-    """The stepped-phasor table against a 40-digit evaluation of the same
-    Simpson sum, at v = 0.99 where the right-extended axis reaches
-    L2 ~ 628.  A coarse panel density keeps the reference cheap; the
-    recurrence error does not depend on it."""
+    """The blocked table against a 40-digit evaluation of the same Simpson
+    sum: at v = 0.99, where the right-extended axis reaches L2 ~ 628, and
+    on a narrow bump whose knots cut both axes into short segments (3 to
+    633 nodes, shorter and longer than a block).  Coarse panel densities
+    keep the reference cheap; the summation error does not depend on
+    them."""
 
-    @pytest.mark.parametrize("side", ["plus", "minus"])
-    def test_table(self, side):
-        mp = pytest.importorskip("mpmath")
-        cfg = make_config(0.99)
+    @staticmethod
+    def _reference(mp, cfg, n_max, ppu, side):
         consts, data = derive_constants(cfg), initial_data(cfg)
-        n_max, ppu = 24, 1
-        got = _table(data, consts, n_max, ppu, side)
-
         L, v = consts.L, consts.v
         if side == "plus":
             a, b, cut, sign_vel, omega = 0.0, consts.L2, L, 1.0, -(1 - mp.mpf(v))
@@ -198,5 +195,20 @@ class TestTableAgainstHighPrecision:
                 total = mp.fsum(mp.mpf(w) * mp.expj(k * mp.mpf(x)) for x, w in zip(nodes, wg))
                 pos.append(complex(total / (4 * n * mp.pi * 1j)))
         # real integrand: c_{-n} is exactly conj(c_n)
-        ref = np.concatenate([np.conj(pos[::-1]), pos])
+        return np.concatenate([np.conj(pos[::-1]), pos])
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_table(self, side):
+        mp = pytest.importorskip("mpmath")
+        cfg = make_config(0.99)
+        got = _table(initial_data(cfg), derive_constants(cfg), 24, 1, side)
+        ref = self._reference(mp, cfg, 24, 1, side)
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_bump_table(self, side):
+        mp = pytest.importorskip("mpmath")
+        cfg = make_config(0.7, preset="bump", center=1.2, width=0.4, amplitude=0.1)
+        got = _table(initial_data(cfg), derive_constants(cfg), 24, 32, side)
+        ref = self._reference(mp, cfg, 24, 32, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12

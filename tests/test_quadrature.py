@@ -1,12 +1,15 @@
-"""Composite Simpson layout, accuracy order and determinism."""
+"""Composite Simpson layout, accuracy order and determinism; the node
+bound; the blocked phasor sums on uniform nodes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from moving_string import NumericError, Panelization, integrate
+from moving_string.quadrature import _MAX_NODES, UniformPhasors
 
 
 def plain(fn):
@@ -111,3 +114,62 @@ class TestProperties:
         # NaN in the second row only: the named node must still be x = 0.5
         with pytest.raises(NumericError, match="0.5"):
             integrate(lambda x, seg: np.stack([np.cos(x), f(x, seg)]), p)
+
+
+class TestNodeBound:
+    def test_oversized_layouts_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {_MAX_NODES + 1} nodes"):
+                Panelization(0.0, _MAX_NODES / 2, panels_per_unit=1)
+            with pytest.raises(ValueError, match="needs 5120000001 nodes"):
+                Panelization(0.0, 1e7)
+            with pytest.raises(ValueError, match="nodes, more than"):
+                Panelization(0.0, 1e300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_configured_layout_admitted(self):
+        # the right-extended axis (0, L2) of the v = 0.99 coefficient table
+        p = Panelization(0.0, 2 * math.pi / 0.01, breakpoints=(math.pi,))
+        assert p.node_count == 321_704 < _MAX_NODES
+
+    def test_infinite_interval_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Panelization(0.0, math.inf)
+
+
+class TestUniformPhasors:
+    """Both directions of the blocked sum against every kernel evaluated
+    at the segment's own nodes.  The counts give a segment shorter than a
+    block, exactly one block, one node past it, a short last block and
+    several chunks of blocks."""
+
+    COUNTS = [3, 100, 256, 257, 1001, 20001]
+
+    @staticmethod
+    def case(count, lo=-1.5, hi=7.0):
+        nodes = lo + (hi - lo) / (count - 1) * np.arange(count)
+        omega = 1.7 * np.concatenate([np.arange(-12, 0), np.arange(1, 13)])
+        dense = np.exp(1j * np.outer(nodes, omega))          # (nodes, modes)
+        return UniformPhasors(nodes, (lo, hi), omega), dense, np.random.default_rng(count)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_synthesis(self, count):
+        phasors, dense, rng = self.case(count)
+        coef = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+        ref = (dense @ coef.T).real.sum(axis=1)
+        got = phasors.synthesize(coef)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(coef).sum()
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_analysis(self, count):
+        phasors, dense, rng = self.case(count)
+        values = rng.standard_normal(count)
+        ref = values @ dense
+        got = phasors.analyze(values)
+        assert got.shape == (24,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(values).sum()

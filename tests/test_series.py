@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from moving_string import (
     field_components,
     velocity_trace,
 )
-from moving_string.series import _trace_values, field_on_moving_grid, sample_moving_grid
+from moving_string.observability import _support_trace
+from moving_string.quadrature import Panelization
+from moving_string.series import (
+    _trace_values,
+    field_on_moving_grid,
+    sample_moving_grid,
+    slope_trace_rows,
+    velocity_trace_rows,
+)
 
 from conftest import get_solution
 
@@ -317,6 +326,87 @@ class TestAgainstHighPrecision:
         t = np.linspace(0.0, 3 * sol.consts.T_v, 13)
         got = _trace_values(sol, endpoint, t)
         assert _rel_dev(got, [_mp_trace(sol, endpoint, ti) for ti in t]) <= 1e-12
+
+
+def _uniform(lo, hi, count):
+    """A segment's nodes as ``Panelization`` lays them out, and its bounds."""
+    return lo + (hi - lo) / (count - 1) * np.arange(count), (lo, hi)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedTraces:
+    """The support traces that the observability integrals square, summed
+    on a segment's uniform nodes by the blocked matrix product
+    (``observability._support_trace``)."""
+
+    @pytest.mark.parametrize("v", [0.3, 0.99])
+    @pytest.mark.parametrize("endpoint", ["left", "right"])
+    def test_against_high_precision(self, v, endpoint):
+        # 1001 nodes over 3 T_v: three whole blocks and a short one; the
+        # checked nodes sit on both sides of every block edge.  The
+        # reference velocity forms x = v t + x_b at 40 digits.
+        mp = pytest.importorskip("mpmath")
+        sol = get_solution(v)
+        c = sol.consts
+        t, seg = _uniform(0.0, 3 * c.T_v, 1001)
+        idx = [0, 1, 255, 256, 257, 511, 512, 700, 767, 768, 769, 999, 1000]
+        xb = 0.0 if endpoint == "left" else c.L
+        slope = _support_trace(sol, slope_trace_rows(sol, endpoint), t, seg)[idx]
+        vel = _support_trace(sol, velocity_trace_rows(sol, endpoint), t, seg)[idx]
+        with mp.workdps(40):
+            ref_slope = [_mp_trace(sol, endpoint, t[i]).real for i in idx]
+            ref_vel = [_mp_field(sol, None, t[i], s=xb)[2].real for i in idx]
+        assert _rel_dev(slope, ref_slope) <= 1e-12
+        assert _rel_dev(vel, ref_vel) <= 1e-12
+
+    # a segment shorter than a block, exactly one block, one node past it,
+    # a short last block, and several chunks of blocks
+    COUNTS = [3, 100, 256, 257, 1001, 40001]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("v", [0.3, 0.99])
+    def test_slope_agrees_with_horner(self, v, count):
+        sol = get_solution(v)
+        t, seg = _uniform(0.0, sol.consts.T_v, count)
+        for endpoint in ("left", "right"):
+            got = _support_trace(sol, slope_trace_rows(sol, endpoint), t, seg)
+            ref = _trace_values(sol, endpoint, t).real
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_velocity_agrees_with_two_family_sum(self, count):
+        # at v = 0.3: near v = 1 the scattered sum's own error, from forming
+        # x = v t + x_b in floating point, reaches about 1e-12
+        sol = get_solution(0.3)
+        c = sol.consts
+        t, seg = _uniform(0.0, c.T_v, count)
+        for endpoint, xb in (("left", 0.0), ("right", c.L)):
+            got = _support_trace(sol, velocity_trace_rows(sol, endpoint), t, seg)
+            ref = field_components(sol, xb + c.v * t, t)[2]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_max", [40, 160])
+    def test_peak_memory_within_horner_integrand(self, n_max):
+        # the largest trace segment of certify-v099: 161,659 nodes over T_v
+        sol = get_solution(0.99, n_max=n_max, ppu=32)
+        c = sol.consts
+        seg = Panelization(0.0, c.T_v).segments[0]
+        t, bounds = seg.nodes, (seg.lo, seg.hi)
+        assert len(t) == 161_659
+        slope = slope_trace_rows(sol, "left")
+        vel = velocity_trace_rows(sol, "left")
+        assert (_peak_bytes(lambda: _support_trace(sol, slope, t, bounds))
+                <= _peak_bytes(lambda: _trace_values(sol, "left", t).real ** 2))
+        assert (_peak_bytes(lambda: _support_trace(sol, vel, t, bounds))
+                <= _peak_bytes(lambda: field_components(sol, c.v * t, t)[2] ** 2))
 
 
 class TestConjugateAsymmetryIsMeasured:

@@ -30,6 +30,7 @@ from .domain import (
     InitialDataSpec,
     QuadratureSpec,
     StringConfig,
+    check_tolerance,
     derive_constants,
     load_config,
 )
@@ -432,6 +433,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every subcommand takes --tol from common(); reject a bad one before
+        # any work, whether or not the subcommand checks an identity
+        check_tolerance(args.tol)
         return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -10,9 +10,16 @@ panel, i.e. an even sub-interval count >= 2.
 An integrand may stack k functions on the same nodes, returning an array
 of shape (k, nodes); ``integrate`` then returns the k integrals as an
 array, so several functionals of one field evaluation share its cost.
-Sums are accumulated with ``math.fsum`` (exactly rounded, order
-independent), per segment and then across segments, which is stronger
-than any fixed summation order.
+Sums run per segment and then across segments, each along the node axis
+by a pairwise tree of error-free additions (Knuth's TwoSum): the rounding
+error of every addition is recovered exactly and the errors are summed
+beside the tree, as in Ogita, Rump and Oishi's Sum2.  The result is as
+accurate as a sum in twice working precision, then rounded:
+|result - S| <= eps |S| + O((log2(n) eps)^2) Sum |x| for n terms x of exact
+sum S, so it is the exactly rounded sum unless the terms cancel by about
+1/eps.  The order is fixed by the row length alone and rows never mix, so
+results are reproducible bit for bit and a stacked row sums exactly as
+the row alone.
 
 A segment's nodes are uniform, t_k = lo + k h, so a sum over modes of
 e^{i omega_n t_k} splits with t_k = lo + (q B + r) h into a block factor
@@ -115,18 +122,41 @@ def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:
         raise NumericError(f"integrand non-finite at node x = {node!r}")
 
 
-def _fsum_rows(values: np.ndarray, weights=1.0) -> np.ndarray:
-    """``math.fsum`` of ``weights * values`` along the last axis; complex
-    parts are summed apart.
+def _sum_rows(values: np.ndarray, weights=1.0) -> np.ndarray:
+    """Sum of ``weights * values`` along the last axis by the TwoSum tree
+    of the module docstring; complex parts are summed apart.
 
-    Each row is weighted and converted to Python floats on its own, so a
-    tall stack is never copied whole nor held as one list of boxed floats.
+    Each level adds the two contiguous halves of the level below; an odd
+    last element is folded into the last pair.  The rounding errors of all
+    additions are summed per row and added to the root once.  A row of
+    length 0 sums to 0.0.
     """
     if np.iscomplexobj(values):
-        return _fsum_rows(values.real, weights) + 1j * _fsum_rows(values.imag, weights)
-    rows = values.reshape(-1, values.shape[-1])
-    return np.array([math.fsum((weights * r).tolist()) for r in rows]).reshape(
-        values.shape[:-1])
+        return _sum_rows(values.real, weights) + 1j * _sum_rows(values.imag, weights)
+    x = weights * values                      # a new array: _two_sum may overwrite it
+    err = np.zeros(x.shape[:-1])
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        s = _two_sum(x[..., :half], x[..., half:2 * half], err)
+        if x.shape[-1] % 2:
+            s[..., -1:] = _two_sum(s[..., -1:], x[..., -1:], err)
+        x = s
+    return x[..., 0] + err if x.shape[-1] else err
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """s = a + b for arrays of equal shape; the exact rounding errors
+    (a - (s - bb)) + (b - bb), bb = s - a, summed over the last axis, are
+    added into ``err``.  ``a`` and ``b`` are overwritten, which saves two
+    temporaries of their size."""
+    s = a + b
+    bb = s - a
+    b -= bb
+    np.subtract(s, bb, out=bb)
+    a -= bb
+    a += b
+    err += a.sum(axis=-1)
+    return s
 
 
 def integrate(f, p: Panelization):
@@ -136,15 +166,20 @@ def integrate(f, p: Panelization):
     that segment's nodes; the segment bounds let piecewise integrands
     resolve one-sided limits at shared endpoints.  ``f`` returns the
     values at the nodes, or k stacked rows of them (shape (k, nodes)), in
-    which case the result is the length-k array of integrals.  Raises
-    NumericError if any node evaluates non-finite.
+    which case the result is the length-k array of integrals.  Each sum
+    is the TwoSum tree of the module docstring, within eps |S| +
+    O((log2(n) eps)^2) Sum |x| of the exact sum S of the n weighted
+    values x.  Raises NumericError if any node evaluates non-finite or a
+    sum overflows.
     """
     parts = []
     for seg in p.segments:
         vals = np.asarray(f(seg.nodes, (seg.lo, seg.hi)))
         require_finite(seg.nodes, vals)
-        parts.append(_fsum_rows(vals, seg.weights))
-    total = _fsum_rows(np.stack(parts, axis=-1))
+        parts.append(_sum_rows(vals, seg.weights))
+    total = _sum_rows(np.stack(parts, axis=-1))
+    if not np.all(np.isfinite(total)):
+        raise NumericError("quadrature sum overflowed")
     return total if total.ndim else total.item()
 
 

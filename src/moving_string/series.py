@@ -30,8 +30,8 @@ trace is a single Fourier series in t: ``slope_trace_rows`` and
 ``velocity_trace_rows`` give its coefficient rows.  The observability
 integrals sum those rows on uniform quadrature nodes as blocked matrix
 products (``quadrature.UniformPhasors``).  Horner's rule serves scattered
-points only: ``field_components``, ``boundary_trace`` and
-``velocity_trace``.
+points only: ``field_components``, and the traces ``boundary_trace`` and
+``velocity_trace``, which sum the same rows in t.
 """
 
 from __future__ import annotations
@@ -246,13 +246,18 @@ def velocity_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
                      -(1.0 + v) * d * np.exp((-1j * math.pi * (1.0 + v) * frac) * sol.n)])
 
 
+def _row_sums(sol: SpectralSolution, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Sum_n rows[j, n] e^{2 pi i n t/T_v} at scattered times by Horner's
+    rule, each row j on its own: shape (len(rows), times.size), complex."""
+    theta = (2.0 * math.pi / sol.consts.T_v) * times.reshape(1, -1)
+    return _power_sum(_halves(rows.T), theta)[:, 0]
+
+
 def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
     """Closed-form slope trace at scattered times by Horner's rule (complex;
     the imaginary part is the residue ``boundary_trace`` reports)."""
     times = np.asarray(times, dtype=float)
-    theta = (2.0 * math.pi / sol.consts.T_v) * times.reshape(1, -1)
-    coef = _halves(slope_trace_rows(sol, endpoint).T)
-    return _power_sum(coef, theta)[0, 0].reshape(times.shape)
+    return _row_sums(sol, slope_trace_rows(sol, endpoint), times)[0].reshape(times.shape)
 
 
 def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:
@@ -272,16 +277,20 @@ def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:
 def velocity_trace(sol: SpectralSolution, endpoint: str, times) -> np.ndarray:
     """Velocity trace phi_t(x_b + v t, t) via the full two-family sum.
 
-    Deliberately not reduced through the total-derivative relation
-    phi_t = -v phi_x at the supports, so comparing against the slope trace
-    is a genuine floating-point check of that relation.
+    Each family of ``velocity_trace_rows`` is summed in t by Horner's rule
+    on its own, as ``_trace_values`` sums the slope trace, so the support
+    point x = x_b + v t is never rounded.  Deliberately not reduced through
+    the total-derivative relation phi_t = -v phi_x at the supports, so
+    comparing against the slope trace is a genuine floating-point check of
+    that relation.
     """
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    xb = 0.0 if endpoint == "left" else sol.consts.L
-    _, _, pht, _ = field_components(sol, xb + sol.consts.v * times, times)
-    return pht
+    if np.any(times < -_DOMAIN_SLACK * max(1.0, sol.consts.L)):
+        raise ValueError("time must be nonnegative")
+    families = _row_sums(sol, velocity_trace_rows(sol, endpoint), times)
+    return (families[0].real + families[1].real).reshape(times.shape)
 
 
 def check_periodicity(sol: SpectralSolution, samples) -> float:

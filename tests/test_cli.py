@@ -97,7 +97,13 @@ class TestBadInputExitsTwo:
         ["energy", "--times", "4"],
         ["observe", "--endpoint", "both"],
         ["observe", "--endpoint", "right", "--horizon", "1.5"],
-    ], ids=["validate", "energy", "observe", "observe-horizon"])
+        ["constants"],
+        ["coeffs"],
+        ["simulate", "--nx", "4", "--nt", "4"],
+        ["oracle", "--samples", "4", "--nx", "32"],
+        ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
+    ], ids=["validate", "energy", "observe", "observe-horizon", "constants", "coeffs",
+            "simulate", "oracle", "figures"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_invalid_tolerance(self, tmp_path, capsys, argv, tol):
         cfg = write_cfg(tmp_path, n_max=6)

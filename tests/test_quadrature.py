@@ -1,5 +1,5 @@
 """Composite Simpson layout, accuracy order and determinism; the node
-bound; the blocked phasor sums on uniform nodes."""
+bound; the TwoSum row sums; the blocked phasor sums on uniform nodes."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moving_string import NumericError, Panelization, integrate
-from moving_string.quadrature import _MAX_NODES, UniformPhasors
+from moving_string.quadrature import _MAX_NODES, UniformPhasors, _sum_rows
 
 
 def plain(fn):
@@ -139,6 +139,100 @@ class TestNodeBound:
     def test_infinite_interval_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Panelization(0.0, math.inf)
+
+
+def _fsum_bound(x):
+    """math.fsum of x and the bound eps |S| + 4 (log2(n) eps)^2 Sum |x| on a
+    sum's distance from it."""
+    eps = np.finfo(float).eps
+    n = max(len(x), 1)
+    exact = math.fsum(x.tolist())
+    return exact, eps * abs(exact) + 4 * (math.log2(n) * eps) ** 2 * math.fsum(np.abs(x).tolist())
+
+
+def _row_cases(rng, n):
+    """Random-sign, same-sign and ill-conditioned rows of length n, all with
+    magnitudes spanning 16 decades.  The ill-conditioned row is shuffled
+    pairs a, -a + j ulp(a) with |j| <= 4, so its sum is a few ulps of the
+    largest pair (or 0) against Sum |x|: condition numbers up to 1e16 n
+    and beyond."""
+    mags = rng.uniform(1.0, 2.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    yield rng.choice([-1.0, 1.0], n) * mags
+    yield mags
+    half = rng.choice([-1.0, 1.0], n // 2) * mags[:n // 2]
+    partners = -half + np.spacing(half) * rng.integers(-4, 5, n // 2)
+    yield rng.permutation(np.concatenate([half, partners, mags[2 * (n // 2):]]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestRowSum:
+    """The TwoSum tree against the exactly rounded ``math.fsum``."""
+
+    LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129,
+               1000, 1001, 4095, 4096, 4097, 5000, 5001]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_within_bound_of_fsum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            for x in _row_cases(rng, n):
+                exact, bound = _fsum_bound(x)
+                assert abs(float(_sum_rows(x)) - exact) <= bound
+
+    def test_weights_multiply_first(self):
+        # the sum sees the same rounded products weights * values as fsum would
+        rng = np.random.default_rng(3)
+        values, weights = rng.standard_normal(1001), rng.uniform(0.0, 1.0, 1001)
+        exact, bound = _fsum_bound(weights * values)
+        assert abs(float(_sum_rows(values, weights)) - exact) <= bound
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=300))
+    def test_arbitrary_floats_within_bound(self, xs):
+        x = np.array(xs, dtype=float)
+        exact, bound = _fsum_bound(x)
+        assert abs(float(_sum_rows(x)) - exact) <= bound
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001, 4096])
+    def test_stacked_rows_sum_alone(self, shape, n):
+        # the energy sweep stacks (3, times, nodes); every row of a stack must
+        # give the bits it gives alone
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(shape + (n,)) * 10.0 ** rng.uniform(-8, 8, shape + (n,))
+        weights = rng.uniform(0.0, 1.0, n)
+        stacked = _sum_rows(values, weights)
+        assert stacked.shape == shape
+        for idx in np.ndindex(shape):
+            assert _bits(_sum_rows(values[idx], weights)) == _bits(stacked[idx])
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1024])
+    def test_complex_rows(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)) * 1e-9
+        weights = rng.uniform(0.0, 1.0, n)
+        got = _sum_rows(values, weights)
+        assert got.shape == (2,) and got.dtype == complex
+        for row, total in zip(values, got):
+            for part, value in ((row.real, total.real), (row.imag, total.imag)):
+                exact, bound = _fsum_bound(weights * part)
+                assert abs(value - exact) <= bound
+            alone = _sum_rows(row, weights)
+            assert _bits(alone.real) == _bits(total.real)
+            assert _bits(alone.imag) == _bits(total.imag)
+
+    def test_empty_rows_sum_to_zero(self):
+        assert _sum_rows(np.zeros(0)) == 0.0 == math.fsum([])
+        empty = _sum_rows(np.zeros((2, 3, 0)))
+        assert empty.shape == (2, 3) and not np.any(empty)
+
+    def test_overflowing_sum_raises(self):
+        p = Panelization(0.0, 4.0, panels_per_unit=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="overflow"):
+                integrate(plain(lambda x: np.full_like(x, 1e308)), p)
 
 
 class TestUniformPhasors:

@@ -144,6 +144,13 @@ class TestTraceClosedForm:
         tr = boundary_trace(sine_v03, "left", ts)
         np.testing.assert_allclose(vt, -c.v * tr.values, atol=1e-10)
 
+    def test_velocity_trace_inputs_validated(self, sine_v03):
+        with pytest.raises(ValueError, match="endpoint"):
+            velocity_trace(sine_v03, "middle", [0.0, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            velocity_trace(sine_v03, "left", [-0.5, 1.0])
+        assert velocity_trace(sine_v03, "right", [[0.0, 1.0]]).shape == (1, 2)
+
     def test_trace_times_validated(self, sine_v03):
         with pytest.raises(ValueError):
             boundary_trace(sine_v03, "left", [1.0, 0.5])
@@ -318,6 +325,20 @@ class TestAgainstHighPrecision:
         ref = list(zip(*(_mp_field(sol, None, ti, si) for ti, si in zip(t, s))))
         for component, exact in zip(got[:3], ref):
             assert _rel_dev(np.diag(component), exact) <= 1e-12
+
+    @pytest.mark.parametrize("endpoint", ["left", "right"])
+    def test_velocity_trace(self, endpoint):
+        # x = x_b + v t formed in floating point puts 1.5 (left) and 4.3
+        # (right) times this bound into phi_t over 2 T_v at v = 0.9; the
+        # two families summed in t stay within 0.3 and 0.5 of it
+        sol = get_solution(0.9, preset="sine_velocity", n_max=80, amplitude=1.0, mode=1)
+        c = sol.consts
+        t = np.linspace(0.0, 2 * c.T_v, 101)
+        got = velocity_trace(sol, endpoint, t)
+        xb = 0.0 if endpoint == "left" else c.L
+        ref = np.array([float(_mp_field(sol, None, ti, xb)[2].real) for ti in t])
+        bound = sol.n_max * np.finfo(float).eps * np.abs(velocity_trace_rows(sol, endpoint)).sum()
+        assert np.max(np.abs(got - ref)) <= bound
 
     @pytest.mark.parametrize("v", [0.3, 0.99])
     @pytest.mark.parametrize("endpoint", ["left", "right"])

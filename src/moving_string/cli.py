@@ -15,6 +15,7 @@ failure (non-finite values).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -94,23 +95,29 @@ def write_csv(path: Path, header: list[str], rows, block_size: int = 0) -> None:
     """Write CSV rows; with ``block_size`` > 0 a blank line separates every
     block of that many rows (gnuplot grid scans).
 
-    Every row is formatted by one ``%`` string built from the first row's
-    column types: ``%d`` for integers and ``%.17g`` for floats, the bytes
-    ``fmt`` gives.  An ndarray of rows is converted with ``tolist``.
+    Each block is formatted by one ``%`` over its flat values, with a row
+    format built from the first row's column types: ``%d`` for integers and
+    ``%.17g`` for floats, the bytes ``fmt`` gives.  Blocks are written as
+    they are formatted, and an ndarray of rows is converted to Python numbers
+    one block at a time, so only one block's text is held at once.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    lines = [",".join(header)]
-    if len(rows):
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        if not len(rows):
+            return
+        first = rows[0].tolist() if isinstance(rows, np.ndarray) else rows[0]
         row_fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
-                           for v in rows[0])
-        body = [row_fmt % tuple(row) for row in rows]
-        step = block_size or len(body)
-        for i in range(0, len(body), step):
+                           for v in first)
+        step = block_size or len(rows)
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            if isinstance(block, np.ndarray):
+                flat = tuple(block.ravel().tolist())
+            else:
+                flat = tuple(itertools.chain.from_iterable(block))
             if i:
-                lines.append("")
-            lines.extend(body[i:i + step])
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                out.write("\n")
+            out.write("\n".join([row_fmt] * len(block)) % flat + "\n")
 
 
 class Manifest:

@@ -24,12 +24,22 @@ maps the moving interval onto (0, L) and turns the wave equation into
 discretized with centered second differences in tau and eta and the
 centered cross stencil
 (u_{j+1}^{n+1} - u_{j-1}^{n+1} - u_{j+1}^{n-1} + u_{j-1}^{n-1})/(4 de dt)
-for the mixed term.  The implicit system is the same tridiagonal matrix at
-every step, so it is LU-factored once (LAPACK dgttrf) and each step only
-back-substitutes (dgttrs).  The first step is seeded by a Taylor expansion
-with u_tau(eta, 0) = phi1(eta) + v phi0_x(eta) (chain rule through
-eta = x - v t).  The scheme shares nothing with the reflection geometry,
-guarding against common-mode errors in the extension maps.
+for the mixed term.  On the m = nx - 1 interior nodes each step solves
+M u^{n+1} = A u^n + C u^{n-1}, with the same tridiagonal M = tridiag(beta,
+1, -beta) at every step and beta = v dtau / (2 deta).  It is applied as the
+explicit step u^{n+1} = P u^n + Q u^{n-1}, P = M^-1 A and Q = M^-1 C.  The
+step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, and the
+entries of M^-1 fall off like beta^d at d nodes from the diagonal, so at
+beta = 1/16 a row of P or Q holds about 1.3e-20 beyond 16 nodes.  Each
+block of ``_BAND`` = 16 outputs therefore reads only its own block and the
+two next to it, and a step is a matrix product over all blocks
+(``_BandedStep``).  The weights are cut once per run from P and Q of a
+small copy of the system (``numpy.linalg.solve``), and a run whose dropped
+tail exceeds ``_TAIL_BOUND`` (eps / 1024 per row) is refused.  The
+first step is seeded by a Taylor expansion with u_tau(eta, 0) = phi1(eta) +
+v phi0_x(eta) (chain rule through eta = x - v t).  The scheme shares nothing
+with the reflection geometry, guarding against common-mode errors in the
+extension maps.
 
 One generator, ``_march``, steps the scheme and hands out overlapping
 blocks of time levels.  ``fd_solve`` takes one block as long as the whole
@@ -53,7 +63,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.random import default_rng   # numpy loads it lazily; load it with the program
 
 from .coefficients import SpectralSolution
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
@@ -74,6 +84,10 @@ _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
 _SAMPLE_WINDOW = 64   # time levels fd_sample holds at once
 _MAX_NODE_STEPS = 10**10   # fd_sample work bound, n_steps * (nx + 1)
+_BAND = 16            # nodes per block of the banded FD step
+_COPY_BLOCKS = 6      # blocks in the copy of the system the weights come from
+_INNER_BLOCK = 2      # the copy block whose weights all inner blocks share
+_TAIL_BOUND = 2.0 ** -62   # largest row mass the banded step may drop (eps / 1024)
 
 
 def _cumulative_simpson(fn, a: float, b: float, cells: int):
@@ -301,6 +315,111 @@ def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _S
                    t_final=t_final, deta=deta, dtau=dtau, beta=beta, lam2=lam2)
 
 
+def _step_operators(m: int, beta: float, lam2: float):
+    """Dense P = M^-1 A and Q = M^-1 C of the scheme on m interior nodes."""
+    eye, sub, sup = np.eye(m), np.eye(m, k=-1), np.eye(m, k=1)
+    M = eye + beta * (sub - sup)
+    A = (2.0 - 2.0 * lam2) * eye + lam2 * (sub + sup)
+    PQ = np.linalg.solve(M, np.hstack([A, M - 2.0 * eye]))
+    return PQ[:, :m], PQ[:, m:]
+
+
+class _BandedStep:
+    """The step u^{n+1} = P u^n + Q u^{n-1} on the m interior nodes, applied
+    block by block.
+
+    The nodes fall into nb blocks of ``band`` = ``_BAND``, the last one
+    padded with zeros.  The outputs of block b read blocks b - 1, b and
+    b + 1 of both levels: 6 band inputs, held in row b of ``_s`` as
+    [neighbour, slot, node] with level k in slot k % 2.  Each new level is
+    stored three times, as every block's own values and as both of its
+    neighbours', so a step is a product (nb x 6 band) (6 band x band) over
+    contiguous rows: one call for the inner blocks, which share weights, and
+    one for the blocks at each boundary, which have their own.
+
+    The weights are cut from P and Q of a copy of the system with
+    ``_COPY_BLOCKS`` blocks and the same padding, or of the whole system
+    when it has no more blocks than that.  The blocks next to a boundary
+    take the weights of the copy's blocks at the same place: the first, and
+    the last one, or the last two when the last is partial and the boundary
+    sits inside it.  All other blocks share the weights of copy block
+    ``_INNER_BLOCK``, two blocks or more from either end of the copy.
+    Raises ConfigurationError when the mass a row drops outside its three
+    blocks exceeds ``_TAIL_BOUND``.
+    """
+
+    def __init__(self, m: int, beta: float, lam2: float):
+        band = _BAND
+        nb = -(-m // band)
+        pad = nb * band - m
+        if nb <= _COPY_BLOCKS:
+            copy, left, right = nb, nb, 0
+        else:
+            copy, left, right = _COPY_BLOCKS, 1, 1 if pad == 0 else 2
+        size = copy * band - pad
+        # P and Q with one zero block of columns on either side, and zero
+        # rows for the padding
+        ops = np.zeros((2, copy * band, (copy + 2) * band))
+        ops[:, :size, band:band + size] = _step_operators(size, beta, lam2)
+        weights = np.zeros((copy, 2, 3, 2, band, band))   # [block, parity, nbr, slot, in, out]
+        tail = 0.0
+        for c in range(copy):
+            rows = ops[:, c * band:(c + 1) * band]
+            block = rows[:, :, c * band:(c + 3) * band]   # [op, out, in]
+            dropped = (np.abs(rows[:, :, :c * band]).sum(axis=2)
+                       + np.abs(rows[:, :, (c + 3) * band:]).sum(axis=2))
+            tail = max(tail, float(dropped.sum(axis=0).max()))
+            win = block.reshape(2, band, 3, band).transpose(0, 2, 3, 1)  # [op, nbr, in, out]
+            for p in range(2):   # level k in slot p is u^n and reads P
+                weights[c, p, :, p] = win[0]
+                weights[c, p, :, 1 - p] = win[1]
+        if tail > _TAIL_BOUND:
+            raise ConfigurationError(
+                f"banded FD step would drop a row tail of {tail:.3g} at beta={beta:.4g}, "
+                f"above {_TAIL_BOUND:.3g}; reduce cfl")
+        weights = weights.reshape(copy, 2, 6 * band, band)
+
+        self._s = np.zeros((nb, 3, 2, band))
+        x = self._s.reshape(nb, 6 * band)
+        self._y = np.zeros((nb, band))
+        self._out = self._y.reshape(-1)[:m]
+        y = self._y
+        self._groups = []   # per parity: (inputs, weights, outputs) of each product
+        for p in range(2):
+            groups = [(x[:left, None], np.ascontiguousarray(weights[:left, p]), y[:left, None])]
+            if nb - right > left:
+                groups.append((x[left:nb - right],
+                               np.ascontiguousarray(weights[_INNER_BLOCK, p]),
+                               y[left:nb - right]))
+            if right:
+                groups.append((x[nb - right:, None],
+                               np.ascontiguousarray(weights[copy - right:, p]),
+                               y[nb - right:, None]))
+            self._groups.append(groups)
+
+    def _write(self, level: np.ndarray, slot: int) -> None:
+        """Store a padded level (nb x band) as own and neighbour values."""
+        s = self._s
+        s[:, 1, slot] = level
+        s[1:, 0, slot] = level[:-1]
+        s[:-1, 2, slot] = level[1:]
+
+    def load(self, level: np.ndarray, k: int) -> None:
+        """Take the interior values of level k (the padding of ``_y`` stays
+        zero: the weights give padded outputs none)."""
+        self._out[:] = level
+        self._write(self._y, k % 2)
+
+    def advance(self, k: int) -> np.ndarray:
+        """Level k + 1 from the stored levels k and k - 1.  Returns a view of
+        its m interior values that the next call overwrites."""
+        p = k % 2
+        for x, w, y in self._groups[p]:
+            np.matmul(x, w, out=y)
+        self._write(self._y, 1 - p)
+        return self._out
+
+
 def _march(s: _Scheme, eta: np.ndarray, window: int):
     """March the scheme from tau = 0 to t_final, holding ``window`` (>= 3)
     time levels at a time.
@@ -326,37 +445,16 @@ def _march(s: _Scheme, eta: np.ndarray, window: int):
     u[1] = u[0] + dtau * rate + 0.5 * dtau ** 2 * (2.0 * v * d_rate + (1.0 - v * v) * d2u)
     u[1, 0] = u[1, -1] = 0.0
 
-    # constant tridiagonal matrix: 1 on the diagonal, beta below, -beta above
-    m = s.nx - 1
-    dl, d, du, du2, ipiv, info = dgttrf(np.full(m - 1, beta), np.ones(m), np.full(m - 1, -beta))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
-    two_u = np.empty(m)
-    lap = np.empty(m)
-    rhs = np.empty((m, 1))   # dgttrs takes a column of right-hand sides
-    b = rhs[:, 0]
+    step = _BandedStep(s.nx - 1, beta, lam2)
+    step.load(u[0, 1:-1], 0)
+    step.load(u[1, 1:-1], 1)
     k0, r = 0, 1             # level k sits in row r = k - k0
     for k in range(1, s.n_steps):
         if r + 1 == len(u):
             yield k0, u
             u[:2] = u[-2:]   # boundary columns stay zero in every row
             k0, r = k - 1, 1
-        un, um = u[r], u[r - 1]
-        # 2 un - um + lam2 (un+ - 2 un + un-) - beta (um+ - um-), evaluated in
-        # that order so every level keeps the bits of the plain expression
-        np.multiply(2.0, un[1:-1], out=two_u)
-        np.subtract(un[2:], two_u, out=lap)
-        np.add(lap, un[:-2], out=lap)
-        np.multiply(lam2, lap, out=lap)
-        np.subtract(two_u, um[1:-1], out=b)
-        np.add(b, lap, out=b)
-        np.subtract(um[2:], um[:-2], out=lap)
-        np.multiply(beta, lap, out=lap)
-        np.subtract(b, lap, out=b)
-        x, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
-        u[r + 1, 1:-1] = x[:, 0]
+        u[r + 1, 1:-1] = step.advance(k)
         r += 1
     yield k0, u[:r + 1]
 
@@ -435,7 +533,7 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
     consts = derive_constants(cfg)
     data = initial_data(cfg)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     t = rng.uniform(0.0, consts.T_v, sample_count)
     x = consts.v * t + rng.uniform(0.0, 1.0, sample_count) * consts.L
     phi, _, _, _ = field_components(sol, x, t)

@@ -246,6 +246,41 @@ class TestWriteCsv:
         write_csv(path, ["a", "b"], [], block_size=3)
         assert path.read_text() == "a,b\n"
 
+    @staticmethod
+    def per_row(header, rows, block_size=0):
+        """The writer's earlier form: one ``%`` per row."""
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        lines = [",".join(header)]
+        if len(rows):
+            row_fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
+                               for v in rows[0])
+            body = [row_fmt % tuple(row) for row in rows]
+            step = block_size or len(body)
+            for i in range(0, len(body), step):
+                if i:
+                    lines.append("")
+                lines.extend(body[i:i + step])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("block_size", [0, 3, 4, 7, 12])
+    @pytest.mark.parametrize("kind", ["ndarray", "int column", "none"])
+    def test_block_format_matches_per_row(self, tmp_path, kind, block_size):
+        # 12 rows: block sizes that divide the count, that do not, and one
+        # block larger than the count
+        rng = np.random.default_rng(4)
+        if kind == "ndarray":
+            rows = rng.standard_normal((12, 4)) * 10.0 ** rng.integers(-300, 300, (12, 4))
+        elif kind == "int column":
+            rows = [(i, *np.float64(rng.standard_normal(3)).tolist(), np.float64(0.1 * i))
+                    for i in range(12)]
+        else:
+            rows = np.empty((0, 4))
+        header = list("abcde")[:len(rows[0]) if len(rows) else 4]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows, block_size)
+        assert path.read_bytes() == self.per_row(header, rows, block_size).encode()
+
 
 class TestImportPath:
     def test_cli_import_leaves_out_scipy_interpolate(self):
@@ -263,6 +298,30 @@ class TestImportPath:
             "                         quadrature=QuadratureSpec(panels_per_unit=64)))",
             "assert 'scipy.interpolate' in sys.modules",
             "assert np.all(np.isfinite(sol.c_plus)) and np.any(sol.c_plus != 0)",
+        ])
+        src = str(Path(moving_string.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_and_fd_oracle_leave_out_scipy(self):
+        # the FD oracle marches in numpy, so no scipy module is loaded by the
+        # import or by an FD cross-validation
+        code = "\n".join([
+            "import sys",
+            "import math",
+            "import moving_string.cli",
+            "def scipy_modules():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert not scipy_modules(), scipy_modules()",
+            "from moving_string import (InitialDataSpec, QuadratureSpec, StringConfig,",
+            "                           cross_validate, solve)",
+            "cfg = StringConfig(L=math.pi, v=0.3, n_max=16,",
+            "                   initial=InitialDataSpec.preset('sine_mode', amplitude=0.1, mode=1),",
+            "                   quadrature=QuadratureSpec(panels_per_unit=64))",
+            "res = cross_validate(solve(cfg), cfg, sample_count=20, nx=64, methods=('fd',))",
+            "assert 0.0 < res.max_fd < 1e-2, res",
+            "assert not scipy_modules(), scipy_modules()",
         ])
         src = str(Path(moving_string.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

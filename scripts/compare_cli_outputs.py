@@ -30,6 +30,8 @@ SUBCOMMANDS = {
     "constants": ["constants"],
     "coeffs": ["coeffs"],
     "simulate": ["simulate", "--nx", "40", "--nt", "30"],
+    # the benchmark's grid: 90,000 rows with a blank line every 300
+    "simulate-grid": ["simulate", "--nx", "300", "--nt", "300"],
     "energy": ["energy"],
     "observe-left": ["observe", "--endpoint", "left"],
     "observe-right": ["observe", "--endpoint", "right"],

@@ -7,6 +7,14 @@ Subcommands: constants, coeffs, simulate, energy, observe, oracle, figures,
 validate.  Every run writes its outputs plus a ``manifest.json`` listing
 each emitted file and any pass/fail checks; the manifest is written last.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
+CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
+``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
+double-double product with a power-of-ten table yields each value's
+17-digit mantissa, a 4-digit table turns it into ASCII, and layout patterns
+place the characters.  The kernel formats 1,000 rows at a time, and each
+chunk is written as it finishes.  ``fmt`` formats, in place, each value the
+kernel cannot prove (non-finite, outside 1e-190 <= |x| < 1e190, or within a
+safety margin of a rounding tie); that is the only second path.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
 failure (non-finite values).
@@ -15,7 +23,6 @@ failure (non-finite values).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import time
@@ -49,6 +56,7 @@ from .observability import velocity_trace_equivalent  # noqa: F401
 from .series import check_periodicity, field_components  # noqa: F401
 
 FIGURE_SPEEDS = {4: 0.3, 5: 0.7, 6: 0.9}
+_CHUNK_ROWS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +103,39 @@ def write_csv(path: Path, header: list[str], rows, block_size: int = 0) -> None:
     """Write CSV rows; with ``block_size`` > 0 a blank line separates every
     block of that many rows (gnuplot grid scans).
 
-    Each block is formatted by one ``%`` over its flat values, with a row
-    format built from the first row's column types: ``%d`` for integers and
-    ``%.17g`` for floats, the bytes ``fmt`` gives.  Blocks are written as
-    they are formatted, and an ndarray of rows is converted to Python numbers
-    one block at a time, so only one block's text is held at once.
+    Columns that hold integers in the first row are written as ``%d``, the
+    others as ``%.17g``: the bytes ``fmt`` gives.  The numpy kernel
+    ``_csvfmt.Encoder`` formats ``_CHUNK_ROWS`` rows at a time into buffers
+    it reuses, and each chunk is written as it finishes, so only one chunk's
+    text is held at once.  ``fmt`` formats, in place, each value the kernel
+    cannot prove: non-finite values, values outside 1e-190 <= |x| < 1e190,
+    values within a safety margin of a rounding tie, and integers of
+    magnitude 2**53 or more.
     """
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
+    # imported here, so that subcommands writing no CSV never load it
+    from . import _csvfmt
+
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode("utf-8"))
         if not len(rows):
             return
         first = rows[0].tolist() if isinstance(rows, np.ndarray) else rows[0]
-        row_fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
-                           for v in first)
-        step = block_size or len(rows)
-        for i in range(0, len(rows), step):
-            block = rows[i:i + step]
-            if isinstance(block, np.ndarray):
-                flat = tuple(block.ravel().tolist())
-            else:
-                flat = tuple(itertools.chain.from_iterable(block))
-            if i:
-                out.write("\n")
-            out.write("\n".join([row_fmt] * len(block)) % flat + "\n")
+        encoder = _csvfmt.Encoder([isinstance(v, (int, np.integer)) for v in first],
+                                  _CHUNK_ROWS)
+        block = block_size or len(rows)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            ends = np.arange(start + 1, start + len(chunk) + 1)
+            blank_after = (ends % block == 0) & (ends < len(rows))
+            text, slots, offsets = encoder.encode(np.asarray(chunk, dtype=np.float64),
+                                                  blank_after)
+            pos = 0
+            for slot, offset in zip(slots.tolist(), offsets.tolist()):
+                row, col = divmod(slot, len(first))
+                out.write(text[pos:offset])
+                out.write(fmt(chunk[row][col]).encode("ascii"))
+                pos = offset
+            out.write(text[pos:])
 
 
 class Manifest:
@@ -449,6 +467,11 @@ def main(argv=None) -> int:
         return 3
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # load_config reports an unreadable config itself, so this is --out:
+        # the output directory cannot be created or an output written
+        print(f"error: cannot write to --out: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,15 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moving_string
-from moving_string import certify, load_config, solve
+from moving_string import _csvfmt, certify, load_config, solve
 from moving_string.cli import fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
@@ -40,6 +44,21 @@ def certify_records(cfg):
     """The library's check records for ``cfg`` as validate.json entries."""
     return [{k: val for k, val in asdict(c).items() if not (k == "note" and val is None)}
             for c in certify(solve(load_config(cfg)), 1e-6, 0)]
+
+
+# One short run of every subcommand, for the usage-error cases
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["energy", "--times", "4"],
+    ["observe", "--endpoint", "both"],
+    ["observe", "--endpoint", "right", "--horizon", "1.5"],
+    ["constants"],
+    ["coeffs"],
+    ["simulate", "--nx", "4", "--nt", "4"],
+    ["oracle", "--samples", "4", "--nx", "32"],
+    ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
+], ids=["validate", "energy", "observe", "observe-horizon", "constants", "coeffs",
+        "simulate", "oracle", "figures"])
 
 
 class TestConstants:
@@ -92,24 +111,25 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "t_final" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["validate"],
-        ["energy", "--times", "4"],
-        ["observe", "--endpoint", "both"],
-        ["observe", "--endpoint", "right", "--horizon", "1.5"],
-        ["constants"],
-        ["coeffs"],
-        ["simulate", "--nx", "4", "--nt", "4"],
-        ["oracle", "--samples", "4", "--nx", "32"],
-        ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
-    ], ids=["validate", "energy", "observe", "observe-horizon", "constants", "coeffs",
-            "simulate", "oracle", "figures"])
+    @EVERY_SUBCOMMAND
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_invalid_tolerance(self, tmp_path, capsys, argv, tol):
         cfg = write_cfg(tmp_path, n_max=6)
         rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o"), "--tol", tol])
         assert rc == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    @EVERY_SUBCOMMAND
+    @pytest.mark.parametrize("out", ["file", "under-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, argv, out):
+        cfg = write_cfg(tmp_path, n_max=6)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        target = blocker if out == "file" else blocker / "x"
+        rc = main([*argv, "--config", cfg, "--out", str(target)])
+        assert rc == 2
+        assert "error: cannot write to --out" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
 
     @pytest.mark.parametrize("flags", [
         ["--endpoint", "both", "--periods", "2"],
@@ -282,6 +302,119 @@ class TestWriteCsv:
         assert path.read_bytes() == self.per_row(header, rows, block_size).encode()
 
 
+def _is_tie(v):
+    """v lies exactly halfway between two 17-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 800
+        d = abs(Decimal(v))
+        return d.scaleb(16 - d.adjusted()) % 1 == Decimal("0.5")
+
+
+def _csv(path, rows, block_size=0):
+    write_csv(path, list("abcdefgh")[:len(rows[0])], rows, block_size)
+    return path.read_bytes()
+
+
+def _fmt_csv(rows, block_size=0):
+    header = list("abcdefgh")[:len(rows[0])]
+    return TestWriteCsv.reference(header, rows, block_size).encode()
+
+
+@pytest.fixture(scope="module")
+def field_bump_rows():
+    """The rows of field-bump's field.csv: simulate 300 x 300 on
+    perfbench/configs/bump_v07_n80.json."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                      / "bump_v07_n80.json")
+    sol = solve(cfg)
+    grid = sample_moving_grid(sol, 300, 300, sol.consts.T_v)
+    return np.stack(grid, axis=-1).reshape(300 * 300, 5)
+
+
+class TestCsvKernel:
+    """The numpy ``%.17g`` kernel behind ``write_csv`` gives the bytes of
+    ``fmt``, value for value, including the values it hands back."""
+
+    PINNED = [(1e-4, "0.0001"), (1e-05, "1.0000000000000001e-05"),
+              (1e16, "10000000000000000"), (1e17, "1e+17"),
+              (99999999999999984.0, "99999999999999984"),
+              (2.0 ** 60, "1.152921504606847e+18"), (5e-324, "4.9406564584124654e-324"),
+              (-0.0, "-0"), (0.0, "0"), (123456789012345.625, "123456789012345.62"),
+              (-1.5, "-1.5"), (1e-190, "1e-190"), (1e190, "1.0000000000000001e+190"),
+              (1.7976931348623157e308, "1.7976931348623157e+308")]
+
+    def test_pinned_cases(self, tmp_path):
+        values = [v for v, _ in self.PINNED]
+        assert _csv(tmp_path / "k.csv", np.array(values)[:, None]) == \
+            ("a\n" + "".join(text + "\n" for _, text in self.PINNED)).encode()
+        assert [fmt(v) for v in values] == [text for _, text in self.PINNED]
+
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4),
+           st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_floats(self, tmp_path_factory, values, cols, block_size):
+        rows = np.resize(values, (-(-len(values) // cols), cols))
+        path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+        assert _csv(path, rows, block_size) == _fmt_csv(rows.tolist(), block_size)
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every exponent field, so values out of range and non-finite ones
+        # are handed back, and the rest go through the kernel
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 2 ** 64, (250_000, 4), dtype=np.uint64).view(np.float64)
+        assert _csv(tmp_path / "k.csv", rows, 7) == _fmt_csv(rows.tolist(), 7)
+
+    def test_scaled_normals_with_ties(self, tmp_path):
+        # dyadic values with few fractional bits hit exact rounding ties
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((40_000, 5)) * 10.0 ** rng.integers(-30, 30, (40_000, 5))
+        rows[::50, 0] = np.round(rows[::50, 0] * 8.0) / 8.0 + 1e14
+        assert _csv(tmp_path / "k.csv", rows) == _fmt_csv(rows.tolist())
+
+    def test_just_below_powers_of_ten(self, tmp_path):
+        # float("1e-14") lies just below 10**-14 and prints as 1e-14 only
+        # because its 17-digit mantissa carries into the next decade
+        powers = np.array([float(f"1e{k}") for k in range(-192, 193)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        # the log10 estimate of the exponent is one decade off for some
+        exact = np.array([Decimal(v).adjusted() for v in values.tolist()])
+        assert np.any(np.floor(np.log10(np.abs(values))) != exact)
+        assert _csv(tmp_path / "k.csv", values[:, None]) == _fmt_csv(values[:, None].tolist())
+        # inside its range the kernel hands back exact ties only
+        inside = values[(np.abs(values) >= 1e-190) & (np.abs(values) < 1e190)]
+        _, slots, _ = _csvfmt.Encoder([False], inside.size).encode(
+            inside[:, None], np.zeros(inside.size, bool))
+        assert [v for v in inside.tolist() if _is_tie(v)] == inside[slots].tolist()
+
+    def test_int_column(self, tmp_path):
+        ints = [0, 7, -5, 2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, 2 ** 53 + 1, -(2 ** 60),
+                10 ** 30, np.int64(-(2 ** 62))]
+        rows = [(n, 0.1 * i, float(n)) for i, n in enumerate(ints)]
+        assert _csv(tmp_path / "k.csv", rows, 3) == _fmt_csv(rows, 3)
+
+    def test_field_bump_grid_needs_no_fallback(self, tmp_path, field_bump_rows):
+        rows = field_bump_rows
+        encoder = _csvfmt.Encoder([False] * 5, len(rows) // 90)
+        blank = np.zeros(len(rows) // 90, bool)
+        for chunk in np.split(rows, 90):
+            _, slots, _ = encoder.encode(chunk, blank)
+            assert slots.size == 0
+        assert _csv(tmp_path / "field.csv", rows, 300) == _fmt_csv(rows.tolist(), 300)
+
+    def test_field_bump_write_memory(self, tmp_path, field_bump_rows):
+        # the chunked writer holds about 1,000 rows of work at a time
+        write_csv(tmp_path / "warm.csv", ["a"], [(1.0,)])
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "field.csv", list("abcde"), field_bump_rows, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+
 class TestImportPath:
     def test_cli_import_leaves_out_scipy_interpolate(self):
         # only tabulated data need scipy.interpolate; they import it when
@@ -322,6 +455,23 @@ class TestImportPath:
             "res = cross_validate(solve(cfg), cfg, sample_count=20, nx=64, methods=('fd',))",
             "assert 0.0 < res.max_fd < 1e-2, res",
             "assert not scipy_modules(), scipy_modules()",
+        ])
+        src = str(Path(moving_string.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+    def test_cli_import_builds_no_formatter_table(self):
+        # the CSV kernel is loaded by the first write and builds its tables
+        # then; the import loads no exact-arithmetic module
+        code = "\n".join([
+            "import sys",
+            "import moving_string.cli",
+            "loaded = {'fractions', 'decimal', 'moving_string._csvfmt'} & set(sys.modules)",
+            "assert not loaded, loaded",
+            "from moving_string import _csvfmt",
+            "assert _csvfmt._tables.cache_info().currsize == 0, 'built at import'",
         ])
         src = str(Path(moving_string.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -8,7 +8,9 @@ every written file byte for byte.  Only the manifest's ``duration_seconds``
 and ``out_dir`` are ignored.  For each differing file it prints how many
 lines differ, the first differing line and, over all differing lines whose
 fields parse as numbers pair by pair, the largest absolute difference and
-the line and field where it occurs.
+the line and field where it occurs.  For ``validate.json`` it also names
+the checks whose ``passed`` flipped, or says there is no pass/fail change;
+the summary line counts the flips.
 
 Exit status: 1 if any output from ``configs/`` differs, else 0 (differences
 on ``perfbench/configs`` are reported only).
@@ -18,6 +20,7 @@ Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -105,14 +108,34 @@ def _abs_diff(x: str, y: str) -> tuple[float, int] | None:
     return best
 
 
-def compare(old: Path, new: Path, config: Path, name: str, scratch: Path) -> list[str]:
+def pass_flips(a: bytes, b: bytes) -> list[str]:
+    """Names of the checks whose ``passed`` differs between two validate.json."""
+    old, new = ({c["name"]: c["passed"] for c in json.loads(x)["checks"]} for x in (a, b))
+    return sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
+
+
+def compare(old: Path, new: Path, config: Path, name: str,
+            scratch: Path) -> tuple[list[str], int]:
+    """(one line per differing output, number of pass/fail flips)."""
     args = SUBCOMMANDS[name]
     tag = config.relative_to(new).with_suffix("").as_posix()
     out = scratch / f"{tag.replace('/', '-')}-{name}"
     a, b = run(old, config, args, out / "old"), run(new, config, args, out / "new")
-    return [f"{tag} {name} {f}: " + ("missing on one side" if f not in a or f not in b
-                                      else describe_difference(a[f], b[f]))
-            for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
+    lines, flips = [], 0
+    for f in sorted(a.keys() | b.keys()):
+        if a.get(f) == b.get(f):
+            continue
+        if f not in a or f not in b:
+            lines.append(f"{tag} {name} {f}: missing on one side")
+            continue
+        line = f"{tag} {name} {f}: " + describe_difference(a[f], b[f])
+        if f == "validate.json":
+            flipped = pass_flips(a[f], b[f])
+            flips += len(flipped)
+            line += ("; passed flipped: " + ", ".join(flipped) if flipped
+                     else "; no pass/fail change")
+        lines.append(line)
+    return lines, flips
 
 
 def main(argv: list[str]) -> int:
@@ -126,13 +149,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
         results = list(pool.map(lambda job: compare(old, new, *job, Path(tmp)), jobs))
     gating = 0
-    for (config, name), diffs in zip(jobs, results):
+    for (config, name), (diffs, _) in zip(jobs, results):
         for line in diffs:
             print("DIFF", line)
         gating += bool(diffs) and config.parent == new / "configs"
-    differing = sum(bool(d) for d in results)
+    differing = sum(bool(d) for d, _ in results)
+    flips = sum(f for _, f in results)
     print(f"{len(jobs)} runs on {len(configs)} configs: {len(jobs) - differing} identical, "
-          f"{differing} differing ({gating} of them on configs/)")
+          f"{differing} differing ({gating} of them on configs/), "
+          f"{flips} pass/fail flips")
     return 1 if gating else 0
 
 

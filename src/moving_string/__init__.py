@@ -8,8 +8,6 @@ from .certify import Check, certify
 from .coefficients import (
     ParsevalSums,
     SpectralSolution,
-    coefficients_minus,
-    coefficients_plus,
     parseval_sum,
     solve,
 )
@@ -33,7 +31,7 @@ from .energy import (
     spectral_energy,
 )
 from .errors import ConfigurationError, NumericError
-from .extension import ExtensionField, extend_slope, extend_velocity
+from .extension import ExtensionField
 from .observability import (
     ObservabilityReport,
     SharpnessReport,
@@ -53,11 +51,9 @@ from .oracle import (
 )
 from .quadrature import Panelization, integrate
 from .series import (
-    FieldSample,
     TraceSeries,
     boundary_trace,
     check_periodicity,
-    eval_field,
     field_components,
     field_on_moving_grid,
     velocity_trace,
@@ -72,7 +68,6 @@ __all__ = [
     "DerivedConstants",
     "EnergyReport",
     "ExtensionField",
-    "FieldSample",
     "FrozenFrameFD",
     "InitialData",
     "InitialDataSpec",
@@ -89,15 +84,10 @@ __all__ = [
     "build_initial_data",
     "certify",
     "check_periodicity",
-    "coefficients_minus",
-    "coefficients_plus",
     "cross_validate",
     "derive_constants",
     "energy_at",
     "energy_report",
-    "eval_field",
-    "extend_slope",
-    "extend_velocity",
     "fd_sample",
     "fd_solve",
     "field_components",

@@ -38,6 +38,7 @@ from .domain import (
     InitialDataSpec,
     QuadratureSpec,
     StringConfig,
+    check_memory,
     check_tolerance,
     derive_constants,
     load_config,
@@ -261,6 +262,7 @@ def cmd_energy(args) -> int:
     cfg = _load(args)
     if args.t_final is not None and not math.isfinite(args.t_final):
         raise ConfigurationError(f"--t-final must be finite, got {args.t_final}")
+    check_memory(4 * 8 * args.times, f"an energy sweep of {args.times} times")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v
     times = np.linspace(0.0, t_final, args.times)

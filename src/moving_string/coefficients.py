@@ -32,13 +32,12 @@ import numpy as np
 
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
 from .extension import ExtensionField
-from .quadrature import Panelization, UniformPhasors, integrate, require_finite
+from .quadrature import (Panelization, UniformPhasors, check_phasor_memory, integrate,
+                         require_finite)
 
 __all__ = [
     "SpectralSolution",
     "ParsevalSums",
-    "coefficients_plus",
-    "coefficients_minus",
     "solve",
     "parseval_sum",
 ]
@@ -86,7 +85,10 @@ def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
 
 def _table(data: InitialData, consts: DerivedConstants, n_max: int,
            panels_per_unit: int, side: str) -> np.ndarray:
-    """Coefficient table for one formula, ordered by mode_numbers(n_max)."""
+    """Coefficient table for one formula, ordered by mode_numbers(n_max):
+    ``side`` "plus" is the right-extended formula over (0, L2), split at
+    x = L, and "minus" the left-extended one over (-L1, L), split at x = 0."""
+    check_phasor_memory(2 * n_max)
     p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side)
     n = mode_numbers(n_max)
     integrals = np.zeros(len(n), dtype=complex)
@@ -96,18 +98,6 @@ def _table(data: InitialData, consts: DerivedConstants, n_max: int,
         require_finite(seg.nodes, g)
         integrals += UniformPhasors(seg.nodes, bounds, omega_unit * n).analyze(seg.weights * g)
     return integrals / (4.0 * math.pi * 1j * n)
-
-
-def coefficients_plus(data: InitialData, consts: DerivedConstants, n_max: int,
-                      panels_per_unit: int = 256) -> np.ndarray:
-    """Table via the right-extended formula over (0, L2), split at x = L."""
-    return _table(data, consts, n_max, panels_per_unit, "plus")
-
-
-def coefficients_minus(data: InitialData, consts: DerivedConstants, n_max: int,
-                       panels_per_unit: int = 256) -> np.ndarray:
-    """Table via the left-extended formula over (-L1, L), split at x = 0."""
-    return _table(data, consts, n_max, panels_per_unit, "minus")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +133,8 @@ def solve(cfg: StringConfig) -> SpectralSolution:
     consts = derive_constants(cfg)
     data = initial_data(cfg)
     ppu = cfg.quadrature.panels_per_unit
-    cp = coefficients_plus(data, consts, cfg.n_max, ppu)
-    cm = coefficients_minus(data, consts, cfg.n_max, ppu)
+    cp = _table(data, consts, cfg.n_max, ppu, "plus")
+    cm = _table(data, consts, cfg.n_max, ppu, "minus")
     return SpectralSolution(
         cfg=cfg,
         consts=consts,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -33,8 +34,11 @@ __all__ = [
     "StringConfig",
     "DerivedConstants",
     "build_initial_data",
+    "check_memory",
+    "check_moving_interval",
     "check_tolerance",
     "derive_constants",
+    "edge_slack",
     "moving_interval",
     "load_config",
     "load_table_csv",
@@ -60,6 +64,15 @@ def check_tolerance(tol: float) -> None:
     """Reject an identity tolerance that is not finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
+def check_memory(nbytes: float, what: str, hint: str = "") -> None:
+    """Refuse, before it is allocated, a request of ``nbytes`` bytes that
+    exceeds physical memory; ``what`` names it in the message."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigurationError(f"{what}: {nbytes / 2**30:.3g} GiB, more than the "
+                                 f"{memory / 2**30:.3g} GiB of physical memory{hint}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +191,23 @@ def moving_interval(cfg: StringConfig, t: float) -> tuple[float, float]:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return (cfg.v * t, cfg.L + cfg.v * t)
+
+
+def edge_slack(L: float) -> float:
+    """How far outside an interval edge a point may lie and still count as
+    on it: 1e-9 max(1, L), for every interval of an (L, v) problem."""
+    return 1e-9 * max(1.0, L)
+
+
+def check_moving_interval(L: float, v: float, x, t) -> None:
+    """Raise ValueError unless t >= 0 and v t <= x <= L + v t at every
+    point, each within ``edge_slack(L)``."""
+    slack = edge_slack(L)
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    if np.any(t < -slack):
+        raise ValueError("time must be nonnegative")
+    if not np.all((v * t - slack <= x) & (x <= L + v * t + slack)):
+        raise ValueError("x outside the moving interval (v t, L + v t)")
 
 
 # ---------------------------------------------------------------------------

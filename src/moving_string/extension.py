@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DerivedConstants, InitialData
+from .domain import DerivedConstants, InitialData, edge_slack
 
-__all__ = ["ExtensionField", "extend_slope", "extend_velocity"]
-
-_BOUNDS_SLACK = 1e-9
+__all__ = ["ExtensionField"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class ExtensionField:
         """Pointwise evaluation with the half-open branch convention."""
         c = self.consts
         arr = np.asarray(x, dtype=float)
-        slack = _BOUNDS_SLACK * max(1.0, c.L)
+        slack = edge_slack(c.L)
         if np.any(arr < -c.L1 - slack) or np.any(arr > c.L2 + slack):
             raise ValueError(
                 f"extension argument outside [-L1, L2] = [{-c.L1}, {c.L2}]"
@@ -90,13 +88,3 @@ class ExtensionField:
         """
         lo, hi = segment
         return self._branch(x, self.branch_of(0.5 * (lo + hi)))
-
-
-def extend_slope(data: InitialData, consts: DerivedConstants, x):
-    """Extended initial slope at x in [-L1, L2]."""
-    return ExtensionField("slope", data, consts)(x)
-
-
-def extend_velocity(data: InitialData, consts: DerivedConstants, x):
-    """Extended initial velocity at x in [-L1, L2]."""
-    return ExtensionField("velocity", data, consts)(x)

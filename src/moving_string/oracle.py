@@ -57,16 +57,15 @@ the FD values come from vectorized bilinear interpolation.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng   # numpy loads it lazily; load it with the program
 
 from .coefficients import SpectralSolution
-from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
+from .domain import (DerivedConstants, InitialData, StringConfig, check_memory,
+                     check_moving_interval, derive_constants, edge_slack, initial_data)
 from .errors import ConfigurationError
 from .series import field_components
 
@@ -116,12 +115,10 @@ def _cumulative_simpson(fn, a: float, b: float, cells: int):
 class CharacteristicSolver:
     """Exact d'Alembert solution with boundary-reflection recursion."""
 
-    def __init__(self, data: InitialData, consts: DerivedConstants,
-                 antiderivative_cells: int = _ANTIDERIV_CELLS):
+    def __init__(self, data: InitialData, consts: DerivedConstants):
         self.data = data
         self.consts = consts
-        self._psi = _cumulative_simpson(data.phi1, 0.0, consts.L, antiderivative_cells)
-        self._slack = 1e-9 * max(1.0, consts.L)
+        self._psi = _cumulative_simpson(data.phi1, 0.0, consts.L, _ANTIDERIV_CELLS)
 
     def _reduce(self, s: np.ndarray, forward: np.ndarray):
         """Map profile arguments into the data range, elementwise.
@@ -137,7 +134,7 @@ class CharacteristicSolver:
         """
         g = self.consts.gamma_v
         L = self.consts.L
-        slack = self._slack
+        slack = edge_slack(L)
         if np.any(forward & (s < -slack)):
             raise ValueError(f"forward profile argument {s[forward].min()} < 0")
         if np.any(~forward & (s > L + slack)):
@@ -167,10 +164,7 @@ class CharacteristicSolver:
         values, or their derivatives when ``derivative`` is set."""
         c = self.consts
         x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        if np.any(t < -self._slack):
-            raise ValueError("time must be nonnegative")
-        if not np.all((c.v * t - self._slack <= x) & (x <= c.L + c.v * t + self._slack)):
-            raise ValueError("x outside the moving interval (v t, L + v t)")
+        check_moving_interval(c.L, c.v, x, t)
         n = x.size
         args = np.concatenate([(x + t).ravel(), (x - t).ravel()])
         s, forward, sign, dscale = self._reduce(args, np.arange(2 * n) < n)
@@ -208,24 +202,24 @@ def _level_time(t_final: float, n_steps: int, k):
     return np.where(k == n_steps, t_final, k * (t_final / n_steps))
 
 
-def _cells(x, t, v: float, L: float, eta: np.ndarray, n_steps: int, level):
+def _cells(x, t, v: float, L: float, eta: np.ndarray, t_final: float, n_steps: int):
     """Bilinear cell of each point (x, t) in frozen coordinates e = x - v t:
     the level k and node j below it, and the weights wt, we toward k + 1 and
-    j + 1.  ``level(k)`` gives tau_k for k in 0..n_steps.  Raises ValueError
-    for a point outside the computed slab."""
+    j + 1, on the levels ``_level_time(t_final, n_steps, k)``.  Raises
+    ValueError for a point outside the computed slab."""
     x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     e = x - v * t
-    t_end = float(level(n_steps))
-    slack = 1e-9 * max(1.0, L)
-    inside = (-slack <= e) & (e <= L + slack) & (-slack <= t) & (t <= t_end + slack)
+    slack = edge_slack(L)
+    inside = (-slack <= e) & (e <= L + slack) & (-slack <= t) & (t <= t_final + slack)
     if not np.all(inside):
         i = np.argmin(inside.ravel())
         raise ValueError(f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
     e = np.clip(e, 0.0, L)
-    t = np.clip(t, 0.0, t_end)
-    k = np.minimum((t / (level(1) - level(0))).astype(int), n_steps - 1)
+    t = np.clip(t, 0.0, t_final)
+    k = np.minimum((t / (t_final / n_steps)).astype(int), n_steps - 1)
     j = np.minimum((e / (eta[1] - eta[0])).astype(int), len(eta) - 2)
-    wt = (t - level(k)) / (level(k + 1) - level(k))
+    tau_k, tau_next = _level_time(t_final, n_steps, k), _level_time(t_final, n_steps, k + 1)
+    wt = (t - tau_k) / (tau_next - tau_k)
     we = (e - eta[j]) / (eta[j + 1] - eta[j])
     return k, j, wt, we
 
@@ -248,8 +242,8 @@ class FrozenFrameFD:
     def eval(self, x, t):
         """Bilinear interpolation, mapped back through x = eta + v t; a float
         for scalar input, an array of the broadcast shape otherwise."""
-        k, j, wt, we = _cells(x, t, self.v, self.L, self.eta, len(self.tau) - 1,
-                              self.tau.__getitem__)
+        k, j, wt, we = _cells(x, t, self.v, self.L, self.eta, self.tau[-1],
+                              len(self.tau) - 1)
         u = self.u
         return _as_output(_bilinear(u[k, j], u[k, j + 1], u[k + 1, j], u[k + 1, j + 1],
                                     wt, we))
@@ -464,12 +458,8 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
     """March the implicit frozen-frame scheme to ``t_final`` (default T_v),
     keeping every time level."""
     s = _scheme(cfg, nx, cfl, t_final)
-    history = (s.n_steps + 1) * (nx + 1) * 8
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if history > memory:
-        raise ConfigurationError(
-            f"FD history of {history / 2**30:.3g} GiB exceeds physical memory "
-            f"({memory / 2**30:.3g} GiB); lower nx or use --method characteristics")
+    check_memory((s.n_steps + 1) * (nx + 1) * 8, "the FD history",
+                 "; lower nx or use --method characteristics")
     eta = s.eta()
     (_, u), = _march(s, eta, s.n_steps + 1)
     tau = _level_time(s.t_final, s.n_steps, np.arange(s.n_steps + 1))
@@ -490,8 +480,7 @@ def fd_sample(cfg: StringConfig, x, t, nx: int, cfl: float = 0.4,
             f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
             f"lower nx or use --method characteristics")
     eta = s.eta()
-    k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.n_steps,
-                          functools.partial(_level_time, s.t_final, s.n_steps))
+    k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.t_final, s.n_steps)
     shape, k, j = k.shape, k.ravel(), j.ravel()
     order = np.argsort(k)
     k_sorted = k[order]
@@ -530,6 +519,7 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
     unknown = set(methods) - {"characteristics", "fd"}
     if unknown or not methods:
         raise ConfigurationError(f"unknown oracle methods {sorted(unknown)}")
+    check_memory(3 * 8 * sample_count, f"x, t and the series at {sample_count} samples")
     consts = derive_constants(cfg)
     data = initial_data(cfg)
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_memory
 from .errors import NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
@@ -202,6 +203,12 @@ def _doubling_powers(step: np.ndarray, rows: int) -> np.ndarray:
         np.multiply(out[:k], _expj(r * step), out=out[r:r + k])
         r += k
     return out
+
+
+def check_phasor_memory(modes: int) -> None:
+    """Refuse a mode count whose ``UniformPhasors`` offset table, up to
+    ``_BLOCK`` nodes x modes complex, would exceed physical memory."""
+    check_memory(16 * _BLOCK * modes, f"a phasor table of {modes} modes")
 
 
 class UniformPhasors:

@@ -25,13 +25,14 @@ the time factors and multiplies by the mode shapes e^{i n pi (1-v) s/L}
 and e^{-i n pi (1+v) s/L}, built as powers of one phasor per abscissa,
 block by block.
 
-Along a support, x = x_b + v t, the mode shapes are constants, so each
-trace is a single Fourier series in t: ``slope_trace_rows`` and
-``velocity_trace_rows`` give its coefficient rows.  The observability
-integrals sum those rows on uniform quadrature nodes as blocked matrix
-products (``quadrature.UniformPhasors``).  Horner's rule serves scattered
-points only: ``field_components``, and the traces ``boundary_trace`` and
-``velocity_trace``, which sum the same rows in t.
+Structured sets go through that grid at exact s, never through a rounded
+x: the energy sweep, the ``simulate`` grid and the supports s = 0, L that
+``certify`` reads.  Along a support, x = x_b + v t, each trace is a single
+Fourier series in t (``slope_trace_rows``, ``velocity_trace_rows``), which
+the observability integrals sum on uniform nodes as blocked products
+(``quadrature.UniformPhasors``).  Horner's rule serves scattered points
+only: ``field_components`` (``check_periodicity``, ``cross_validate``) and
+the scattered-time traces ``boundary_trace`` and ``velocity_trace``.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import SpectralSolution
+from .domain import check_memory, check_moving_interval, edge_slack
 
 __all__ = [
-    "FieldSample",
     "TraceSeries",
-    "eval_field",
     "field_components",
     "field_on_moving_grid",
     "boundary_trace",
@@ -54,23 +54,9 @@ __all__ = [
     "check_periodicity",
 ]
 
-_DOMAIN_SLACK = 1e-9
 # points per Horner pass (a field block works in about 1.5 MB), and modes x
 # abscissae per family in a grid block's phasor table
 _BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One point evaluation: displacement, slope, velocity and the largest
-    imaginary residue discarded when taking real parts."""
-
-    x: float
-    t: float
-    phi: float
-    phi_x: float
-    phi_t: float
-    imag_residual: float
 
 
 @dataclass(frozen=True)
@@ -88,19 +74,6 @@ class TraceSeries:
             raise ValueError("trace needs at least one time")
         if np.any(t < 0) or np.any(np.diff(t) <= 0):
             raise ValueError("trace times must be nonnegative and strictly increasing")
-
-
-def _validate_domain(sol: SpectralSolution, x, t) -> None:
-    c = sol.consts
-    slack = _DOMAIN_SLACK * max(1.0, c.L)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(t < -slack):
-        raise ValueError("time must be nonnegative")
-    lo = c.v * t - slack
-    hi = c.L + c.v * t + slack
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("x outside the moving interval (v t, L + v t)")
 
 
 def _halves(wc: np.ndarray) -> np.ndarray:
@@ -139,9 +112,9 @@ def field_components(sol: SpectralSolution, x, t):
     Returns real arrays; ``imag_residual`` is the max |Im| over the three
     sums, a free consistency diagnostic for real initial data.
     """
-    _validate_domain(sol, x, t)
     c = sol.consts
     L, v = c.L, c.v
+    check_moving_interval(L, v, x, t)
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     theta = np.stack([(math.pi * (1.0 - v) / L) * (t + x).ravel(),
                       (math.pi * (1.0 + v) / L) * (t - x).ravel()])
@@ -180,7 +153,7 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
     L, v = c.L, c.v
     times = np.atleast_1d(np.asarray(times, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    slack = _DOMAIN_SLACK * max(1.0, L)
+    slack = edge_slack(L)
     if times.ndim != 1 or s.ndim != 1:
         raise ValueError("times and s must be one-dimensional")
     if not np.all(np.isfinite(times) & (times >= -slack)):
@@ -209,12 +182,6 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
         if blk.size:
             resid = max(resid, float(np.max(np.abs(blk.imag))))
     return out[0], out[1], out[2], resid
-
-
-def eval_field(sol: SpectralSolution, x: float, t: float) -> FieldSample:
-    """Displacement, slope and velocity at one point of the moving domain."""
-    phi, phx, pht, resid = field_components(sol, float(x), float(t))
-    return FieldSample(float(x), float(t), float(phi), float(phx), float(pht), resid)
 
 
 def slope_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
@@ -287,7 +254,7 @@ def velocity_trace(sol: SpectralSolution, endpoint: str, times) -> np.ndarray:
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < -_DOMAIN_SLACK * max(1.0, sol.consts.L)):
+    if np.any(times < -edge_slack(sol.consts.L)):
         raise ValueError("time must be nonnegative")
     families = _row_sums(sol, velocity_trace_rows(sol, endpoint), times)
     return (families[0].real + families[1].real).reshape(times.shape)
@@ -315,6 +282,7 @@ def sample_moving_grid(sol: SpectralSolution, nx: int, nt: int, t_final: float):
         raise ValueError("grid needs nx >= 2 and nt >= 2")
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
+    check_memory(5 * 8 * nx * nt, f"five fields on the {nx} x {nt} grid")
     c = sol.consts
     tg = np.linspace(0.0, t_final, nt)
     frac = np.linspace(0.0, 1.0, nx)

@@ -62,3 +62,12 @@ def test_mixed_term_and_period_read_from_the_energy_sweep(v):
     assert checks["energy_mixed_term_identity"].residual == mixed
     assert checks["energy_T_v_periodicity"].residual == period
     assert mixed < 1e-10 and period < 1e-6
+
+
+def test_supports_read_on_the_exact_frame():
+    # at v = 0.99 the supports x = v t and L + v t reach ~313 within T_v;
+    # forming x in floating point put 3.0e-15, 5.4e-15 and 4.5e-13 here
+    checks = {ch.name: ch for ch in certify(get_solution(0.99))}
+    assert checks["dirichlet_trace_left"].residual == 0.0
+    assert checks["dirichlet_trace_right"].residual <= 1e-15
+    assert checks["boundary_total_derivative"].residual <= 1e-14

@@ -158,6 +158,31 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "nodes, more than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, n_max, size", [
+        (["simulate", "--nx", "1000000", "--nt", "1000000"], 6,
+         "five fields on the 1000000 x 1000000 grid"),
+        (["figures", "--figure", "6", "--nx", "1000000", "--nt", "1000000"], 6,
+         "five fields on the 1000000 x 1000000 grid"),
+        (["energy", "--times", "1000000000000"], 6, "an energy sweep of 1000000000000 times"),
+        (["oracle", "--samples", "1000000000000", "--method", "characteristics"], 6,
+         "x, t and the series at 1000000000000 samples"),
+        (["coeffs"], 10**10, "a phasor table of 20000000000 modes"),
+    ], ids=["simulate", "figures", "energy", "oracle", "coeffs"])
+    def test_impossible_size(self, tmp_path, capsys, argv, n_max, size):
+        # each request is terabytes, refused by the physical-memory guard
+        # before its arrays are allocated
+        cfg = write_cfg(tmp_path, n_max=n_max)
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert size in err and "GiB of physical memory" in err
+        assert peak < 4 * 2**20
+
     def test_non_finite_energy_horizon(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)
         with warnings.catch_warnings():

@@ -8,17 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moving_string import (
+    CharacteristicSolver,
     ConfigurationError,
+    ExtensionField,
     InitialDataSpec,
     QuadratureSpec,
     StringConfig,
     build_initial_data,
     derive_constants,
+    fd_sample,
+    field_components,
+    field_on_moving_grid,
+    initial_data,
     load_config,
     moving_interval,
 )
+from moving_string.domain import edge_slack
 
-from conftest import make_config
+from conftest import get_solution, make_config
 
 speeds = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 lengths = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False)
@@ -102,6 +109,44 @@ class TestMovingInterval:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             moving_interval(make_config(0.3), -1.0)
+
+
+def _outside(entry, d, upper):
+    """``entry`` at t = 1, a distance d below the lower or above the upper
+    edge of the interval it reads: the moving interval (v t, L + v t), or
+    (-L1, L2) for the extension."""
+    cfg = make_config(0.3)
+    c = derive_constants(cfg)
+    t = 1.0
+    s = c.L + d if upper else -d          # on the frame x = v t + s
+    if entry == "field_components":
+        return field_components(get_solution(0.3), c.v * t + s, t)[0]
+    if entry == "field_on_moving_grid":
+        return field_on_moving_grid(get_solution(0.3), [t], [s])[0]
+    if entry == "CharacteristicSolver.value":
+        return CharacteristicSolver(initial_data(cfg), c).value(c.v * t + s, t)
+    if entry == "ExtensionField":
+        return ExtensionField("slope", initial_data(cfg), c)(c.L2 + d if upper else -c.L1 - d)
+    return fd_sample(cfg, c.v * t + s, t, nx=32, t_final=2.0)
+
+
+class TestSharedEdgeSlack:
+    """Every evaluator admits a point within ``edge_slack(L)`` of an edge
+    and refuses one beyond it, each with its own message."""
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("entry, message", [
+        ("field_components", "x outside the moving interval"),
+        ("field_on_moving_grid", "s outside the reference interval"),
+        ("CharacteristicSolver.value", "x outside the moving interval"),
+        ("ExtensionField", "extension argument outside"),
+        ("fd_sample", "outside the computed slab"),
+    ])
+    def test_half_a_slack_admitted_two_refused(self, entry, message, upper):
+        slack = edge_slack(math.pi)
+        assert np.all(np.isfinite(_outside(entry, 0.5 * slack, upper)))
+        with pytest.raises(ValueError, match=message):
+            _outside(entry, 2.0 * slack, upper)
 
 
 class TestConfigValidation:

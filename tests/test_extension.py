@@ -11,8 +11,6 @@ from moving_string import (
     InitialDataSpec,
     build_initial_data,
     derive_constants,
-    extend_slope,
-    extend_velocity,
 )
 
 L = math.pi
@@ -36,26 +34,26 @@ class TestSlopeBranches:
         consts = derive_constants(L=L, v=0.4)
         x = np.linspace(0.05, L - 0.05, 9)
         np.testing.assert_allclose(
-            extend_slope(data, consts, x), data.phi0_x(x), rtol=0, atol=0
+            ExtensionField("slope", data, consts)(x), data.phi0_x(x), rtol=0, atol=0
         )
 
     def test_v0_even_reflection(self):
         # phi0 = sin(x)/10: the slope extension is even about 0
         data = sine_data()
         consts = derive_constants(L=L, v=0.0)
-        assert extend_slope(data, consts, -0.5) == pytest.approx(
+        assert ExtensionField("slope", data, consts)(-0.5) == pytest.approx(
             math.cos(0.5) / 10, rel=1e-14
         )
-        assert extend_slope(data, consts, -0.5) == pytest.approx(
-            extend_slope(data, consts, 0.5), rel=1e-14
+        assert ExtensionField("slope", data, consts)(-0.5) == pytest.approx(
+            ExtensionField("slope", data, consts)(0.5), rel=1e-14
         )
 
     def test_v0_even_about_right_support(self):
         data = sine_data()
         consts = derive_constants(L=L, v=0.0)
         for d in (0.2, 0.7, 1.4):
-            assert extend_slope(data, consts, L + d) == pytest.approx(
-                extend_slope(data, consts, L - d), rel=1e-13
+            assert ExtensionField("slope", data, consts)(L + d) == pytest.approx(
+                ExtensionField("slope", data, consts)(L - d), rel=1e-13
             )
 
     def test_left_branch_scaling(self):
@@ -65,7 +63,9 @@ class TestSlopeBranches:
         g = consts.gamma_v
         assert g == pytest.approx(13 / 7, rel=1e-14)
         expected = g * math.cos(g * 0.5) / 10
-        assert extend_slope(data, consts, -0.5) == pytest.approx(expected, rel=1e-13)
+        assert ExtensionField("slope", data, consts)(-0.5) == pytest.approx(
+            expected, rel=1e-13
+        )
 
     def test_right_branch_scaling(self):
         data = sine_data()
@@ -73,17 +73,17 @@ class TestSlopeBranches:
         g = consts.gamma_v
         x = L + 0.1
         expected = (1 / g) * math.cos(-x / g + 2 * L / 1.3) / 10
-        assert extend_slope(data, consts, x) == pytest.approx(expected, rel=1e-13)
+        assert ExtensionField("slope", data, consts)(x) == pytest.approx(expected, rel=1e-13)
 
     def test_endpoints_map_to_reflected_images(self):
         data = sine_data()
         consts = derive_constants(L=L, v=0.3)
         g = consts.gamma_v
         # x = -L1 reflects the image of L; x = L2 the image of 0
-        assert extend_slope(data, consts, -consts.L1) == pytest.approx(
+        assert ExtensionField("slope", data, consts)(-consts.L1) == pytest.approx(
             g * float(data.phi0_x(L)), rel=1e-12
         )
-        assert extend_slope(data, consts, consts.L2) == pytest.approx(
+        assert ExtensionField("slope", data, consts)(consts.L2) == pytest.approx(
             (1 / g) * float(data.phi0_x(0.0)), rel=1e-12
         )
 
@@ -91,9 +91,9 @@ class TestSlopeBranches:
         data = sine_data()
         consts = derive_constants(L=L, v=0.3)
         with pytest.raises(ValueError):
-            extend_slope(data, consts, consts.L2 + 0.1)
+            ExtensionField("slope", data, consts)(consts.L2 + 0.1)
         with pytest.raises(ValueError):
-            extend_slope(data, consts, -consts.L1 - 0.1)
+            ExtensionField("slope", data, consts)(-consts.L1 - 0.1)
 
 
 class TestVelocityBranches:
@@ -101,12 +101,12 @@ class TestVelocityBranches:
         data = sine_data()  # phi1 = 0
         consts = derive_constants(L=L, v=0.5)
         x = np.linspace(-consts.L1, consts.L2, 33)
-        np.testing.assert_allclose(extend_velocity(data, consts, x), 0.0, atol=0)
+        np.testing.assert_allclose(ExtensionField("velocity", data, consts)(x), 0.0, atol=0)
 
     def test_v0_odd_reflection(self):
         data = sine_velocity_data()
         consts = derive_constants(L=L, v=0.0)
-        assert extend_velocity(data, consts, -0.5) == pytest.approx(
+        assert ExtensionField("velocity", data, consts)(-0.5) == pytest.approx(
             -math.sin(0.5), rel=1e-14
         )
 
@@ -114,8 +114,8 @@ class TestVelocityBranches:
         data = sine_velocity_data()
         consts = derive_constants(L=L, v=0.0)
         for d in (0.2, 0.7, 1.4):
-            assert extend_velocity(data, consts, L + d) == pytest.approx(
-                -extend_velocity(data, consts, L - d), rel=1e-13, abs=1e-300
+            assert ExtensionField("velocity", data, consts)(L + d) == pytest.approx(
+                -ExtensionField("velocity", data, consts)(L - d), rel=1e-13, abs=1e-300
             )
 
     def test_right_branch_formula(self):
@@ -125,14 +125,18 @@ class TestVelocityBranches:
         g = consts.gamma_v
         x = L + 0.1
         expected = -(1 / g) * math.sin(-x / g + 2 * L / 1.3)
-        assert extend_velocity(data, consts, x) == pytest.approx(expected, rel=1e-13)
+        assert ExtensionField("velocity", data, consts)(x) == pytest.approx(
+            expected, rel=1e-13
+        )
 
     def test_left_branch_formula(self):
         data = sine_velocity_data()
         consts = derive_constants(L=L, v=0.3)
         g = consts.gamma_v
         expected = -g * math.sin(g * 0.5)
-        assert extend_velocity(data, consts, -0.5) == pytest.approx(expected, rel=1e-13)
+        assert ExtensionField("velocity", data, consts)(-0.5) == pytest.approx(
+            expected, rel=1e-13
+        )
 
 
 class TestEvaluatorPlumbing:

@@ -10,7 +10,6 @@ import pytest
 from moving_string import (
     boundary_trace,
     check_periodicity,
-    eval_field,
     field_components,
     velocity_trace,
 )
@@ -31,10 +30,10 @@ class TestStandingWave:
     """v=0 sine case: phi = sin(x) cos(t)/10 exactly."""
 
     def test_field_values(self, sine_v0):
-        s = eval_field(sine_v0, 1.0, 2.0)
-        assert s.phi == pytest.approx(math.sin(1.0) * math.cos(2.0) / 10, abs=1e-12)
-        assert s.phi_x == pytest.approx(math.cos(1.0) * math.cos(2.0) / 10, abs=1e-12)
-        assert s.phi_t == pytest.approx(-math.sin(1.0) * math.sin(2.0) / 10, abs=1e-12)
+        phi, phx, pht, _ = field_components(sine_v0, 1.0, 2.0)
+        assert float(phi) == pytest.approx(math.sin(1.0) * math.cos(2.0) / 10, abs=1e-12)
+        assert float(phx) == pytest.approx(math.cos(1.0) * math.cos(2.0) / 10, abs=1e-12)
+        assert float(pht) == pytest.approx(-math.sin(1.0) * math.sin(2.0) / 10, abs=1e-12)
 
     def test_left_trace_is_cos_over_10(self, sine_v0):
         t = np.linspace(0.0, 2 * math.pi, 17)
@@ -50,8 +49,8 @@ class TestStandingWave:
 class TestZeroData:
     def test_everything_vanishes(self):
         sol = get_solution(0.3, preset="zero")
-        s = eval_field(sol, 1.0, 1.0)
-        assert s.phi == 0.0 and s.phi_x == 0.0 and s.phi_t == 0.0
+        phi, phx, pht, _ = field_components(sol, 1.0, 1.0)
+        assert phi == 0.0 and phx == 0.0 and pht == 0.0
         tr = boundary_trace(sol, "left", [0.0, 1.0])
         assert np.all(tr.values == 0.0)
         assert check_periodicity(sol, [(1.0, 0.5)]) == 0.0
@@ -60,17 +59,17 @@ class TestZeroData:
 class TestDomainValidation:
     def test_outside_moving_interval_rejected(self, sine_v03):
         with pytest.raises(ValueError, match="moving interval"):
-            eval_field(sine_v03, 0.05, 1.0)  # left support is at 0.3 by t=1
+            field_components(sine_v03, 0.05, 1.0)  # left support is at 0.3 by t=1
 
     def test_negative_time_rejected(self, sine_v03):
         with pytest.raises(ValueError):
-            eval_field(sine_v03, 1.0, -0.5)
+            field_components(sine_v03, 1.0, -0.5)
 
     def test_endpoints_admitted(self, sine_v03):
         c = sine_v03.consts
         t = 1.7
-        eval_field(sine_v03, c.v * t, t)
-        eval_field(sine_v03, c.L + c.v * t, t)
+        field_components(sine_v03, c.v * t, t)
+        field_components(sine_v03, c.L + c.v * t, t)
 
 
 class TestDirichletAndTotalDerivative:
@@ -100,14 +99,14 @@ class TestDerivativeConsistency:
         c = sine_v03.consts
         h = 1e-5
         for (x, t) in [(1.2, 0.9), (2.0, 3.3), (1.7, 5.1)]:
-            s = eval_field(sine_v03, x, t)
-            fx = (eval_field(sine_v03, x + h, t).phi
-                  - eval_field(sine_v03, x - h, t).phi) / (2 * h)
-            ft = (eval_field(sine_v03, x + c.v * h, t + h).phi
-                  - eval_field(sine_v03, x - c.v * h, t - h).phi) / (2 * h)
+            _, phx, pht, _ = field_components(sine_v03, x, t)
+            fx = (field_components(sine_v03, x + h, t)[0]
+                  - field_components(sine_v03, x - h, t)[0]) / (2 * h)
+            ft = (field_components(sine_v03, x + c.v * h, t + h)[0]
+                  - field_components(sine_v03, x - c.v * h, t - h)[0]) / (2 * h)
             # the time difference follows the moving frame; convert back
-            assert fx == pytest.approx(s.phi_x, abs=5e-6)
-            assert ft == pytest.approx(s.phi_t + c.v * s.phi_x, abs=5e-6)
+            assert float(fx) == pytest.approx(float(phx), abs=5e-6)
+            assert float(ft) == pytest.approx(float(pht + c.v * phx), abs=5e-6)
 
 
 class TestRealityMonitoring:

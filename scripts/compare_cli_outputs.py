@@ -4,8 +4,9 @@
 Runs every subcommand below on every ``configs/*.json`` and
 ``perfbench/configs/*.json`` of NEW_ROOT, once with OLD_ROOT/src and once
 with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
-every written file byte for byte.  Only the manifest's ``duration_seconds``
-and ``out_dir`` are ignored.  For each differing file it prints how many
+every written file byte for byte.  Two runs go at once, each child with
+one BLAS thread.  Only the manifest's ``duration_seconds`` and
+``out_dir`` are ignored.  For each differing file it prints how many
 lines differ, the first differing line and, over all differing lines whose
 fields parse as numbers pair by pair, the largest absolute difference and
 the line and field where it occurs.  For ``validate.json`` it also names
@@ -44,12 +45,15 @@ SUBCOMMANDS = {
     "validate": ["validate"],
     "figures": ["figures", "--figure", "6"],
 }
+# Both sides run at once; one BLAS thread each keeps them from
+# oversubscribing the cores, as perfbench's children do.
+_THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 
 
 def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes]:
     """Outputs of one CLI run, keyed by file name (plus exit code and stdout)."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, **_THREAD_ENV, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "moving_string.cli", *args,
          "--config", str(config), "--out", str(out)],

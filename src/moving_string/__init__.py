@@ -15,7 +15,6 @@ from .domain import (
     DerivedConstants,
     InitialData,
     InitialDataSpec,
-    QuadratureSpec,
     StringConfig,
     build_initial_data,
     derive_constants,
@@ -75,7 +74,6 @@ __all__ = [
     "ObservabilityReport",
     "Panelization",
     "ParsevalSums",
-    "QuadratureSpec",
     "SharpnessReport",
     "SpectralSolution",
     "StringConfig",

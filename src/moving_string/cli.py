@@ -35,8 +35,8 @@ from . import __version__
 from .certify import Check, certify
 from .coefficients import solve
 from .domain import (
+    DEFAULT_PANELS_PER_UNIT,
     InitialDataSpec,
-    QuadratureSpec,
     StringConfig,
     check_memory,
     check_tolerance,
@@ -193,10 +193,7 @@ def cmd_constants(args) -> int:
     cfg = _load(args)
     c = derive_constants(cfg)
     man = Manifest("constants", args.config, Path(args.out))
-    man.emit_json("constants.json", {
-        "L": c.L, "v": c.v, "gamma_v": c.gamma_v, "L1": c.L1, "L2": c.L2,
-        "T_v": c.T_v, "T_tilde_v": c.T_tilde_v,
-    })
+    man.emit_json("constants.json", asdict(c))
     man.finish()
     print(f"T_v = {fmt(c.T_v)}  T_tilde_v = {fmt(c.T_tilde_v)}  gamma_v = {fmt(c.gamma_v)}")
     return 0
@@ -208,12 +205,11 @@ def cmd_coeffs(args) -> int:
     man = Manifest("coeffs", args.config, Path(args.out))
     rows = [
         (int(n), cp.real, cp.imag, cm.real, cm.imag, abs(cp - cm))
-        for n, cp, cm in zip(sol.n, sol.c_plus, sol.c_minus)
+        for n, cp, cm in zip(sol.n, sol.c, sol.c_minus)
     ]
     man.emit_csv("coeffs.csv",
                  ["n", "re_plus", "im_plus", "re_minus", "im_minus", "abs_diff"], rows)
-    man.doc["parameters"] = {"n_max": cfg.n_max,
-                             "panels_per_unit": cfg.quadrature.panels_per_unit}
+    man.doc["parameters"] = {"n_max": cfg.n_max, "panels_per_unit": cfg.panels_per_unit}
     man.finish()
     print(f"wrote {2 * cfg.n_max} coefficients; "
           f"cross-check residual {fmt(sol.cross_check_residual)}")
@@ -318,8 +314,8 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     sol = solve(cfg)
     methods = ("characteristics", "fd") if args.method == "both" else (args.method,)
-    rep = cross_validate(sol, cfg, args.samples, seed=args.seed, nx=args.nx,
-                         cfl=args.cfl, methods=methods)
+    rep = cross_validate(sol, args.samples, seed=args.seed, nx=args.nx, cfl=args.cfl,
+                         methods=methods)
     man = Manifest("oracle", args.config, Path(args.out))
     man.emit_json("oracle.json", {
         "samples": rep.sample_count,
@@ -341,15 +337,13 @@ def cmd_oracle(args) -> int:
 
 def _figure_config(args) -> StringConfig:
     v = FIGURE_SPEEDS[args.figure]
-    ppu = 256
-    if args.config:
-        ppu = load_config(args.config).quadrature.panels_per_unit
+    ppu = load_config(args.config).panels_per_unit if args.config else DEFAULT_PANELS_PER_UNIT
     return StringConfig(
         L=math.pi,
         v=v,
         initial=InitialDataSpec.preset("sine_mode", amplitude=0.1, mode=1),
         n_max=40,
-        quadrature=QuadratureSpec(panels_per_unit=ppu),
+        panels_per_unit=ppu,
     )
 
 
@@ -373,7 +367,7 @@ def cmd_validate(args) -> int:
         man.add_check(check)
     failed = [check.name for check in checks if not check.passed]
     man.doc["parameters"] = {"tol": args.tol, "seed": args.seed, "n_max": cfg.n_max,
-                             "panels_per_unit": cfg.quadrature.panels_per_unit}
+                             "panels_per_unit": cfg.panels_per_unit}
     summary = {"checks_total": len(checks), "checks_failed": len(failed), "failed_names": failed}
     man.emit_json("validate.json", {"summary": summary, "checks": man.doc["checks"]})
     man.finish()

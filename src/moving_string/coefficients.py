@@ -105,7 +105,7 @@ class SpectralSolution:
     """Truncated coefficient table plus everything needed to evaluate it.
 
     ``c`` is the canonical table (the right-extended formula);
-    ``cross_check_residual`` is max_n |c_n(+) - c_n(-)|.
+    ``cross_check_residual`` is max_n |c_n - c_minus_n|.
     """
 
     cfg: StringConfig
@@ -113,7 +113,6 @@ class SpectralSolution:
     data: InitialData
     n: np.ndarray
     c: np.ndarray
-    c_plus: np.ndarray
     c_minus: np.ndarray
     cross_check_residual: float
 
@@ -127,21 +126,23 @@ class SpectralSolution:
             raise ValueError(f"mode {n} outside table (|n| in 1..{self.n_max})")
         return complex(self.c[idx])
 
+    def weighted_square_sum(self) -> float:
+        """Sum |n c_n|^2 over the table, exactly rounded (``math.fsum``)."""
+        return math.fsum((np.abs(self.n * self.c) ** 2).tolist())
+
 
 def solve(cfg: StringConfig) -> SpectralSolution:
     """Build the truncated spectral solution for a configuration."""
     consts = derive_constants(cfg)
     data = initial_data(cfg)
-    ppu = cfg.quadrature.panels_per_unit
-    cp = _table(data, consts, cfg.n_max, ppu, "plus")
-    cm = _table(data, consts, cfg.n_max, ppu, "minus")
+    cp = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "plus")
+    cm = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "minus")
     return SpectralSolution(
         cfg=cfg,
         consts=consts,
         data=data,
         n=mode_numbers(cfg.n_max),
         c=cp,
-        c_plus=cp,
         c_minus=cm,
         cross_check_residual=float(np.max(np.abs(cp - cm))),
     )
@@ -170,14 +171,13 @@ class ParsevalSums:
 
 def parseval_sum(sol: SpectralSolution) -> ParsevalSums:
     """Sum |n c_n|^2 from the table and from both extended-data integrals."""
-    table = math.fsum((np.abs(sol.n * sol.c) ** 2).tolist())
     L, v = sol.consts.L, sol.consts.v
 
     def squared(side):
-        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.quadrature.panels_per_unit,
-                                   side)
+        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.panels_per_unit, side)
         return integrate(lambda x, seg: integrand(x, seg) ** 2, p)
 
     plus = L / (8.0 * math.pi ** 2 * (1.0 - v)) * squared("plus")
     minus = L / (8.0 * math.pi ** 2 * (1.0 + v)) * squared("minus")
-    return ParsevalSums(table_sum=table, integral_plus=plus, integral_minus=minus)
+    return ParsevalSums(table_sum=sol.weighted_square_sum(), integral_plus=plus,
+                        integral_minus=minus)

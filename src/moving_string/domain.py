@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "QuadratureSpec",
     "InitialDataSpec",
     "InitialData",
     "StringConfig",
@@ -47,6 +46,10 @@ __all__ = [
 #: Ill-posedness guard: the axial speed must stay strictly below the unit
 #: wave propagation speed; v = 0 is admitted as the classical fixed string.
 SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
+
+#: Composite Simpson panels (each spanning two equal sub-intervals) per unit
+#: length of every integration axis, unless a config sets its own.
+DEFAULT_PANELS_PER_UNIT = 256
 
 
 def _check_geometry(L: float, v: float) -> None:
@@ -71,25 +74,9 @@ def check_memory(nbytes: float, what: str, hint: str = "") -> None:
     exceeds physical memory; ``what`` names it in the message."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > memory:
-        raise ConfigurationError(f"{what}: {nbytes / 2**30:.3g} GiB, more than the "
+        gib = nbytes / 2**30 if nbytes < 1e300 else math.inf  # an int past float range
+        raise ConfigurationError(f"{what}: {gib:.3g} GiB, more than the "
                                  f"{memory / 2**30:.3g} GiB of physical memory{hint}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Density of the composite Simpson rule used everywhere.
-
-    ``panels_per_unit`` counts Simpson panels (each spanning two equal
-    sub-intervals) per unit length of the integration axis.
-    """
-
-    panels_per_unit: int = 256
-
-    def __post_init__(self) -> None:
-        if self.panels_per_unit < 8:
-            raise ConfigurationError(
-                f"panels_per_unit must be >= 8, got {self.panels_per_unit}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,18 +119,20 @@ class InitialData:
 
 @dataclass(frozen=True)
 class StringConfig:
-    """Full problem description: geometry, speed, data and numerics."""
+    """Full problem description: geometry, speed, data and Simpson density."""
 
     L: float
     v: float
     initial: InitialDataSpec
     n_max: int = 40
-    quadrature: QuadratureSpec = QuadratureSpec()
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
 
     def __post_init__(self) -> None:
         _check_geometry(self.L, self.v)
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
+        if self.panels_per_unit < 8:
+            raise ConfigurationError(f"panels_per_unit must be >= 8, got {self.panels_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -242,10 +231,15 @@ def _preset_zero(L: float) -> InitialData:
     return InitialData("zero", _zeros_like, _zeros_like, _zeros_like)
 
 
+def _mode_number(preset: str, mode) -> int:
+    """A sine preset's mode k: an integer >= 1, never a rounded float."""
+    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 1:
+        raise ConfigurationError(f"{preset} mode must be an integer >= 1, got {mode!r}")
+    return int(mode)
+
+
 def _preset_sine_mode(L: float, amplitude: float = 0.1, mode: int = 1) -> InitialData:
-    k = int(mode)
-    if k < 1:
-        raise ConfigurationError(f"sine_mode mode must be >= 1, got {mode}")
+    k = _mode_number("sine_mode", mode)
     w = k * math.pi / L
     return InitialData(
         f"sine_mode(a={amplitude},k={k})",
@@ -256,9 +250,7 @@ def _preset_sine_mode(L: float, amplitude: float = 0.1, mode: int = 1) -> Initia
 
 
 def _preset_sine_velocity(L: float, amplitude: float = 1.0, mode: int = 1) -> InitialData:
-    k = int(mode)
-    if k < 1:
-        raise ConfigurationError(f"sine_velocity mode must be >= 1, got {mode}")
+    k = _mode_number("sine_velocity", mode)
     w = k * math.pi / L
     return InitialData(
         f"sine_velocity(a={amplitude},k={k})",
@@ -273,9 +265,10 @@ def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
     """Sine shape with phi1 = sign * phi0_x (the energy-bound equality case)."""
     if sign not in (-1, 1):
         raise ConfigurationError(f"traveling_sine sign must be +1 or -1, got {sign}")
-    base = _preset_sine_mode(L, amplitude, mode)
+    k = _mode_number("traveling_sine", mode)
+    base = _preset_sine_mode(L, amplitude, k)
     return InitialData(
-        f"traveling_sine(a={amplitude},k={mode},s={sign:+d})",
+        f"traveling_sine(a={amplitude},k={k},s={sign:+d})",
         base.phi0,
         base.phi0_x,
         lambda x, _d=base.phi0_x: sign * _d(x),
@@ -424,16 +417,23 @@ def load_config(path: str | Path) -> StringConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
 
-    def need(key, types, what):
-        if key not in raw:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
-        val = raw[key]
+    def typed(key, val, types, what):
         if not isinstance(val, types) or isinstance(val, bool):
             raise ConfigurationError(f"{path}: key {key!r} must be {what}")
         return val
 
-    L = float(need("L", (int, float), "a number"))
-    v = float(need("v", (int, float), "a number"))
+    def need(key, types, what):
+        if key not in raw:
+            raise ConfigurationError(f"{path}: missing required key {key!r}")
+        return typed(key, raw[key], types, what)
+
+    def number(key):
+        try:
+            return float(need(key, (int, float), "a number"))
+        except OverflowError:
+            raise ConfigurationError(f"{path}: key {key!r} is too large for a float") from None
+
+    L, v = number("L"), number("v")
     n_max = need("n_max", int, "an integer")
     init_raw = need("initial", dict, "an object")
     if "preset" in init_raw:
@@ -445,14 +445,19 @@ def load_config(path: str | Path) -> StringConfig:
             raise ConfigurationError(f"{path}: initial.preset.params must be an object")
         spec = InitialDataSpec.preset(str(preset["name"]), **params)
     elif "table" in init_raw:
-        table_path = Path(init_raw["table"])
+        table_path = Path(typed("initial.table", init_raw["table"], str, "a path string"))
         if not table_path.is_absolute():
             table_path = path.parent / table_path
-        spec = InitialDataSpec.tabulated(*load_table_csv(table_path))
+        try:
+            spec = InitialDataSpec.tabulated(*load_table_csv(table_path))
+        except OSError as exc:
+            raise ConfigurationError(f"{path}: cannot read initial.table {table_path}: "
+                                     f"{exc.strerror}") from None
     else:
         raise ConfigurationError(f"{path}: initial must contain 'preset' or 'table'")
     quad_raw = raw.get("quadrature", {})
     if not isinstance(quad_raw, dict):
         raise ConfigurationError(f"{path}: quadrature must be an object")
-    quad = QuadratureSpec(panels_per_unit=int(quad_raw.get("panels_per_unit", 256)))
-    return StringConfig(L=L, v=v, initial=spec, n_max=n_max, quadrature=quad)
+    ppu = typed("quadrature.panels_per_unit",
+                quad_raw.get("panels_per_unit", DEFAULT_PANELS_PER_UNIT), int, "an integer")
+    return StringConfig(L=L, v=v, initial=spec, n_max=n_max, panels_per_unit=ppu)

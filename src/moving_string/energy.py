@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import DerivedConstants, InitialData, QuadratureSpec, check_tolerance
+from .domain import StringConfig, check_tolerance, initial_data
 from .quadrature import Panelization, integrate
 from .series import field_on_moving_grid
 
@@ -61,7 +61,7 @@ def _energy_integrals(sol: SpectralSolution, times):
     """
     c = sol.consts
     times = np.asarray(times, dtype=float)
-    p = Panelization(0.0, c.L, panels_per_unit=sol.cfg.quadrature.panels_per_unit)
+    p = Panelization(0.0, c.L, panels_per_unit=sol.cfg.panels_per_unit)
 
     def densities(ts, s):
         _, phx, pht, _ = field_on_moving_grid(sol, ts, s)
@@ -85,17 +85,16 @@ def energy_at(sol: SpectralSolution, t: float) -> tuple[float, float]:
 
 def spectral_energy(sol: SpectralSolution) -> float:
     """Conserved energy from the coefficient table alone."""
-    s = math.fsum((np.abs(sol.n * sol.c) ** 2).tolist())
     c = sol.consts
-    return 2.0 * math.pi ** 2 * (1.0 - c.v ** 2) / c.L * s
+    return 2.0 * math.pi ** 2 * (1.0 - c.v ** 2) / c.L * sol.weighted_square_sum()
 
 
-def initial_energies(data: InitialData, consts: DerivedConstants,
-                     quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+def initial_energies(cfg: StringConfig) -> tuple[float, float]:
     """Exact (calE(0), E(0)) by quadrature of the raw initial data."""
-    p = Panelization(0.0, consts.L, breakpoints=tuple(data.knots),
-                     panels_per_unit=quad.panels_per_unit)
-    v = consts.v
+    data = initial_data(cfg)
+    p = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots),
+                     panels_per_unit=cfg.panels_per_unit)
+    v = cfg.v
 
     def densities(x, seg):
         p0x = np.asarray(data.phi0_x(x), dtype=float)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .coefficients import SpectralSolution
 from .domain import (
+    DEFAULT_PANELS_PER_UNIT,
     InitialDataSpec,
     StringConfig,
     build_initial_data,
@@ -97,7 +98,7 @@ def _squared_trace_integral(sol: SpectralSolution, rows: np.ndarray, T: float) -
         trace = _support_trace(sol, rows, t, seg)
         return np.square(trace, out=trace)
 
-    p = Panelization(0.0, T, panels_per_unit=sol.cfg.quadrature.panels_per_unit)
+    p = Panelization(0.0, T, panels_per_unit=sol.cfg.panels_per_unit)
     return integrate(sq, p)
 
 
@@ -232,7 +233,7 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
         width = cfg.L / 64.0
     if center is None:
         center = width / 2.0
-    ppu = max(cfg.quadrature.panels_per_unit, 256)
+    ppu = max(cfg.panels_per_unit, DEFAULT_PANELS_PER_UNIT)
 
     def unit_energy_bump(amplitude):
         return build_initial_data(

@@ -509,20 +509,18 @@ class CrossValidation:
     max_fd: float | None
 
 
-def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
-                   seed: int = 0, nx: int = 1024, cfl: float = 0.4,
+def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
+                   nx: int = 1024, cfl: float = 0.4,
                    methods: tuple = ("characteristics", "fd")) -> CrossValidation:
-    """Compare the series against the oracles at seeded points in the
-    space-time slab t in [0, T_v]."""
+    """Compare the series against the oracles, on ``sol``'s own problem, at
+    seeded points in the space-time slab t in [0, T_v]."""
     if sample_count < 1:
         raise ConfigurationError("sample_count must be >= 1")
     unknown = set(methods) - {"characteristics", "fd"}
     if unknown or not methods:
         raise ConfigurationError(f"unknown oracle methods {sorted(unknown)}")
     check_memory(3 * 8 * sample_count, f"x, t and the series at {sample_count} samples")
-    consts = derive_constants(cfg)
-    data = initial_data(cfg)
-
+    consts = sol.consts
     rng = default_rng(seed)
     t = rng.uniform(0.0, consts.T_v, sample_count)
     x = consts.v * t + rng.uniform(0.0, 1.0, sample_count) * consts.L
@@ -530,10 +528,10 @@ def cross_validate(sol: SpectralSolution, cfg: StringConfig, sample_count: int,
 
     max_char = max_fd = None
     if "characteristics" in methods:
-        vals = CharacteristicSolver(data, consts).value(x, t)
+        vals = CharacteristicSolver(sol.data, consts).value(x, t)
         max_char = float(np.max(np.abs(phi - vals)))
     if "fd" in methods:
-        vals = fd_sample(cfg, x, t, nx=nx, cfl=cfl, t_final=consts.T_v)
+        vals = fd_sample(sol.cfg, x, t, nx=nx, cfl=cfl)
         max_fd = float(np.max(np.abs(phi - vals)))
     return CrossValidation(
         sample_count=sample_count,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_memory
+from .domain import DEFAULT_PANELS_PER_UNIT, check_memory
 from .errors import NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
@@ -77,7 +77,7 @@ class Panelization:
     a: float
     b: float
     breakpoints: tuple = ()
-    panels_per_unit: int = 256
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
     min_panels_per_segment: int = 1
 
     def __post_init__(self) -> None:

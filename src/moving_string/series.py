@@ -31,8 +31,10 @@ x: the energy sweep, the ``simulate`` grid and the supports s = 0, L that
 Fourier series in t (``slope_trace_rows``, ``velocity_trace_rows``), which
 the observability integrals sum on uniform nodes as blocked products
 (``quadrature.UniformPhasors``).  Horner's rule serves scattered points
-only: ``field_components`` (``check_periodicity``, ``cross_validate``) and
-the scattered-time traces ``boundary_trace`` and ``velocity_trace``.
+only: ``field_components`` (``check_periodicity``, ``cross_validate``,
+``certify``'s seeded checks and its ``initial_data_reproduction``, which
+sums on the Simpson nodes at t = 0, where x = s exactly) and the
+scattered-time traces ``boundary_trace`` and ``velocity_trace``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from moving_string import InitialDataSpec, QuadratureSpec, StringConfig, solve
+from moving_string import InitialDataSpec, StringConfig, solve
 
 L_PI = math.pi
 
@@ -18,7 +18,7 @@ def make_config(v, preset="sine_mode", n_max=40, ppu=256, L=L_PI, **params):
         v=v,
         initial=InitialDataSpec.preset(preset, **params),
         n_max=n_max,
-        quadrature=QuadratureSpec(panels_per_unit=ppu),
+        panels_per_unit=ppu,
     )
 
 

@@ -92,7 +92,7 @@ class TestCriterion4EnergyConservation:
             times = np.linspace(0.0, 2 * sol.consts.T_v, 64)
             rep = energy_report(sol, times)
             worst_resid = max(worst_resid, rep.residual_conservation)
-            calE0, _ = initial_energies(sol.data, sol.consts, sol.cfg.quadrature)
+            calE0, _ = initial_energies(sol.cfg)
             worst_init = max(worst_init, abs(calE0 - PI / 400))
         ok_a = worst_resid < 1e-6
         ok_b = worst_init < 1e-8
@@ -113,7 +113,7 @@ class TestCriterion5EnergyBounds:
         for v in (0.3, 0.7):
             sol = get_solution(v, preset="traveling_sine",
                                amplitude=0.1, mode=1, sign=1)
-            calE0, E0 = initial_energies(sol.data, sol.consts, sol.cfg.quadrature)
+            calE0, E0 = initial_energies(sol.cfg)
             worst_eq = max(worst_eq, abs(E0 - calE0 / (1 + v)) / calE0)
         ok = verdict(5, violations == 0 and worst_eq < 1e-8,
                      f"{violations} two-sided bound violations; equality case "
@@ -183,8 +183,7 @@ class TestCriterion9Periodicity:
 @pytest.fixture(scope="module")
 def oracle_report():
     sol = get_solution(0.3, n_max=80)
-    cfg = make_config(0.3, n_max=80)
-    return cross_validate(sol, cfg, 200, seed=0, nx=1024, cfl=0.4)
+    return cross_validate(sol, 200, seed=0, nx=1024, cfl=0.4)
 
 
 class TestCriterion10OracleAgreement:

@@ -1,11 +1,12 @@
 """The identity suite: fixed check list, input checks, one energy sweep."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from moving_string import certify, energy_report, spectral_energy
+from moving_string import certify, energy_report, spectral_energy, velocity_trace_equivalent
 
 from conftest import get_solution
 
@@ -71,3 +72,36 @@ def test_supports_read_on_the_exact_frame():
     assert checks["dirichlet_trace_left"].residual == 0.0
     assert checks["dirichlet_trace_right"].residual <= 1e-15
     assert checks["boundary_total_derivative"].residual <= 1e-14
+
+
+def test_each_trace_integral_taken_once(monkeypatch):
+    # the velocity-trace ratio divides by the slope integral of the left
+    # one-endpoint report, so five trace integrals remain: four slope traces
+    # (each support over T_v, then over its two-endpoint horizon) and one
+    # velocity trace
+    sol = get_solution(0.3)
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(sol, endpoint, T):
+            calls.append((name, endpoint, T))
+            return original(sol, endpoint, T)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(importlib.import_module("moving_string.observability"), "_slope_trace_integral")
+    count(importlib.import_module("moving_string.certify"), "_velocity_trace_integral")
+    checks = {ch.name: ch for ch in certify(sol)}
+    c = sol.consts
+    assert sorted(calls) == sorted([
+        ("_slope_trace_integral", "left", c.T_v),
+        ("_slope_trace_integral", "right", c.T_v),
+        ("_slope_trace_integral", "left", c.L / (1.0 + c.v)),
+        ("_slope_trace_integral", "right", c.L / (1.0 - c.v)),
+        ("_velocity_trace_integral", "left", c.T_v),
+    ])
+    monkeypatch.undo()
+    ratio = velocity_trace_equivalent(sol, "left", 1).trace_ratio
+    assert checks["velocity_trace_ratio"].residual == abs(ratio - c.v ** 2)

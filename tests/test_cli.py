@@ -36,6 +36,20 @@ def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24, ppu=128):
     return str(path)
 
 
+def write_raw_cfg(tmp_path, key, text):
+    """A valid config whose top-level or dotted ``key`` holds the JSON
+    ``text`` verbatim (which ``json.dumps`` could not write, e.g. 1e400)."""
+    doc = json.loads(Path(write_cfg(tmp_path, n_max=6)).read_text())
+    *parents, leaf = key.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[leaf] = "@PLACEHOLDER@"
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(doc).replace('"@PLACEHOLDER@"', text))
+    return str(path)
+
+
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
@@ -167,7 +181,9 @@ class TestBadInputExitsTwo:
         (["oracle", "--samples", "1000000000000", "--method", "characteristics"], 6,
          "x, t and the series at 1000000000000 samples"),
         (["coeffs"], 10**10, "a phasor table of 20000000000 modes"),
-    ], ids=["simulate", "figures", "energy", "oracle", "coeffs"])
+        # more bytes than a float holds: the message must still be formatted
+        (["coeffs"], 10**400, f"a phasor table of {2 * 10**400} modes: inf GiB"),
+    ], ids=["simulate", "figures", "energy", "oracle", "coeffs", "coeffs-10^400"])
     def test_impossible_size(self, tmp_path, capsys, argv, n_max, size):
         # each request is terabytes, refused by the physical-memory guard
         # before its arrays are allocated
@@ -182,6 +198,38 @@ class TestBadInputExitsTwo:
         err = capsys.readouterr().err
         assert size in err and "GiB of physical memory" in err
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("quadrature.panels_per_unit", "null", "'quadrature.panels_per_unit' must be an integer"),
+        ("quadrature.panels_per_unit", "[]", "'quadrature.panels_per_unit' must be an integer"),
+        ("quadrature.panels_per_unit", "1e400",
+         "'quadrature.panels_per_unit' must be an integer"),
+        ("quadrature.panels_per_unit", "300.7",
+         "'quadrature.panels_per_unit' must be an integer"),
+        ("quadrature.panels_per_unit", '"256"',
+         "'quadrature.panels_per_unit' must be an integer"),
+        ("L", "1" + "0" * 400, "'L' is too large for a float"),
+        ("initial", '{"table": 5}', "'initial.table' must be a path string"),
+        ("initial", '{"table": "missing.csv"}', "cannot read initial.table"),
+    ], ids=["ppu-null", "ppu-list", "ppu-1e400", "ppu-fraction", "ppu-string", "L-10^400",
+            "table-number", "table-missing"])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, text, message):
+        cfg = write_raw_cfg(tmp_path, key, text)
+        rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "--out" not in err
+
+    @pytest.mark.parametrize("preset", ["sine_mode", "sine_velocity", "traveling_sine"])
+    @pytest.mark.parametrize("mode", ["1.5", "1e400"])
+    def test_preset_mode_not_an_integer(self, tmp_path, capsys, preset, mode):
+        text = f'{{"preset": {{"name": "{preset}", "params": {{"mode": {mode}}}}}}}'
+        cfg = write_raw_cfg(tmp_path, "initial", text)
+        out = tmp_path / "o"
+        rc = main(["coeffs", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert f"{preset} mode must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_energy_horizon(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)
@@ -449,13 +497,13 @@ class TestImportPath:
             "import numpy as np",
             "import moving_string.cli",
             "assert 'scipy.interpolate' not in sys.modules, 'imported eagerly'",
-            "from moving_string import InitialDataSpec, QuadratureSpec, StringConfig, solve",
+            "from moving_string import InitialDataSpec, StringConfig, solve",
             "x = np.linspace(0.0, np.pi, 41)",
             "spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.05 * np.sin(2 * x))",
             "sol = solve(StringConfig(L=np.pi, v=0.3, initial=spec, n_max=8,",
-            "                         quadrature=QuadratureSpec(panels_per_unit=64)))",
+            "                         panels_per_unit=64))",
             "assert 'scipy.interpolate' in sys.modules",
-            "assert np.all(np.isfinite(sol.c_plus)) and np.any(sol.c_plus != 0)",
+            "assert np.all(np.isfinite(sol.c)) and np.any(sol.c != 0)",
         ])
         src = str(Path(moving_string.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -472,12 +520,12 @@ class TestImportPath:
             "def scipy_modules():",
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
             "assert not scipy_modules(), scipy_modules()",
-            "from moving_string import (InitialDataSpec, QuadratureSpec, StringConfig,",
-            "                           cross_validate, solve)",
+            "from moving_string import (InitialDataSpec, StringConfig, cross_validate,",
+            "                           solve)",
             "cfg = StringConfig(L=math.pi, v=0.3, n_max=16,",
             "                   initial=InitialDataSpec.preset('sine_mode', amplitude=0.1, mode=1),",
-            "                   quadrature=QuadratureSpec(panels_per_unit=64))",
-            "res = cross_validate(solve(cfg), cfg, sample_count=20, nx=64, methods=('fd',))",
+            "                   panels_per_unit=64)",
+            "res = cross_validate(solve(cfg), sample_count=20, nx=64, methods=('fd',))",
             "assert 0.0 < res.max_fd < 1e-2, res",
             "assert not scipy_modules(), scipy_modules()",
         ])

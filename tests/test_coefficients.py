@@ -46,7 +46,7 @@ class TestAnalyticVelocityData:
 class TestZeroData:
     def test_all_coefficients_vanish(self):
         sol = get_solution(0.3, preset="zero")
-        assert np.max(np.abs(sol.c_plus)) == 0.0
+        assert np.max(np.abs(sol.c)) == 0.0
         assert np.max(np.abs(sol.c_minus)) == 0.0
         ps = parseval_sum(sol)
         assert ps.table_sum == 0.0

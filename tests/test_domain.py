@@ -12,7 +12,6 @@ from moving_string import (
     ConfigurationError,
     ExtensionField,
     InitialDataSpec,
-    QuadratureSpec,
     StringConfig,
     build_initial_data,
     derive_constants,
@@ -165,7 +164,7 @@ class TestConfigValidation:
 
     def test_quadrature_floor(self):
         with pytest.raises(ConfigurationError):
-            QuadratureSpec(panels_per_unit=4)
+            make_config(0.3, ppu=4)
 
 
 class TestPresets:
@@ -205,6 +204,14 @@ class TestPresets:
             build_initial_data(
                 InitialDataSpec.preset("bump", center=0.1, width=1.0), math.pi
             )
+
+    @pytest.mark.parametrize("name", ["sine_mode", "sine_velocity", "traveling_sine"])
+    @pytest.mark.parametrize("mode", [1.5, 1.0, math.inf, 0, True])
+    def test_sine_mode_must_be_an_integer(self, name, mode):
+        # a fractional mode was rounded down (k=1) and an infinite one raised
+        # OverflowError
+        with pytest.raises(ConfigurationError, match=f"{name} mode must be an integer >= 1"):
+            build_initial_data(InitialDataSpec.preset(name, mode=mode), math.pi)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError, match="unknown preset"):
@@ -273,7 +280,7 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.v == 0.3
         assert cfg.n_max == 12
-        assert cfg.quadrature.panels_per_unit == 64
+        assert cfg.panels_per_unit == 64
 
     def test_table_config(self, tmp_path):
         x = np.linspace(0, 2.0, 21)

@@ -25,13 +25,13 @@ class TestInitialEnergies:
         # elastic term (1-v^2) phi_x^2: together just phi_x^2, independent
         # of v, so calE(0) = 1/2 int_0^pi cos^2(x)/100 dx = pi/400
         sol = get_solution(v)
-        calE0, E0 = initial_energies(sol.data, sol.consts, sol.cfg.quadrature)
+        calE0, E0 = initial_energies(sol.cfg)
         assert calE0 == pytest.approx(math.pi / 400, abs=1e-12)
         assert E0 == pytest.approx(math.pi / 400, abs=1e-12)
 
     def test_zero_data(self):
         sol = get_solution(0.3, preset="zero")
-        calE0, E0 = initial_energies(sol.data, sol.consts, sol.cfg.quadrature)
+        calE0, E0 = initial_energies(sol.cfg)
         assert calE0 == 0.0 and E0 == 0.0
 
     @pytest.mark.parametrize("v,sign", [(0.3, 1), (0.7, 1), (0.3, -1)])
@@ -39,7 +39,7 @@ class TestInitialEnergies:
         # phi1 = sign * phi0_x makes E(0) = calE(0)/(1 + sign*v) exactly
         sol = get_solution(v, preset="traveling_sine",
                            amplitude=0.1, mode=1, sign=sign)
-        calE0, E0 = initial_energies(sol.data, sol.consts, sol.cfg.quadrature)
+        calE0, E0 = initial_energies(sol.cfg)
         assert E0 == pytest.approx(calE0 / (1 + sign * v), rel=1e-12)
 
 

@@ -515,30 +515,26 @@ class TestFDSampler:
 
 class TestCrossValidation:
     def test_fixed_string_all_three_agree(self, sine_v0):
-        cfg = make_config(0.0)
-        rep = cross_validate(sine_v0, cfg, 100, seed=0, nx=1024)
+        rep = cross_validate(sine_v0, 100, seed=0, nx=1024)
         assert rep.max_characteristics < 1e-6
         assert rep.max_fd < 1e-6
 
     def test_zero_data(self):
-        cfg = make_config(0.3, preset="zero")
         sol = get_solution(0.3, preset="zero")
-        rep = cross_validate(sol, cfg, 50, nx=64)
+        rep = cross_validate(sol, 50, nx=64)
         assert rep.max_characteristics == 0.0
         assert rep.max_fd == 0.0
 
     def test_method_selection(self, sine_v03):
-        cfg = make_config(0.3)
-        rep = cross_validate(sine_v03, cfg, 20, methods=("characteristics",))
+        rep = cross_validate(sine_v03, 20, methods=("characteristics",))
         assert rep.max_fd is None
         assert rep.max_characteristics is not None
         with pytest.raises(ConfigurationError):
-            cross_validate(sine_v03, cfg, 20, methods=("nope",))
+            cross_validate(sine_v03, 20, methods=("nope",))
 
     def test_seeded_reproducibility(self, sine_v03):
-        cfg = make_config(0.3)
-        a = cross_validate(sine_v03, cfg, 30, seed=5, methods=("characteristics",))
-        b = cross_validate(sine_v03, cfg, 30, seed=5, methods=("characteristics",))
+        a = cross_validate(sine_v03, 30, seed=5, methods=("characteristics",))
+        b = cross_validate(sine_v03, 30, seed=5, methods=("characteristics",))
         assert a.max_characteristics == b.max_characteristics
 
 

@@ -2,7 +2,8 @@
 """Byte-compare the CLI outputs of two source trees.
 
 Runs every subcommand below on every ``configs/*.json`` and
-``perfbench/configs/*.json`` of NEW_ROOT, once with OLD_ROOT/src and once
+``perfbench/configs/*.json`` of NEW_ROOT (``figures``, which reads no
+config, runs once per config all the same), once with OLD_ROOT/src and once
 with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
 every written file byte for byte.  Two runs go at once, each child with
 one BLAS thread.  Only the manifest's ``duration_seconds`` and
@@ -54,9 +55,10 @@ _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes]:
     """Outputs of one CLI run, keyed by file name (plus exit code and stdout)."""
     env = {**os.environ, **_THREAD_ENV, "PYTHONPATH": str(root / "src")}
+    # figures draws its own fixed problems and takes no --config
+    config_args = [] if args[0] == "figures" else ["--config", str(config)]
     proc = subprocess.run(
-        [sys.executable, "-m", "moving_string.cli", *args,
-         "--config", str(config), "--out", str(out)],
+        [sys.executable, "-m", "moving_string.cli", *args, *config_args, "--out", str(out)],
         capture_output=True, env=env,
     )
     files = {"<exit code>": str(proc.returncode).encode(), "<stdout>": proc.stdout}

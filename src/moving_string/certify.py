@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import default_rng   # numpy loads it lazily; load it with the program
 
 from .coefficients import SpectralSolution, parseval_sum
-from .domain import check_tolerance
+from .domain import DEFAULT_TOL, check_tolerance
 from .energy import energy_report, spectral_energy
 from .observability import (
     _velocity_trace_integral,
@@ -50,7 +50,7 @@ class Check:
         object.__setattr__(self, "passed", bool(self.passed) or self.vacuous)
 
 
-def certify(sol: SpectralSolution, tol: float = 1e-6, seed: int = 0) -> list[Check]:
+def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> list[Check]:
     """Run the identity suite on ``sol``; ``seed`` draws the sample points."""
     check_tolerance(tol)
     c = sol.consts

@@ -4,8 +4,11 @@ holds no numerics: every subcommand calls the library and writes what it
 returns.
 
 Subcommands: constants, coeffs, simulate, energy, observe, oracle, figures,
-validate.  Every run writes its outputs plus a ``manifest.json`` listing
-each emitted file and any pass/fail checks; the manifest is written last.
+validate.  Each takes only the options it reads: all but figures (whose
+problems are fixed) take ``--config``, the identity checks of energy,
+observe and validate take ``--tol``, and oracle and validate ``--seed``.
+Every run writes its outputs plus a ``manifest.json`` listing each emitted
+file and any pass/fail checks; the manifest is written last.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
 CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
 ``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
@@ -35,7 +38,7 @@ from . import __version__
 from .certify import Check, certify
 from .coefficients import solve
 from .domain import (
-    DEFAULT_PANELS_PER_UNIT,
+    DEFAULT_TOL,
     InitialDataSpec,
     StringConfig,
     check_memory,
@@ -46,7 +49,7 @@ from .domain import (
 from .energy import energy_report
 from .errors import ConfigurationError, NumericError
 from .observability import observe_both_endpoints, observe_horizon, observe_one_endpoint
-from .oracle import cross_validate
+from .oracle import DEFAULT_FD_CFL, DEFAULT_FD_NX, cross_validate
 from .series import sample_moving_grid
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps these
@@ -335,22 +338,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _figure_config(args) -> StringConfig:
-    v = FIGURE_SPEEDS[args.figure]
-    ppu = load_config(args.config).panels_per_unit if args.config else DEFAULT_PANELS_PER_UNIT
-    return StringConfig(
+def cmd_figures(args) -> int:
+    cfg = StringConfig(
         L=math.pi,
-        v=v,
+        v=FIGURE_SPEEDS[args.figure],
         initial=InitialDataSpec.preset("sine_mode", amplitude=0.1, mode=1),
         n_max=40,
-        panels_per_unit=ppu,
     )
-
-
-def cmd_figures(args) -> int:
-    cfg = _figure_config(args)
     sol = solve(cfg)
-    man = Manifest("figures", args.config, Path(args.out))
+    man = Manifest("figures", None, Path(args.out))
     man.doc["parameters"] = {"figure": args.figure, "v": cfg.v, "T_v": sol.consts.T_v,
                              "grid": [args.nx, args.nt]}
     _emit_field(man, sol, args.nx, args.nt, sol.consts.T_v, f"fig{args.figure}_field")
@@ -395,47 +391,49 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a JSON problem description")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="identity tolerance (default 1e-6)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        return p
+    # the shared options; each subcommand takes only those it reads
+    config, out, tol, seed, grid = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config.add_argument("--config", help="path to a JSON problem description")
+    out.add_argument("--out", default="out", help="output directory (default: ./out)")
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="identity tolerance (default %(default)g)")
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    grid.add_argument("--nx", type=int, default=200)
+    grid.add_argument("--nt", type=int, default=200)
 
-    common(sub.add_parser("constants", help="derived constants"))
-    common(sub.add_parser("coeffs", help="coefficient table via both formulas"))
+    sub.add_parser("constants", help="derived constants", parents=[config, out])
+    sub.add_parser("coeffs", help="coefficient table via both formulas", parents=[config, out])
 
-    p = common(sub.add_parser("simulate", help="field samples on the moving interval"))
-    p.add_argument("--nx", type=int, default=200)
-    p.add_argument("--nt", type=int, default=200)
+    p = sub.add_parser("simulate", help="field samples on the moving interval",
+                       parents=[config, out, grid])
     p.add_argument("--t-final", dest="t_final", type=float, default=None,
                    help="time horizon (default: one period T_v)")
 
-    p = common(sub.add_parser("energy", help="energy sweep and bounds"))
+    p = sub.add_parser("energy", help="energy sweep and bounds", parents=[config, out, tol])
     p.add_argument("--times", type=int, default=64)
     p.add_argument("--t-final", dest="t_final", type=float, default=None,
                    help="sweep horizon (default: 2 T_v)")
 
-    p = common(sub.add_parser("observe", help="boundary observation report"))
+    p = sub.add_parser("observe", help="boundary observation report", parents=[config, out, tol])
     p.add_argument("--endpoint", choices=["left", "right", "both"], required=True)
     p.add_argument("--periods", type=int, default=None, metavar="M",
                    help="whole periods T_v to observe (default 1)")
     p.add_argument("--horizon", type=float, default=None,
                    help="fractional horizon (direct inequality only)")
 
-    p = common(sub.add_parser("oracle", help="cross-validate against oracles"))
+    p = sub.add_parser("oracle", help="cross-validate against oracles",
+                       parents=[config, out, seed])
     p.add_argument("--method", choices=["characteristics", "fd", "both"], default="both")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--nx", type=int, default=512)
-    p.add_argument("--cfl", type=float, default=0.4)
+    p.add_argument("--nx", type=int, default=DEFAULT_FD_NX)
+    p.add_argument("--cfl", type=float, default=DEFAULT_FD_CFL)
 
-    p = common(sub.add_parser("figures", help="surface data for the three demo speeds"))
+    p = sub.add_parser("figures", help="surface data for the three demo speeds",
+                       parents=[out, grid])
     p.add_argument("--figure", type=int, choices=[4, 5, 6], required=True)
-    p.add_argument("--nx", type=int, default=200)
-    p.add_argument("--nt", type=int, default=200)
 
-    common(sub.add_parser("validate", help="run the full identity suite"))
+    sub.add_parser("validate", help="run the full identity suite",
+                   parents=[config, out, tol, seed])
     return parser
 
 
@@ -454,9 +452,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # every subcommand takes --tol from common(); reject a bad one before
-        # any work, whether or not the subcommand checks an identity
-        check_tolerance(args.tol)
+        # reject a bad --tol before any work, on the subcommands that take one
+        if hasattr(args, "tol"):
+            check_tolerance(args.tol)
         return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -51,6 +51,9 @@ SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
 #: length of every integration axis, unless a config sets its own.
 DEFAULT_PANELS_PER_UNIT = 256
 
+#: Tolerance of the identity checks, unless a caller sets its own.
+DEFAULT_TOL = 1e-6
+
 
 def _check_geometry(L: float, v: float) -> None:
     """Reject a non-positive or non-finite L and a speed outside the well-posed range."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import StringConfig, check_tolerance, initial_data
+from .domain import DEFAULT_TOL, StringConfig, check_tolerance, initial_data
 from .quadrature import Panelization, integrate
 from .series import field_on_moving_grid
 
@@ -119,7 +119,7 @@ class EnergyReport:
     vacuous: bool = False
 
 
-def energy_report(sol: SpectralSolution, times, tol: float = 1e-6) -> EnergyReport:
+def energy_report(sol: SpectralSolution, times, tol: float = DEFAULT_TOL) -> EnergyReport:
     """Sweep calE and E over ``times``; count violations of the two-sided
     bounds calE/(1+v) <= E <= calE/(1-v) and E(0)/gamma <= E <= gamma E(0)
     beyond relative slack ``tol``."""

@@ -32,6 +32,7 @@ import numpy as np
 from .coefficients import SpectralSolution
 from .domain import (
     DEFAULT_PANELS_PER_UNIT,
+    DEFAULT_TOL,
     InitialDataSpec,
     StringConfig,
     build_initial_data,
@@ -110,10 +111,14 @@ def _velocity_trace_integral(sol: SpectralSolution, endpoint: str, T: float) -> 
     return _squared_trace_integral(sol, velocity_trace_rows(sol, endpoint), T)
 
 
-def _check_args(endpoint: str, tol: float) -> None:
-    if endpoint not in ("left", "right"):
-        raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
-    check_tolerance(tol)
+def _whole_periods(sol: SpectralSolution, M: int) -> float:
+    """The horizon M T_v of M >= 1 whole periods."""
+    if M < 1:
+        raise ValueError(f"period count M must be >= 1, got {M}")
+    try:
+        return M * sol.consts.T_v
+    except OverflowError:   # an integer M past float range
+        raise ValueError("period count M is too large: M T_v is past float range") from None
 
 
 def _report(sol, mode, T, M, integral, rhs, tol):
@@ -141,18 +146,17 @@ def _report(sol, mode, T, M, integral, rhs, tol):
 
 
 def observe_one_endpoint(sol: SpectralSolution, endpoint: str, M: int,
-                         tol: float = 1e-6) -> ObservabilityReport:
+                         tol: float = DEFAULT_TOL) -> ObservabilityReport:
     """Slope-trace integral over M whole periods at one moving support."""
-    _check_args(endpoint, tol)
-    if M < 1:
-        raise ValueError(f"period count M must be >= 1, got {M}")
-    T = M * sol.consts.T_v
+    check_tolerance(tol)
+    T = _whole_periods(sol, M)
     integral = _slope_trace_integral(sol, endpoint, T)
     rhs = 4.0 * M / (1.0 - sol.consts.v ** 2) ** 2 * spectral_energy(sol)
     return _report(sol, endpoint, T, M, integral, rhs, tol)
 
 
-def observe_both_endpoints(sol: SpectralSolution, tol: float = 1e-6) -> ObservabilityReport:
+def observe_both_endpoints(sol: SpectralSolution,
+                           tol: float = DEFAULT_TOL) -> ObservabilityReport:
     """Two-endpoint observation over the shortened horizons L/(1+v), L/(1-v)."""
     check_tolerance(tol)
     c = sol.consts
@@ -163,10 +167,10 @@ def observe_both_endpoints(sol: SpectralSolution, tol: float = 1e-6) -> Observab
 
 
 def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
-                    tol: float = 1e-6) -> ObservabilityReport:
+                    tol: float = DEFAULT_TOL) -> ObservabilityReport:
     """Fractional-horizon observation: only the direct inequality applies,
     with constant 4 ceil(T/T_v) / (1 - v^2)^2."""
-    _check_args(endpoint, tol)
+    check_tolerance(tol)
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive and finite, got {T}")
     integral = _slope_trace_integral(sol, endpoint, T)
@@ -174,7 +178,7 @@ def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
 
 
 def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
-                              tol: float = 1e-6) -> ObservabilityReport:
+                              tol: float = DEFAULT_TOL) -> ObservabilityReport:
     """Observation with the velocity trace phi_t / v^2 in place of phi_x.
 
     Along either support phi_t = -v phi_x, so int phi_t^2 = v^2 int phi_x^2
@@ -184,13 +188,11 @@ def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
     the factor v^2: ``identity_residual`` is measured against
     4 M calE(0) / (v (1 - v^2))^2, the value the trace relation implies.
     """
-    _check_args(endpoint, tol)
-    if M < 1:
-        raise ValueError(f"period count M must be >= 1, got {M}")
+    check_tolerance(tol)
+    T = _whole_periods(sol, M)
     v = sol.consts.v
     if v == 0.0:
         raise ValueError("velocity-trace observation needs v > 0 (divides by v^2)")
-    T = M * sol.consts.T_v
     int_t = _velocity_trace_integral(sol, endpoint, T)
     int_x = _slope_trace_integral(sol, endpoint, T)
     integral = int_t / v ** 4
@@ -215,7 +217,7 @@ class SharpnessReport:
 
 
 def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
-                    center: float | None = None, tol: float = 1e-6) -> SharpnessReport:
+                    center: float | None = None, tol: float = DEFAULT_TOL) -> SharpnessReport:
     """Show two-endpoint observability failing for T below L/(1-v).
 
     Releases a unit-energy cubic-spline bump of support ``width`` centered

@@ -78,6 +78,8 @@ __all__ = [
     "cross_validate",
 ]
 
+DEFAULT_FD_NX = 512   # FD intervals across the frozen frame
+DEFAULT_FD_CFL = 0.4  # FD time step: dtau <= cfl (1 - v) deta
 MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
@@ -286,6 +288,7 @@ def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _S
     """Validate the FD parameters and size the grid; allocates no grid arrays."""
     if nx < 32:
         raise ConfigurationError(f"nx must be >= 32, got {nx}")
+    check_memory(8 * (nx + 1), f"one FD level of {nx + 1} nodes", "; lower nx")
     if not (0.0 < cfl <= 0.5):
         raise ConfigurationError(f"cfl must lie in (0, 0.5], got {cfl}")
     consts = derive_constants(cfg)
@@ -453,7 +456,7 @@ def _march(s: _Scheme, eta: np.ndarray, window: int):
     yield k0, u[:r + 1]
 
 
-def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
+def fd_solve(cfg: StringConfig, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
              t_final: float | None = None) -> FrozenFrameFD:
     """March the implicit frozen-frame scheme to ``t_final`` (default T_v),
     keeping every time level."""
@@ -466,7 +469,7 @@ def fd_solve(cfg: StringConfig, nx: int, cfl: float = 0.4,
     return FrozenFrameFD(eta=eta, tau=tau, u=u, v=s.v, L=s.L)
 
 
-def fd_sample(cfg: StringConfig, x, t, nx: int, cfl: float = 0.4,
+def fd_sample(cfg: StringConfig, x, t, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
               t_final: float | None = None):
     """``fd_solve(cfg, nx, cfl, t_final).eval(x, t)``, bit for bit, read
     while the scheme marches: only ``_SAMPLE_WINDOW`` time levels are held
@@ -510,7 +513,7 @@ class CrossValidation:
 
 
 def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
-                   nx: int = 1024, cfl: float = 0.4,
+                   nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
                    methods: tuple = ("characteristics", "fd")) -> CrossValidation:
     """Compare the series against the oracles, on ``sol``'s own problem, at
     seeded points in the space-time slab t in [0, T_v]."""

@@ -90,9 +90,12 @@ class Panelization:
         cuts = sorted({float(c) for c in self.breakpoints if self.a < c < self.b})
         object.__setattr__(self, "breakpoints", tuple(cuts))
         edges = [self.a, *cuts, self.b]
-        counts = [2 * max(self.min_panels_per_segment,
-                          math.ceil(self.panels_per_unit * (hi - lo)))
-                  for lo, hi in zip(edges[:-1], edges[1:])]
+        try:
+            counts = [2 * max(self.min_panels_per_segment,
+                              math.ceil(self.panels_per_unit * (hi - lo)))
+                      for lo, hi in zip(edges[:-1], edges[1:])]
+        except OverflowError:   # a panel count past float range
+            counts = [math.inf]
         total = sum(counts) + len(counts)
         if total > _MAX_NODES:
             raise ValueError(f"quadrature over ({self.a}, {self.b}) needs {total} nodes, "

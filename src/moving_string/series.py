@@ -186,10 +186,16 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
     return out[0], out[1], out[2], resid
 
 
+def _check_endpoint(endpoint: str) -> None:
+    if endpoint not in ("left", "right"):
+        raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
+
+
 def slope_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
     """Coefficients d_n, shape (1, 2 n_max), of the closed-form slope trace
     phi_x(x_b + v t, t) = Sum_n d_n e^{2 pi i n t/T_v}:
     d_n = (2 pi i / L) n c_n, times e^{-n pi i (1+v)} at the right support."""
+    _check_endpoint(endpoint)
     c = sol.consts
     weights = (2j * math.pi / c.L) * sol.n
     if endpoint == "right":
@@ -208,6 +214,7 @@ def velocity_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
     the two rows' real parts, each row summed on its own; the rows are not
     merged through phi_t = -v phi_x.
     """
+    _check_endpoint(endpoint)
     L, v = sol.consts.L, sol.consts.v
     frac = 0.0 if endpoint == "left" else 1.0          # x_b / L
     d = (1j * math.pi / L) * sol.n * sol.c
@@ -231,8 +238,6 @@ def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
 
 def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:
     """Slope trace at the left (x_b = 0) or right (x_b = L) moving support."""
-    if endpoint not in ("left", "right"):
-        raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vals = _trace_values(sol, endpoint, times)
     return TraceSeries(
@@ -253,8 +258,6 @@ def velocity_trace(sol: SpectralSolution, endpoint: str, times) -> np.ndarray:
     comparing against the slope trace is a genuine floating-point check of
     that relation.
     """
-    if endpoint not in ("left", "right"):
-        raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < -edge_slack(sol.consts.L)):
         raise ValueError("time must be nonnegative")

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, manifests, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moving_string
-from moving_string import _csvfmt, certify, load_config, solve
-from moving_string.cli import fmt, main, write_csv
+from moving_string import _csvfmt, certify, cross_validate, load_config, solve
+from moving_string.cli import _build_parser, fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
 
@@ -61,18 +62,28 @@ def certify_records(cfg):
 
 
 # One short run of every subcommand, for the usage-error cases
-EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
-    ["validate"],
-    ["energy", "--times", "4"],
-    ["observe", "--endpoint", "both"],
-    ["observe", "--endpoint", "right", "--horizon", "1.5"],
-    ["constants"],
-    ["coeffs"],
-    ["simulate", "--nx", "4", "--nt", "4"],
-    ["oracle", "--samples", "4", "--nx", "32"],
-    ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
-], ids=["validate", "energy", "observe", "observe-horizon", "constants", "coeffs",
-        "simulate", "oracle", "figures"])
+SHORT_RUNS = {
+    "validate": ["validate"],
+    "energy": ["energy", "--times", "4"],
+    "observe": ["observe", "--endpoint", "both"],
+    "observe-horizon": ["observe", "--endpoint", "right", "--horizon", "1.5"],
+    "constants": ["constants"],
+    "coeffs": ["coeffs"],
+    "simulate": ["simulate", "--nx", "4", "--nt", "4"],
+    "oracle": ["oracle", "--samples", "4", "--nx", "32"],
+    "figures": ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
+}
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", list(SHORT_RUNS.values()),
+                                           ids=list(SHORT_RUNS))
+# the runs whose subcommand checks an identity, and so takes --tol
+TOL_RUNS = ["validate", "energy", "observe", "observe-horizon"]
+TOL_SUBCOMMANDS = pytest.mark.parametrize("argv", [SHORT_RUNS[k] for k in TOL_RUNS],
+                                          ids=TOL_RUNS)
+
+
+def with_config(argv, cfg):
+    """``argv`` with ``--config cfg``, except for ``figures``, which takes none."""
+    return argv if argv[0] == "figures" else [*argv, "--config", cfg]
 
 
 class TestConstants:
@@ -125,7 +136,7 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "t_final" in capsys.readouterr().err
 
-    @EVERY_SUBCOMMAND
+    @TOL_SUBCOMMANDS
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_invalid_tolerance(self, tmp_path, capsys, argv, tol):
         cfg = write_cfg(tmp_path, n_max=6)
@@ -140,7 +151,7 @@ class TestBadInputExitsTwo:
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
         target = blocker if out == "file" else blocker / "x"
-        rc = main([*argv, "--config", cfg, "--out", str(target)])
+        rc = main([*with_config(argv, cfg), "--out", str(target)])
         assert rc == 2
         assert "error: cannot write to --out" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
@@ -190,7 +201,7 @@ class TestBadInputExitsTwo:
         cfg = write_cfg(tmp_path, n_max=n_max)
         tracemalloc.start()
         try:
-            rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+            rc = main([*with_config(argv, cfg), "--out", str(tmp_path / "o")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -198,6 +209,49 @@ class TestBadInputExitsTwo:
         err = capsys.readouterr().err
         assert size in err and "GiB of physical memory" in err
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("run, flag", [
+        *[(run, "--tol") for run in ("constants", "coeffs", "simulate", "oracle", "figures")],
+        *[(run, "--seed") for run in ("constants", "coeffs", "simulate", "energy", "observe",
+                                      "figures")],
+        ("figures", "--config"),
+    ], ids=lambda x: x.lstrip("-"))
+    def test_unread_flag_refused(self, tmp_path, capsys, run, flag):
+        # a subcommand takes only the options it reads
+        cfg = write_cfg(tmp_path, n_max=6)
+        value = {"--tol": "1e-6", "--seed": "0", "--config": cfg}[flag]
+        argv = [*with_config(SHORT_RUNS[run], cfg), "--out", str(tmp_path / "o"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["observe", "--endpoint", "left", "--periods", str(10**400)],
+         "period count M is too large"),
+        (["observe", "--endpoint", "right", "--periods", str(10**306)],
+         "needs inf nodes, more than the 10000000 allowed"),
+        (["observe", "--endpoint", "right", "--horizon", "1e306"],
+         "needs inf nodes, more than the 10000000 allowed"),
+        (["oracle", "--samples", "4", "--nx", str(10**400)],
+         f"one FD level of {10**400 + 1} nodes: inf GiB"),
+        (["oracle", "--samples", "4", "--nx", str(10**200)],
+         f"one FD level of {10**200 + 1} nodes: 7.45e+191 GiB"),
+    ], ids=["periods-10^400", "periods-10^306", "horizon-1e306", "nx-10^400", "nx-10^200"])
+    def test_past_float_range(self, tmp_path, capsys, argv, message):
+        # sizes whose float arithmetic overflows are refused by name; the
+        # panel density is that of configs/sine_v03.json
+        cfg = write_cfg(tmp_path, n_max=6, ppu=256)
+        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_panel_density_past_float_range(self, tmp_path, capsys):
+        cfg = write_raw_cfg(tmp_path, "quadrature.panels_per_unit", "1" + "0" * 400)
+        rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "needs inf nodes, more than the 10000000 allowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, text, message", [
         ("quadrature.panels_per_unit", "null", "'quadrature.panels_per_unit' must be an integer"),
@@ -639,6 +693,11 @@ class TestOracleCmd:
         assert doc["max_abs_series_vs_characteristics"] < 1e-2
         assert doc["max_abs_series_vs_fd"] is None
         assert doc["seed"] == 0
+
+    def test_fd_defaults_are_the_librarys(self):
+        args = _build_parser().parse_args(["oracle"])
+        params = inspect.signature(cross_validate).parameters
+        assert (args.nx, args.cfl) == (params["nx"].default, params["cfl"].default)
 
     def test_fd_history_beyond_memory_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, v=0.99, n_max=8)

@@ -54,6 +54,11 @@ class TestOneEndpointIdentity:
         with pytest.raises(ValueError):
             observe_one_endpoint(sine_v03, "middle", 1)
 
+    @pytest.mark.parametrize("observe", [observe_one_endpoint, velocity_trace_equivalent])
+    def test_period_count_past_float_range(self, sine_v03, observe):
+        with pytest.raises(ValueError, match="period count M is too large"):
+            observe(sine_v03, "left", 10**400)
+
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 @pytest.mark.parametrize("observe", [

@@ -156,6 +156,12 @@ class TestTraceClosedForm:
         with pytest.raises(ValueError):
             boundary_trace(sine_v03, "middle", [0.0, 1.0])
 
+    @pytest.mark.parametrize("rows", [slope_trace_rows, velocity_trace_rows])
+    def test_trace_rows_refuse_unknown_endpoint(self, sine_v03, rows):
+        # every support trace is built by these two; "Right" names no support
+        with pytest.raises(ValueError, match="endpoint must be 'left' or 'right'"):
+            rows(sine_v03, "Right")
+
 
 class TestPeriodicity:
     @pytest.mark.parametrize("v", [0.0, 0.3, 0.7])

@@ -20,11 +20,9 @@ from .domain import (
     derive_constants,
     initial_data,
     load_config,
-    moving_interval,
 )
 from .energy import (
     EnergyReport,
-    energy_at,
     energy_report,
     initial_energies,
     spectral_energy,
@@ -50,12 +48,9 @@ from .oracle import (
 )
 from .quadrature import Panelization, integrate
 from .series import (
-    TraceSeries,
-    boundary_trace,
     check_periodicity,
     field_components,
     field_on_moving_grid,
-    velocity_trace,
 )
 
 __all__ = [
@@ -77,14 +72,11 @@ __all__ = [
     "SharpnessReport",
     "SpectralSolution",
     "StringConfig",
-    "TraceSeries",
-    "boundary_trace",
     "build_initial_data",
     "certify",
     "check_periodicity",
     "cross_validate",
     "derive_constants",
-    "energy_at",
     "energy_report",
     "fd_sample",
     "fd_solve",
@@ -94,7 +86,6 @@ __all__ = [
     "initial_energies",
     "integrate",
     "load_config",
-    "moving_interval",
     "observe_both_endpoints",
     "observe_horizon",
     "observe_one_endpoint",
@@ -102,6 +93,5 @@ __all__ = [
     "sharpness_probe",
     "solve",
     "spectral_energy",
-    "velocity_trace",
     "velocity_trace_equivalent",
 ]

@@ -194,7 +194,7 @@ def _load(args) -> StringConfig:
 
 def cmd_constants(args) -> int:
     cfg = _load(args)
-    c = derive_constants(cfg)
+    c = derive_constants(cfg.L, cfg.v)
     man = Manifest("constants", args.config, Path(args.out))
     man.emit_json("constants.json", asdict(c))
     man.finish()
@@ -261,6 +261,8 @@ def cmd_energy(args) -> int:
     cfg = _load(args)
     if args.t_final is not None and not math.isfinite(args.t_final):
         raise ConfigurationError(f"--t-final must be finite, got {args.t_final}")
+    if args.times < 1:
+        raise ConfigurationError(f"--times must be at least 1, got {args.times}")
     check_memory(4 * 8 * args.times, f"an energy sweep of {args.times} times")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v

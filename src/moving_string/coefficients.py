@@ -133,7 +133,7 @@ class SpectralSolution:
 
 def solve(cfg: StringConfig) -> SpectralSolution:
     """Build the truncated spectral solution for a configuration."""
-    consts = derive_constants(cfg)
+    consts = derive_constants(cfg.L, cfg.v)
     data = initial_data(cfg)
     cp = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "plus")
     cm = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "minus")

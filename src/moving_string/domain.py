@@ -38,7 +38,6 @@ __all__ = [
     "check_tolerance",
     "derive_constants",
     "edge_slack",
-    "moving_interval",
     "load_config",
     "load_table_csv",
 ]
@@ -158,13 +157,8 @@ class DerivedConstants:
     T_tilde_v: float
 
 
-def derive_constants(cfg: StringConfig | None = None, *, L: float | None = None,
-                     v: float | None = None) -> DerivedConstants:
-    """Compute the derived constants for ``cfg`` (or an explicit (L, v) pair)."""
-    if cfg is not None:
-        L, v = cfg.L, cfg.v
-    if L is None or v is None:
-        raise ConfigurationError("derive_constants needs a config or both L and v")
+def derive_constants(L: float, v: float) -> DerivedConstants:
+    """Compute the derived constants of the interval length L and speed v."""
     _check_geometry(L, v)
     gamma = (1.0 + v) / (1.0 - v)
     return DerivedConstants(
@@ -176,13 +170,6 @@ def derive_constants(cfg: StringConfig | None = None, *, L: float | None = None,
         T_v=2.0 * L / (1.0 - v * v),
         T_tilde_v=L / (1.0 - v),
     )
-
-
-def moving_interval(cfg: StringConfig, t: float) -> tuple[float, float]:
-    """Endpoints (v*t, L + v*t) of the spatial domain at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return (cfg.v * t, cfg.L + cfg.v * t)
 
 
 def edge_slack(L: float) -> float:

@@ -10,9 +10,9 @@ Two quadratic functionals are tracked:
   calE/(1+v) and calE/(1-v); over time it stays within a factor gamma_v
   of its initial value.
 
-``energy_at`` and ``energy_report`` integrate the series evaluator on a
-quadrature grid, so conservation checks genuinely cross the coefficient
-and series modules instead of restating Parseval.  The integral over the
+``energy_report`` integrates the series evaluator on a quadrature grid,
+so conservation checks genuinely cross the coefficient and series
+modules instead of restating Parseval.  The integral over the
 moving interval (v t, L + v t) is taken by the exact change of variables
 x = v t + s over the relative nodes s of one fixed panelization of
 (0, L).  Every time then shares the same nodes, so a whole sweep is one
@@ -42,7 +42,6 @@ from .series import field_components  # noqa: F401
 
 __all__ = [
     "EnergyReport",
-    "energy_at",
     "spectral_energy",
     "initial_energies",
     "energy_report",
@@ -73,14 +72,6 @@ def _energy_integrals(sol: SpectralSolution, times):
     out = np.concatenate([integrate(lambda s, seg: densities(ts, s), p)
                           for ts in np.array_split(times.ravel(), passes)], axis=1)
     return tuple(out.reshape((3,) + times.shape))
-
-
-def energy_at(sol: SpectralSolution, t: float) -> tuple[float, float]:
-    """(calE, E) by quadrature of the series fields over (v t, L + v t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    calE, E, _ = _energy_integrals(sol, float(t))
-    return float(calE), float(E)
 
 
 def spectral_energy(sol: SpectralSolution) -> float:
@@ -130,7 +121,7 @@ def energy_report(sol: SpectralSolution, times, tol: float = DEFAULT_TOL) -> Ene
     calE, E, cross = _energy_integrals(sol, times)
     spec = spectral_energy(sol)
     c = sol.consts
-    E0 = E[0] if times[0] == 0.0 else energy_at(sol, 0.0)[1]
+    E0 = E[0] if times[0] == 0.0 else float(_energy_integrals(sol, 0.0)[1])
 
     if spec > 0.0:
         residual = float(np.max(np.abs(calE - spec)) / spec)

@@ -226,7 +226,8 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
     a bump near x = 0 the right-hand trace stays identically zero until
     t = (L - width)/(1 - v), so no horizon-T constant can bound the energy.
     """
-    consts = derive_constants(cfg)
+    check_tolerance(tol)
+    consts = derive_constants(cfg.L, cfg.v)
     if not (0.0 < T < consts.T_tilde_v):
         raise ConfigurationError(
             f"probe horizon must lie in (0, T_tilde_v) = (0, {consts.T_tilde_v}); got {T}"

@@ -291,7 +291,7 @@ def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _S
     check_memory(8 * (nx + 1), f"one FD level of {nx + 1} nodes", "; lower nx")
     if not (0.0 < cfl <= 0.5):
         raise ConfigurationError(f"cfl must lie in (0, 0.5], got {cfl}")
-    consts = derive_constants(cfg)
+    consts = derive_constants(cfg.L, cfg.v)
     L, v = consts.L, consts.v
     if t_final is None:
         t_final = consts.T_v

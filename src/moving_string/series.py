@@ -33,14 +33,12 @@ the observability integrals sum on uniform nodes as blocked products
 (``quadrature.UniformPhasors``).  Horner's rule serves scattered points
 only: ``field_components`` (``check_periodicity``, ``cross_validate``,
 ``certify``'s seeded checks and its ``initial_data_reproduction``, which
-sums on the Simpson nodes at t = 0, where x = s exactly) and the
-scattered-time traces ``boundary_trace`` and ``velocity_trace``.
+sums on the Simpson nodes at t = 0, where x = s exactly).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,34 +46,14 @@ from .coefficients import SpectralSolution
 from .domain import check_memory, check_moving_interval, edge_slack
 
 __all__ = [
-    "TraceSeries",
     "field_components",
     "field_on_moving_grid",
-    "boundary_trace",
-    "velocity_trace",
     "check_periodicity",
 ]
 
 # points per Horner pass (a field block works in about 1.5 MB), and modes x
 # abscissae per family in a grid block's phasor table
 _BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class TraceSeries:
-    """Boundary slope trace phi_x(x_b + v t, t) sampled at given times."""
-
-    endpoint: str  # "left" | "right"
-    times: np.ndarray
-    values: np.ndarray
-    imag_residual: float
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.size == 0:
-            raise ValueError("trace needs at least one time")
-        if np.any(t < 0) or np.any(np.diff(t) <= 0):
-            raise ValueError("trace times must be nonnegative and strictly increasing")
 
 
 def _halves(wc: np.ndarray) -> np.ndarray:
@@ -222,47 +200,12 @@ def velocity_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
                      -(1.0 + v) * d * np.exp((-1j * math.pi * (1.0 + v) * frac) * sol.n)])
 
 
-def _row_sums(sol: SpectralSolution, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Sum_n rows[j, n] e^{2 pi i n t/T_v} at scattered times by Horner's
-    rule, each row j on its own: shape (len(rows), times.size), complex."""
-    theta = (2.0 * math.pi / sol.consts.T_v) * times.reshape(1, -1)
-    return _power_sum(_halves(rows.T), theta)[:, 0]
-
-
 def _trace_values(sol: SpectralSolution, endpoint: str, times: np.ndarray):
     """Closed-form slope trace at scattered times by Horner's rule (complex;
-    the imaginary part is the residue ``boundary_trace`` reports)."""
+    the imaginary part measures the table's conjugate asymmetry)."""
     times = np.asarray(times, dtype=float)
-    return _row_sums(sol, slope_trace_rows(sol, endpoint), times)[0].reshape(times.shape)
-
-
-def boundary_trace(sol: SpectralSolution, endpoint: str, times) -> TraceSeries:
-    """Slope trace at the left (x_b = 0) or right (x_b = L) moving support."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    vals = _trace_values(sol, endpoint, times)
-    return TraceSeries(
-        endpoint=endpoint,
-        times=times,
-        values=vals.real,
-        imag_residual=float(np.max(np.abs(vals.imag))) if vals.size else 0.0,
-    )
-
-
-def velocity_trace(sol: SpectralSolution, endpoint: str, times) -> np.ndarray:
-    """Velocity trace phi_t(x_b + v t, t) via the full two-family sum.
-
-    Each family of ``velocity_trace_rows`` is summed in t by Horner's rule
-    on its own, as ``_trace_values`` sums the slope trace, so the support
-    point x = x_b + v t is never rounded.  Deliberately not reduced through
-    the total-derivative relation phi_t = -v phi_x at the supports, so
-    comparing against the slope trace is a genuine floating-point check of
-    that relation.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < -edge_slack(sol.consts.L)):
-        raise ValueError("time must be nonnegative")
-    families = _row_sums(sol, velocity_trace_rows(sol, endpoint), times)
-    return (families[0].real + families[1].real).reshape(times.shape)
+    theta = (2.0 * math.pi / sol.consts.T_v) * times.reshape(1, -1)
+    return _power_sum(_halves(slope_trace_rows(sol, endpoint).T), theta)[0, 0].reshape(times.shape)
 
 
 def check_periodicity(sol: SpectralSolution, samples) -> float:

@@ -12,7 +12,6 @@ import pytest
 
 from moving_string import (
     CharacteristicSolver,
-    boundary_trace,
     check_periodicity,
     cross_validate,
     derive_constants,
@@ -221,7 +220,7 @@ class TestCriterion10OracleAgreement:
 class TestCriterion11Sharpness:
     def test_short_horizon_observability_fails(self):
         cfg = make_config(0.3)
-        c = derive_constants(cfg)
+        c = derive_constants(cfg.L, cfg.v)
         rep = sharpness_probe(cfg, 0.5 * c.T_tilde_v, width=PI / 64)
         ok = verdict(11, rep.right_integral < 1e-10 and not rep.inverse_constant_check,
                      f"right-endpoint trace integral {rep.right_integral:.2e} "

@@ -238,10 +238,14 @@ class TestBadInputExitsTwo:
          f"one FD level of {10**400 + 1} nodes: inf GiB"),
         (["oracle", "--samples", "4", "--nx", str(10**200)],
          f"one FD level of {10**200 + 1} nodes: 7.45e+191 GiB"),
-    ], ids=["periods-10^400", "periods-10^306", "horizon-1e306", "nx-10^400", "nx-10^200"])
+        (["energy", "--times", "0"], "--times must be at least 1, got 0"),
+        (["energy", "--times", "-3"], "--times must be at least 1, got -3"),
+    ], ids=["periods-10^400", "periods-10^306", "horizon-1e306", "nx-10^400", "nx-10^200",
+            "times-0", "times-minus-3"])
     def test_past_float_range(self, tmp_path, capsys, argv, message):
-        # sizes whose float arithmetic overflows are refused by name; the
-        # panel density is that of configs/sine_v03.json
+        # sizes whose float arithmetic overflows, and a sweep of no times,
+        # are refused by name; the panel density is that of
+        # configs/sine_v03.json
         cfg = write_cfg(tmp_path, n_max=6, ppu=256)
         rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -173,7 +173,7 @@ class TestTableAgainstHighPrecision:
 
     @staticmethod
     def _reference(mp, cfg, n_max, ppu, side):
-        consts, data = derive_constants(cfg), initial_data(cfg)
+        consts, data = derive_constants(cfg.L, cfg.v), initial_data(cfg)
         L, v = consts.L, consts.v
         if side == "plus":
             a, b, cut, sign_vel, omega = 0.0, consts.L2, L, 1.0, -(1 - mp.mpf(v))
@@ -201,7 +201,7 @@ class TestTableAgainstHighPrecision:
     def test_table(self, side):
         mp = pytest.importorskip("mpmath")
         cfg = make_config(0.99)
-        got = _table(initial_data(cfg), derive_constants(cfg), 24, 1, side)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, 1, side)
         ref = self._reference(mp, cfg, 24, 1, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12
 
@@ -209,6 +209,6 @@ class TestTableAgainstHighPrecision:
     def test_bump_table(self, side):
         mp = pytest.importorskip("mpmath")
         cfg = make_config(0.7, preset="bump", center=1.2, width=0.4, amplitude=0.1)
-        got = _table(initial_data(cfg), derive_constants(cfg), 24, 32, side)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, 32, side)
         ref = self._reference(mp, cfg, 24, 32, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12

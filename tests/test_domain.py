@@ -20,9 +20,8 @@ from moving_string import (
     field_on_moving_grid,
     initial_data,
     load_config,
-    moving_interval,
 )
-from moving_string.domain import edge_slack
+from moving_string.domain import check_moving_interval, edge_slack
 
 from conftest import get_solution, make_config
 
@@ -85,29 +84,33 @@ class TestDerivedConstants:
 
 
 class TestMovingInterval:
+    """``check_moving_interval`` admits the interval (v t, L + v t) at t >= 0
+    and refuses a point twice ``edge_slack(L)`` beyond either edge."""
+
+    @staticmethod
+    def assert_interval(v, t, left, right):
+        slack = edge_slack(math.pi)
+        check_moving_interval(math.pi, v, [left, right], t)
+        for x in (left - 2.0 * slack, right + 2.0 * slack):
+            with pytest.raises(ValueError, match="outside the moving interval"):
+                check_moving_interval(math.pi, v, x, t)
+
     def test_initial_interval(self):
-        cfg = make_config(0.3)
-        assert moving_interval(cfg, 0.0) == (0.0, math.pi)
+        self.assert_interval(0.3, 0.0, 0.0, math.pi)
 
     def test_translation(self):
-        cfg = make_config(0.3)
-        left, right = moving_interval(cfg, 1.0)
-        assert left == pytest.approx(0.3)
-        assert right == pytest.approx(math.pi + 0.3)
+        self.assert_interval(0.3, 1.0, 0.3, math.pi + 0.3)
 
     def test_fixed_at_v0(self):
-        cfg = make_config(0.0)
-        assert moving_interval(cfg, 5.0) == (0.0, math.pi)
+        self.assert_interval(0.0, 5.0, 0.0, math.pi)
 
     @given(t=st.floats(min_value=0, max_value=100, allow_nan=False))
     def test_width_always_L(self, t):
-        cfg = make_config(0.7)
-        left, right = moving_interval(cfg, t)
-        assert right - left == pytest.approx(math.pi, rel=1e-12)
+        self.assert_interval(0.7, t, 0.7 * t, math.pi + 0.7 * t)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            moving_interval(make_config(0.3), -1.0)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            check_moving_interval(math.pi, 0.3, 0.0, -1.0)
 
 
 def _outside(entry, d, upper):
@@ -115,7 +118,7 @@ def _outside(entry, d, upper):
     edge of the interval it reads: the moving interval (v t, L + v t), or
     (-L1, L2) for the extension."""
     cfg = make_config(0.3)
-    c = derive_constants(cfg)
+    c = derive_constants(cfg.L, cfg.v)
     t = 1.0
     s = c.L + d if upper else -d          # on the frame x = v t + s
     if entry == "field_components":

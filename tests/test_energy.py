@@ -8,7 +8,6 @@ import pytest
 
 from moving_string import (
     derive_constants,
-    energy_at,
     energy_report,
     initial_energies,
     spectral_energy,
@@ -54,7 +53,7 @@ class TestSpectralIdentity:
     @pytest.mark.parametrize("v", [0.3, 0.7])
     def test_matches_quadrature_energy_at_t0(self, v):
         sol = get_solution(v)
-        calE, _ = energy_at(sol, 0.0)
+        calE = energy_report(sol, [0.0]).calE[0]
         assert calE == pytest.approx(spectral_energy(sol), rel=1e-6)
 
 
@@ -68,8 +67,8 @@ class TestConservation:
         assert not rep.vacuous
 
     def test_v0_energies_coincide(self, sine_v0):
-        for t in (0.0, 1.3, 4.1):
-            calE, E = energy_at(sine_v0, t)
+        rep = energy_report(sine_v0, [0.0, 1.3, 4.1])
+        for calE, E in zip(rep.calE, rep.E):
             assert E == pytest.approx(calE, rel=1e-10)
             assert calE == pytest.approx(math.pi / 400, rel=1e-10)
 
@@ -77,8 +76,7 @@ class TestConservation:
         # centered differences of calE(t), h = T_v/1024
         h = sine_v03.consts.T_v / 1024
         for t in (0.5, 2.0, 5.0):
-            fwd, _ = energy_at(sine_v03, t + h)
-            bwd, _ = energy_at(sine_v03, t - h)
+            bwd, fwd = energy_report(sine_v03, [t - h, t + h]).calE
             assert abs(fwd - bwd) / (2 * h) < 1e-5
 
 
@@ -159,8 +157,7 @@ class TestPeriodicityOfE:
         c = sine_v03.consts
         scale = spectral_energy(sine_v03)
         for t in (0.0, 0.7, 2.2):
-            _, E0 = energy_at(sine_v03, t)
-            _, E1 = energy_at(sine_v03, t + c.T_v)
+            E0, E1 = energy_report(sine_v03, [t, t + c.T_v]).E
             assert abs(E1 - E0) < 1e-6 * scale
 
 

@@ -66,7 +66,8 @@ class TestOneEndpointIdentity:
     lambda sol, tol: observe_both_endpoints(sol, tol),
     lambda sol, tol: observe_horizon(sol, "right", 2.5, tol),
     lambda sol, tol: velocity_trace_equivalent(sol, "left", 1, tol),
-], ids=["one_endpoint", "both_endpoints", "horizon", "velocity_trace"])
+    lambda sol, tol: sharpness_probe(sol.cfg, 0.5 * sol.consts.T_tilde_v, tol=tol),
+], ids=["one_endpoint", "both_endpoints", "horizon", "velocity_trace", "sharpness_probe"])
 def test_invalid_tolerance_rejected(sine_v03, observe, tol):
     with pytest.raises(ValueError, match="tolerance"):
         observe(sine_v03, tol)
@@ -153,7 +154,7 @@ class TestSharpnessProbe:
         # bump in (0, L/64), horizon half of L/(1-v): the right trace is
         # identically zero by finite propagation speed
         cfg = make_config(0.3)
-        c = derive_constants(cfg)
+        c = derive_constants(cfg.L, cfg.v)
         rep = sharpness_probe(cfg, 0.5 * c.T_tilde_v)
         assert rep.energy0 == 1.0
         assert rep.right_integral < 1e-10
@@ -166,7 +167,7 @@ class TestSharpnessProbe:
         # the integral tends to (1+gamma)^2/(2(1+v)) * calE(0) once the
         # bump has fully crossed the left support
         cfg = make_config(0.3)
-        c = derive_constants(cfg)
+        c = derive_constants(cfg.L, cfg.v)
         rep = sharpness_probe(cfg, 0.5 * c.T_tilde_v)
         g = c.gamma_v
         assert rep.left_integral == pytest.approx(
@@ -185,7 +186,7 @@ class TestSharpnessProbe:
 
     def test_zero_and_long_horizons_rejected(self):
         cfg = make_config(0.3)
-        c = derive_constants(cfg)
+        c = derive_constants(cfg.L, cfg.v)
         with pytest.raises(ConfigurationError):
             sharpness_probe(cfg, c.T_tilde_v)
         with pytest.raises(ConfigurationError):

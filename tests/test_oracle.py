@@ -30,7 +30,7 @@ from conftest import get_solution, make_config
 
 def char_solver(v, preset="sine_mode", **params):
     cfg = make_config(v, preset=preset, **params)
-    return CharacteristicSolver(initial_data(cfg), derive_constants(cfg))
+    return CharacteristicSolver(initial_data(cfg), derive_constants(cfg.L, cfg.v))
 
 
 def _mp_march(u0, u1, beta, lam2, n_steps, dps=30):
@@ -437,7 +437,7 @@ class TestFDSampler:
     ])
     def test_bitwise_equal_to_history(self, v, preset, params):
         cfg = make_config(v, preset=preset, **params)
-        t_final = derive_constants(cfg).T_v
+        t_final = derive_constants(cfg.L, cfg.v).T_v
         x, t = slab_points(cfg, t_final, 400)
         expected = fd_solve(cfg, nx=64, t_final=t_final).eval(x, t)
         np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final), expected)
@@ -499,7 +499,7 @@ class TestFDSampler:
     def test_memory_is_a_window_not_the_history(self):
         # the FD part of cross_validate on the oracle-bump workload
         cfg = make_config(0.5, preset="bump", n_max=160, **BUMP)
-        t_final = derive_constants(cfg).T_v
+        t_final = derive_constants(cfg.L, cfg.v).T_v
         x, t = slab_points(cfg, t_final, 4000)
         s = oracle._scheme(cfg, 1024, 0.4, t_final)
         history = (s.n_steps + 1) * (s.nx + 1) * 8
@@ -542,7 +542,7 @@ class TestSeriesPeriodicityViaOracleGrid:
     def test_fd_field_roughly_periodic(self):
         # discrete shadow of the exact shift-periodicity, desk-scale grid
         cfg = make_config(0.3)
-        c = derive_constants(cfg)
+        c = derive_constants(cfg.L, cfg.v)
         fd = fd_solve(cfg, nx=256, cfl=0.4, t_final=c.T_v)
         start = fd.u[0]
         end = fd.u[-1]

@@ -245,8 +245,14 @@ def _emit_field(man: Manifest, sol, nx: int, nt: int, t_final: float, stem: str)
     man.emit_text(f"{stem}.gp", _GNUPLOT_SURFACE.format(name=stem, csv=f"{stem}.csv"))
 
 
+def _check_t_final(t_final) -> None:
+    if t_final is not None and not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ConfigurationError(f"--t-final must be finite and nonnegative, got {t_final}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    _check_t_final(args.t_final)
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
     man = Manifest("simulate", args.config, Path(args.out))
@@ -259,8 +265,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = _load(args)
-    if args.t_final is not None and not math.isfinite(args.t_final):
-        raise ConfigurationError(f"--t-final must be finite, got {args.t_final}")
+    _check_t_final(args.t_final)
     if args.times < 1:
         raise ConfigurationError(f"--times must be at least 1, got {args.times}")
     check_memory(4 * 8 * args.times, f"an energy sweep of {args.times} times")
@@ -317,6 +322,8 @@ def cmd_observe(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load(args)
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     sol = solve(cfg)
     methods = ("characteristics", "fd") if args.method == "both" else (args.method,)
     rep = cross_validate(sol, args.samples, seed=args.seed, nx=args.nx, cfl=args.cfl,

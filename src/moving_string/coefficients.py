@@ -12,8 +12,10 @@ slips.  Quadrature splits at the branch boundaries (x = L for the first
 form, x = 0 for the second) plus any data knots mapped through the branch
 argument maps.
 
-The weighted integrand is evaluated once per segment.  A segment's nodes
-are uniform, so its integrals against e^{i omega n x} for every mode,
+The weighted integrand is evaluated once per segment of a composite
+Simpson layout at the config's ``panels_per_unit``: the extended data's
+own rate is not declared, so no band can size the panels.  A segment's
+nodes are uniform, so its integrals against e^{i omega n x} for every mode,
 n = -n_max..-1 and 1..n_max each with its own phasors, are one blocked
 matrix product (``quadrature.UniformPhasors.analyze``): kernels are split
 into a block factor and an offset factor, and the node sums run in BLAS.
@@ -93,10 +95,9 @@ def _table(data: InitialData, consts: DerivedConstants, n_max: int,
     n = mode_numbers(n_max)
     integrals = np.zeros(len(n), dtype=complex)
     for seg in p.segments:
-        bounds = (seg.lo, seg.hi)
-        g = integrand(seg.nodes, bounds)
+        g = integrand(seg.nodes, (seg.lo, seg.hi))
         require_finite(seg.nodes, g)
-        integrals += UniformPhasors(seg.nodes, bounds, omega_unit * n).analyze(seg.weights * g)
+        integrals += UniformPhasors(seg, omega_unit * n).analyze(seg.weights * g)
     return integrals / (4.0 * math.pi * 1j * n)
 
 

@@ -47,7 +47,10 @@ __all__ = [
 SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
 
 #: Composite Simpson panels (each spanning two equal sub-intervals) per unit
-#: length of every integration axis, unless a config sets its own.
+#: length of the integrals of the raw initial data (coefficient tables,
+#: Parseval forms, initial energies, the t = 0 L2 gap), unless a config sets
+#: its own.  The trace and energy integrals of the truncated series size
+#: their Gauss-Legendre panels to the series' band and do not read it.
 DEFAULT_PANELS_PER_UNIT = 256
 
 #: Tolerance of the identity checks, unless a caller sets its own.

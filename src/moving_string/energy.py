@@ -18,9 +18,17 @@ x = v t + s over the relative nodes s of one fixed panelization of
 (0, L).  Every time then shares the same nodes, so a whole sweep is one
 call of ``series.field_on_moving_grid``: one (times x modes) by
 (modes x nodes) product per node block, in which each mode's time factor
-e^{2 pi i n t/T_v} carries the T_v-periodicity of E.
-``initial_energies`` integrates the raw initial data; it is the exact
-t = 0 reference that a truncated table can only approach.
+e^{2 pi i n t/T_v} carries the T_v-periodicity of E.  In s the densities
+are trigonometric polynomials of band 2 n_max pi (1 + v)/L, the top mode
+shape's frequency doubled by the squares, so the panelization is
+Gauss-Legendre panels sized to that band (``quadrature.Panelization``
+with ``band``), whatever the config's ``panels_per_unit``; conservation
+then holds to rounding, where Simpson at 256 panels per unit left up to
+1.4e-6 at v = 0.99.  At high n_max and small v this spends more nodes
+than Simpson did (6,120 against 1,611 at v = 0.9, n_max = 320).
+``initial_energies`` integrates the raw initial data on Simpson panels at
+``panels_per_unit``; it is the exact t = 0 reference that a truncated
+table can only approach.
 """
 
 from __future__ import annotations
@@ -51,6 +59,12 @@ __all__ = [
 _TIMES_PER_PASS = 12  # a pass holds a few (times x nodes) arrays of doubles
 
 
+def _density_band(sol: SpectralSolution) -> float:
+    """Highest frequency in s of the energy densities on x = v t + s: twice
+    the top mode shape's n_max pi (1 + v) / L."""
+    return 2.0 * math.pi * sol.n_max * (1.0 + sol.consts.v) / sol.consts.L
+
+
 def _energy_integrals(sol: SpectralSolution, times):
     """(calE, E, cross) at each of ``times``, cross = int phi_x phi_t dx;
     each is an array of the shape of ``times``.
@@ -60,7 +74,7 @@ def _energy_integrals(sol: SpectralSolution, times):
     """
     c = sol.consts
     times = np.asarray(times, dtype=float)
-    p = Panelization(0.0, c.L, panels_per_unit=sol.cfg.panels_per_unit)
+    p = Panelization(0.0, c.L, band=_density_band(sol))
 
     def densities(ts, s):
         _, phx, pht, _ = field_on_moving_grid(sol, ts, s)

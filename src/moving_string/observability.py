@@ -9,10 +9,15 @@ L/(1+v) on the left and L/(1-v) on the right with the same right-hand side
 at M = 1.  Trace integrals are computed by quadrature of the evaluated
 trace, not via the coefficient-table shortcut, so each identity is an
 end-to-end test; the reference energy is the table's conserved value.
-On every quadrature segment the trace is synthesized from its Fourier
-coefficient rows in e^{2 pi i n t/T_v} (``series.slope_trace_rows``,
-``series.velocity_trace_rows``) at all the segment's uniform nodes at
-once, as blocked matrix products (``quadrature.UniformPhasors``).
+A squared trace is a trigonometric polynomial of band 2 (2 pi n_max/T_v),
+so (0, T) is laid out as Gauss-Legendre panels sized to that band
+(``quadrature.Panelization`` with ``band``), whatever the config's
+``panels_per_unit``: 808 nodes per period at n_max = 40, where Simpson
+at 256 panels per unit took 161,659 at v = 0.99.  The trace is
+synthesized from its Fourier coefficient rows in e^{2 pi i n t/T_v}
+(``series.slope_trace_rows``, ``series.velocity_trace_rows``) at all the
+segment's nodes at once, as blocked matrix products over blocks of
+panels (``quadrature.UniformPhasors``).
 
 ``sharpness_probe`` demonstrates that two-endpoint observability fails for
 horizons below L/(1-v): a narrow bump released next to the left support
@@ -42,7 +47,7 @@ from .domain import (
 from .energy import spectral_energy
 from .errors import ConfigurationError
 from .oracle import CharacteristicSolver
-from .quadrature import Panelization, UniformPhasors, integrate
+from .quadrature import Panelization, Segment, UniformPhasors, integrate
 from .series import slope_trace_rows, velocity_trace_rows
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps these
@@ -83,23 +88,31 @@ class ObservabilityReport:
     vacuous: bool = False
 
 
-def _support_trace(sol: SpectralSolution, rows: np.ndarray, t: np.ndarray, seg) -> np.ndarray:
-    """A support trace at one segment's uniform nodes ``t``: the sum of the
-    real parts of the coefficient ``rows`` of e^{2 pi i n t/T_v} (from
+def _trace_band(sol: SpectralSolution) -> float:
+    """Highest frequency of a squared support trace: twice the top mode's
+    2 pi n_max / T_v."""
+    return 4.0 * math.pi * sol.n_max / sol.consts.T_v
+
+
+def _support_trace(sol: SpectralSolution, rows: np.ndarray, seg: Segment) -> np.ndarray:
+    """A support trace at the nodes of one quadrature segment: the sum of
+    the real parts of the coefficient ``rows`` of e^{2 pi i n t/T_v} (from
     ``slope_trace_rows`` or ``velocity_trace_rows``), each row synthesized
-    by one blocked matrix product."""
+    by blocked matrix products."""
     omega = (2.0 * math.pi / sol.consts.T_v) * sol.n
-    return UniformPhasors(t, seg, omega).synthesize(rows)
+    return UniformPhasors(seg, omega).synthesize(rows)
 
 
 def _squared_trace_integral(sol: SpectralSolution, rows: np.ndarray, T: float) -> float:
-    """int_0^T trace(t)^2 dt for the trace with coefficient ``rows``."""
+    """int_0^T trace(t)^2 dt for the trace with coefficient ``rows``, on
+    Gauss-Legendre panels sized to the squared trace's band."""
+    p = Panelization(0.0, T, band=_trace_band(sol))
+    (seg,) = p.segments
 
-    def sq(t, seg):
-        trace = _support_trace(sol, rows, t, seg)
+    def sq(t, bounds):
+        trace = _support_trace(sol, rows, seg)
         return np.square(trace, out=trace)
 
-    p = Panelization(0.0, T, panels_per_unit=sol.cfg.panels_per_unit)
     return integrate(sq, p)
 
 

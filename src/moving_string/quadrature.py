@@ -1,11 +1,27 @@
-"""Deterministic composite Simpson quadrature with mandatory breakpoints.
+"""Deterministic composite quadrature with mandatory breakpoints: two rules.
 
 Integrands here are smooth between known breakpoints (extension branch
 boundaries, bump knots), so a fixed composite rule beats adaptivity: the
-node set is a pure function of the interval, the breakpoints and the panel
-density, and results are reproducible bit-for-bit.  Each panel spans two
-equal sub-intervals; every segment between breakpoints gets at least one
-panel, i.e. an even sub-interval count >= 2.
+node set is a pure function of the interval, the breakpoints and the rule's
+density, and results are reproducible bit-for-bit.  A ``Panelization``
+lays out one of two rules:
+
+* composite Simpson at ``panels_per_unit`` panels per unit length, each
+  panel spanning two equal sub-intervals; every segment between
+  breakpoints gets at least one panel, i.e. an even sub-interval count
+  >= 2.  It serves the integrals of the raw initial data, whose rate no
+  one declares: the coefficient tables, the Parseval forms, the initial
+  energies and the t = 0 L2 gap.
+* Gauss-Legendre panels of ``_GAUSS_NODES`` nodes sized to a ``band`` the
+  caller passes in: a segment of length l gets ceil(band l /
+  ``_RAD_PER_PANEL``) panels, so no panel spans more than
+  ``_RAD_PER_PANEL`` radians of the highest frequency present.  It serves
+  integrands whose band is known exactly, the squared boundary traces and
+  the energy densities of the truncated series, which are trigonometric
+  polynomials (Trefethen, "Is Gauss quadrature better than
+  Clenshaw-Curtis?", SIAM Review 50, 2008).  Each panel is exact to
+  polynomial degree 2 ``_GAUSS_NODES`` - 1, and the error falls
+  geometrically as the panels shrink against the band.
 
 An integrand may stack k functions on the same nodes, returning an array
 of shape (k, nodes); ``integrate`` then returns the k integrals as an
@@ -21,18 +37,22 @@ sum S, so it is the exactly rounded sum unless the terms cancel by about
 results are reproducible bit for bit and a stacked row sums exactly as
 the row alone.
 
-A segment's nodes are uniform, t_k = lo + k h, so a sum over modes of
-e^{i omega_n t_k} splits with t_k = lo + (q B + r) h into a block factor
-e^{i omega_n (lo + q B h)} times an offset factor e^{i omega_n r h}.
-``UniformPhasors`` uses that split for both directions of a spectral
-sum: synthesis (a table of coefficients to values at every node) and
-analysis (values at every node to one integral per mode).  Each becomes
-a (blocks x modes) by (modes x B) matrix product, taken a few blocks at
-a time.  Block factors cost one ``exp`` each; the B offset factors of a
-mode are built by doubling from one ``exp`` per power of two, so every
-kernel is a product of at most log2(B) + 2 correctly rounded factors.
-The same split would apply to Gauss-Legendre panels with one block per
-panel.
+Under either rule a segment's nodes fall into blocks that share their
+offsets from the block start: node r of block q is lo + q ``stride`` +
+offset_r.  A Simpson segment's blocks hold ``_BLOCK`` uniform nodes,
+offset_r = r h; a Gauss-Legendre segment's block is G panels, about
+sqrt(panels / 8) of them, whose offsets are their abscissae.  So a sum over modes of e^{i omega_n t}
+splits into a block factor e^{i omega_n (lo + q stride)} times an offset
+factor e^{i omega_n offset_r}.  ``UniformPhasors`` uses that split for
+both directions of a spectral sum: synthesis (a table of coefficients to
+values at every node) and analysis (values at every node to one integral
+per mode).  Each becomes a (blocks x modes) by (modes x offsets) matrix
+product, taken a few blocks at a time.  Block factors cost one ``exp``
+each.  A Simpson segment builds the B offset factors of a mode by
+doubling from one ``exp`` per power of two, so every kernel is a product
+of at most log2(B) + 2 correctly rounded factors; a Gauss-Legendre
+segment takes one ``exp`` per offset, so every kernel is a product of two.
+Either way a block holds at most ``_BLOCK`` nodes.
 """
 
 from __future__ import annotations
@@ -51,27 +71,82 @@ __all__ = ["Panelization", "Segment", "integrate"]
 # shipped configurations, the v = 0.99 coefficient table, has 321,704;
 # 1e7 nodes already take 80 MB per float array.
 _MAX_NODES = 10_000_000
-# nodes per block of the phasor split, and nodes per matrix product
+# nodes per block of the phasor split (a Simpson block's count, a
+# Gauss-Legendre block's cap), and blocks per matrix product
 _BLOCK = 256
-_CHUNK = 8192
+_BLOCKS_PER_CHUNK = 32
+# nodes per Gauss-Legendre panel, and the most radians of the band a panel
+# may span: 5 keeps the energy of v = 0.99, n_max = 160 conserved to
+# 3e-14, where 8 leaves 8e-11
+_GAUSS_NODES = 8
+_RAD_PER_PANEL = 5.0
+# numpy.polynomial.legendre.leggauss(8) to the bit (a test compares them),
+# written out so that no run pays for importing numpy.polynomial
+_GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                     0.7966664774136267, 0.9602898564975362])
+_GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                     0.22238103445337443, 0.10122853629037706])
 
 
 @dataclass(frozen=True, eq=False)
 class Segment:
+    """Nodes and weights of one smooth piece (lo, hi) of a layout.
+
+    The nodes fall into blocks of ``len(offsets)``: node r of block q is
+    lo + q ``stride`` + ``offsets[r]`` (the last block may be short).
+    ``step`` is the spacing h of uniform nodes, whose offsets are r h, and
+    None on Gauss-Legendre panels.
+    """
+
     lo: float
     hi: float
     nodes: np.ndarray
     weights: np.ndarray
+    stride: float
+    offsets: np.ndarray
+    step: float | None
+
+
+def _simpson_segment(lo: float, hi: float, m: int) -> Segment:
+    """Composite Simpson over m (even) equal sub-intervals of (lo, hi)."""
+    h = (hi - lo) / m
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (hi - lo) / (3.0 * m)
+    b = min(_BLOCK, m + 1)
+    return Segment(lo, hi, lo + h * np.arange(m + 1), w, b * h, h * np.arange(b), h)
+
+
+def _gauss_segment(lo: float, hi: float, panels: int) -> Segment:
+    """``panels`` equal Gauss-Legendre panels on (lo, hi), G to a block.
+
+    A mode's kernels then cost 8 G offset ``exp``s and one per block,
+    fewest at G = sqrt(panels / 8); G is capped so that a block holds at
+    most ``_BLOCK`` nodes, as a Simpson block does.
+    """
+    width = (hi - lo) / panels
+    unit_x, unit_w = (_GAUSS_X + 1.0) / 2.0, _GAUSS_W / 2.0    # the rule on [0, 1]
+    g = max(1, min(_BLOCK // _GAUSS_NODES, round(math.sqrt(panels / _GAUSS_NODES))))
+    offsets = (width * np.arange(g)[:, None] + width * unit_x).ravel()
+    nodes = (lo + width * np.arange(panels))[:, None] + width * unit_x
+    return Segment(lo, hi, nodes.ravel(), np.tile(width * unit_w, panels), g * width,
+                   offsets, None)
 
 
 @dataclass(frozen=True, eq=False)
 class Panelization:
-    """Simpson node/weight layout for (a, b) split at interior breakpoints.
+    """Node/weight layout for (a, b) split at interior breakpoints.
 
-    ``min_panels_per_segment`` forces short segments (e.g. around narrow
-    bump knots) to still carry enough panels for full-order accuracy.  A
-    layout of more than ``_MAX_NODES`` nodes is refused before any node is
-    allocated.
+    Without ``band`` the rule is composite Simpson at ``panels_per_unit``;
+    with it, Gauss-Legendre panels sized to that band in radians per unit
+    length, and ``panels_per_unit`` is not read (see the module
+    docstring).  ``min_panels_per_segment`` forces short segments (e.g.
+    around narrow bump knots) to still carry enough panels for full-order
+    accuracy.  A layout of more than ``_MAX_NODES`` nodes is refused before
+    any node is allocated.
     """
 
     a: float
@@ -79,37 +154,43 @@ class Panelization:
     breakpoints: tuple = ()
     panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
     min_panels_per_segment: int = 1
+    band: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.a < self.b):
             raise ValueError(f"need a < b, got ({self.a}, {self.b})")
         if self.panels_per_unit < 1 or self.min_panels_per_segment < 1:
             raise ValueError("panel densities must be >= 1")
+        if self.band is not None and not (math.isfinite(self.band) and self.band > 0.0):
+            raise ValueError(f"band must be finite and positive, got {self.band}")
         if not math.isfinite(self.b - self.a):
             raise ValueError(f"need a finite interval, got ({self.a}, {self.b})")
         cuts = sorted({float(c) for c in self.breakpoints if self.a < c < self.b})
         object.__setattr__(self, "breakpoints", tuple(cuts))
         edges = [self.a, *cuts, self.b]
+        spans = list(zip(edges[:-1], edges[1:]))
+        floor = self.min_panels_per_segment
         try:
-            counts = [2 * max(self.min_panels_per_segment,
-                              math.ceil(self.panels_per_unit * (hi - lo)))
-                      for lo, hi in zip(edges[:-1], edges[1:])]
+            if self.band is None:     # Simpson sub-intervals per segment
+                counts = [2 * max(floor, math.ceil(self.panels_per_unit * (hi - lo)))
+                          for lo, hi in spans]
+                total = sum(counts) + len(counts)
+            else:                     # Gauss-Legendre panels per segment
+                counts = [max(floor, math.ceil(self.band * (hi - lo) / _RAD_PER_PANEL))
+                          for lo, hi in spans]
+                total = _GAUSS_NODES * sum(counts)
         except OverflowError:   # a panel count past float range
-            counts = [math.inf]
-        total = sum(counts) + len(counts)
+            total = math.inf
         if total > _MAX_NODES:
-            raise ValueError(f"quadrature over ({self.a}, {self.b}) needs {total} nodes, "
+            from decimal import Decimal   # rounds a count past float range
+            shown = f"{Decimal(total):.3g}" if math.inf > total >= 10**15 else total
+            knob = "panels_per_unit" if self.band is None else "the band"
+            raise ValueError(f"quadrature over ({self.a}, {self.b}) needs {shown} nodes, "
                              f"more than the {_MAX_NODES} allowed; shorten the interval "
-                             f"or lower panels_per_unit")
-        segments = []
-        for lo, hi, m in zip(edges[:-1], edges[1:], counts):
-            nodes = lo + (hi - lo) / m * np.arange(m + 1)
-            w = np.ones(m + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= (hi - lo) / (3.0 * m)
-            segments.append(Segment(lo, hi, nodes, w))
-        object.__setattr__(self, "segments", tuple(segments))
+                             f"or lower {knob}")
+        build = _simpson_segment if self.band is None else _gauss_segment
+        segments = tuple(build(lo, hi, m) for (lo, hi), m in zip(spans, counts))
+        object.__setattr__(self, "segments", segments)
 
     @property
     def node_count(self) -> int:
@@ -210,38 +291,36 @@ def _doubling_powers(step: np.ndarray, rows: int) -> np.ndarray:
 
 def check_phasor_memory(modes: int) -> None:
     """Refuse a mode count whose ``UniformPhasors`` offset table, up to
-    ``_BLOCK`` nodes x modes complex, would exceed physical memory."""
+    ``_BLOCK`` offsets x modes complex, would exceed physical memory."""
     check_memory(16 * _BLOCK * modes, f"a phasor table of {modes} modes")
 
 
 class UniformPhasors:
-    """Kernels e^{i omega_n t_k} on the uniform nodes of one segment, split
-    into block and offset factors (see the module docstring).
+    """Kernels e^{i omega_n t_k} at the nodes of one ``Segment``, split into
+    block and offset factors (see the module docstring).
 
-    ``nodes`` and ``bounds`` are what ``integrate`` passes an integrand:
-    the nodes must be lo + k (hi - lo)/(len(nodes) - 1), as every
-    ``Panelization`` segment's are.  The offset factors, B x modes, are
-    built once; block factors are built a chunk of blocks at a time, so
-    memory beyond the values themselves stays near (B + 3 _CHUNK / B) x
-    modes complex entries.
+    The offset factors, offsets x modes, are built once; block factors are
+    built ``_BLOCKS_PER_CHUNK`` blocks at a time, so memory beyond the
+    values themselves stays near (B + 3 ``_BLOCKS_PER_CHUNK``) x modes
+    complex entries for blocks of B nodes.
     """
 
-    def __init__(self, nodes: np.ndarray, bounds, omega) -> None:
-        lo, hi = bounds
-        self._count = len(nodes)
+    def __init__(self, seg: Segment, omega) -> None:
+        self._count = len(seg.nodes)
         self._omega = np.asarray(omega, dtype=float)
-        self._h = (hi - lo) / (self._count - 1)
-        self._lo = lo
-        self._b = min(_BLOCK, self._count)
-        self._offset = _doubling_powers(self._h * self._omega, self._b)
+        self._lo, self._stride = seg.lo, seg.stride
+        self._b = len(seg.offsets)
+        if seg.step is None:
+            self._offset = _expj(np.outer(seg.offsets, self._omega))
+        else:
+            self._offset = _doubling_powers(seg.step * self._omega, self._b)
 
     def _chunks(self):
         """(first node, block factors of shape (blocks, modes)) per chunk."""
         b = self._b
         blocks = -(-self._count // b)
-        step = max(1, _CHUNK // b)
-        for q in range(0, blocks, step):
-            starts = self._lo + (b * self._h) * np.arange(q, min(q + step, blocks))
+        for q in range(0, blocks, _BLOCKS_PER_CHUNK):
+            starts = self._lo + self._stride * np.arange(q, min(q + _BLOCKS_PER_CHUNK, blocks))
             yield q * b, _expj(np.outer(starts, self._omega))
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:

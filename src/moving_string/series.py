@@ -29,8 +29,8 @@ Structured sets go through that grid at exact s, never through a rounded
 x: the energy sweep, the ``simulate`` grid and the supports s = 0, L that
 ``certify`` reads.  Along a support, x = x_b + v t, each trace is a single
 Fourier series in t (``slope_trace_rows``, ``velocity_trace_rows``), which
-the observability integrals sum on uniform nodes as blocked products
-(``quadrature.UniformPhasors``).  Horner's rule serves scattered points
+the observability integrals sum on Gauss-Legendre nodes as blocked
+products (``quadrature.UniformPhasors``).  Horner's rule serves scattered points
 only: ``field_components`` (``check_periodicity``, ``cross_validate``,
 ``certify``'s seeded checks and its ``initial_data_reproduction``, which
 sums on the Simpson nodes at t = 0, where x = s exactly).

@@ -2,11 +2,19 @@
 
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moving_string import certify, energy_report, spectral_energy, velocity_trace_equivalent
+from moving_string import (
+    certify,
+    energy_report,
+    load_config,
+    solve,
+    spectral_energy,
+    velocity_trace_equivalent,
+)
 
 from conftest import get_solution
 
@@ -105,3 +113,13 @@ def test_each_trace_integral_taken_once(monkeypatch):
     monkeypatch.undo()
     ratio = velocity_trace_equivalent(sol, "left", 1).trace_ratio
     assert checks["velocity_trace_ratio"].residual == abs(ratio - c.v ** 2)
+
+
+def test_near_critical_energy_conservation_certified():
+    # v = 0.99, n_max = 40: Simpson at 256 panels per unit left 1.4e-6
+    # against the 1e-6 tolerance; band-sized panels leave rounding
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                      / "sine_v099.json")
+    checks = {ch.name: ch for ch in certify(solve(cfg))}
+    assert checks["energy_conservation"].passed
+    assert checks["energy_conservation"].residual <= 1e-12

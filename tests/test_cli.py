@@ -134,7 +134,27 @@ class TestBadInputExitsTwo:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                    "--nx", "4", "--nt", "4", "--t-final", t_final])
         assert rc == 2
-        assert "t_final" in capsys.readouterr().err
+        assert (f"--t-final must be finite and nonnegative, got {t_final}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["energy", "--times", "4", "--t-final", "-1"],
+         "--t-final must be finite and nonnegative, got -1.0"),
+        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "-1"],
+         "--t-final must be finite and nonnegative, got -1.0"),
+        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "nan"],
+         "--t-final must be finite and nonnegative, got nan"),
+        (["oracle", "--samples", "0"], "--samples must be at least 1, got 0"),
+        (["oracle", "--samples", "-5"], "--samples must be at least 1, got -5"),
+    ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
+            "oracle-samples-0", "oracle-samples-minus-5"])
+    def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
+        cfg = write_cfg(tmp_path, n_max=6)
+        out = tmp_path / "o"
+        rc = main([*argv, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @TOL_SUBCOMMANDS
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
@@ -230,10 +250,11 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("argv, message", [
         (["observe", "--endpoint", "left", "--periods", str(10**400)],
          "period count M is too large"),
+        # the trace integrals' panels follow the band 4 pi n_max / T_v
         (["observe", "--endpoint", "right", "--periods", str(10**306)],
-         "needs inf nodes, more than the 10000000 allowed"),
+         "needs 1.21e+308 nodes, more than the 10000000 allowed"),
         (["observe", "--endpoint", "right", "--horizon", "1e306"],
-         "needs inf nodes, more than the 10000000 allowed"),
+         "needs 1.75e+307 nodes, more than the 10000000 allowed"),
         (["oracle", "--samples", "4", "--nx", str(10**400)],
          f"one FD level of {10**400 + 1} nodes: inf GiB"),
         (["oracle", "--samples", "4", "--nx", str(10**200)],

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from moving_string import (
     derive_constants,
     energy_report,
     initial_energies,
+    load_config,
+    solve,
     spectral_energy,
 )
 from moving_string.energy import _energy_integrals
@@ -65,6 +68,22 @@ class TestConservation:
         rep = energy_report(sol, times)
         assert rep.residual_conservation < 1e-6
         assert not rep.vacuous
+
+    @pytest.mark.parametrize("config", [
+        "configs/sine_v03.json",
+        "configs/sine_v09.json",
+        "perfbench/configs/sine_v099.json",
+        "perfbench/configs/bump_v05_n160.json",
+        "perfbench/configs/bump_v07_n80.json",
+    ])
+    def test_conserved_to_rounding(self, config):
+        # the certificate's sweep; the densities are trigonometric
+        # polynomials in s, integrated on panels sized to their band.
+        # Simpson at 256 panels per unit left 1.3e-9, 2.2e-7, 1.4e-6,
+        # 6.1e-9 and 5.2e-7 here
+        sol = solve(load_config(Path(__file__).resolve().parents[1] / config))
+        rep = energy_report(sol, np.linspace(0.0, 2.0 * sol.consts.T_v, 33))
+        assert rep.residual_conservation <= 1e-12
 
     def test_v0_energies_coincide(self, sine_v0):
         rep = energy_report(sine_v0, [0.0, 1.3, 4.1])

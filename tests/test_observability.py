@@ -15,6 +15,8 @@ from moving_string import (
     spectral_energy,
     velocity_trace_equivalent,
 )
+from moving_string.observability import _slope_trace_integral, _velocity_trace_integral
+from moving_string.series import slope_trace_rows, velocity_trace_rows
 
 from conftest import get_solution, make_config
 
@@ -94,6 +96,73 @@ class TestTwoEndpointIdentity:
         left = observe_one_endpoint(sine_v0, "left", 1)
         right = observe_one_endpoint(sine_v0, "right", 1)
         assert left.integral == pytest.approx(right.integral, abs=1e-8)
+
+
+def _bump(v, n_max):
+    """The benchmark's bump, which fills every mode of the table."""
+    return get_solution(v, preset="bump", n_max=n_max, ppu=32,
+                        center=1.2, width=1.0, amplitude=0.1)
+
+
+def _trace_coefficients(rows):
+    """a_k, k = -n_max..-1, 1..n_max, of the real trace Sum_k a_k
+    e^{2 pi i k t/T_v} whose coefficient ``rows`` d (summed over rows)
+    give the trace Re Sum_n d_n e^{2 pi i n t/T_v}: a_k = (d_k +
+    conj(d_{-k}))/2."""
+    d = rows.sum(axis=0)
+    return (d + d[::-1].conj()) / 2.0
+
+
+def _mp_square_integral(sol, a, T):
+    """int_0^T (Sum_k a_k e^{i k w t})^2 dt, w = 2 pi/T_v, term by term at
+    the working precision of mpmath."""
+    import mpmath as mp
+    w = 2 * mp.pi / mp.mpf(sol.consts.T_v)
+    T = mp.mpf(T)
+    ak = [(int(k), mp.mpc(complex(x))) for k, x in zip(sol.n, a)]
+    pieces = {}
+    for j, aj in ak:
+        for k, ak_ in ak:
+            pieces[j + k] = pieces.get(j + k, 0) + aj * ak_
+    total = mp.mpc(0)
+    for m, coef in pieces.items():
+        total += coef * (T if m == 0 else (mp.expj(m * w * T) - 1) / (1j * m * w))
+    return float(total.real)
+
+
+class TestTraceIntegralsExact:
+    """The squared trace integrals on band-sized Gauss-Legendre panels
+    against the closed forms of the same trigonometric polynomial."""
+
+    @pytest.mark.parametrize("n_max", [8, 40, 160])
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("endpoint", ["left", "right"])
+    def test_whole_periods_match_parseval(self, v, n_max, endpoint):
+        # over M T_v the integral is M T_v Sum_k |a_k|^2 exactly; at v = 0
+        # the velocity trace vanishes identically and has no relative gap
+        sol = _bump(v, n_max)
+        pairs = [(_slope_trace_integral, slope_trace_rows)]
+        if v > 0.0:
+            pairs.append((_velocity_trace_integral, velocity_trace_rows))
+        for M in (1, 3):
+            T = M * sol.consts.T_v
+            for integral, rows in pairs:
+                a = _trace_coefficients(rows(sol, endpoint))
+                exact = T * math.fsum((np.abs(a) ** 2).tolist())
+                assert abs(integral(sol, endpoint, T) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("n_max", [8, 40])
+    @pytest.mark.parametrize("v", [0.3, 0.9, 0.99])
+    def test_two_endpoint_horizons_match_high_precision(self, v, n_max):
+        # L/(1+v) and L/(1-v) are no whole number of periods
+        mp = pytest.importorskip("mpmath")
+        sol = _bump(v, n_max)
+        c = sol.consts
+        for endpoint, T in (("left", c.L / (1.0 + v)), ("right", c.L / (1.0 - v))):
+            a = _trace_coefficients(slope_trace_rows(sol, endpoint))
+            with mp.workdps(40):
+                exact = _mp_square_integral(sol, a, T)
+            assert abs(_slope_trace_integral(sol, endpoint, T) - exact) <= 1e-13 * exact
 
 
 class TestDirectInequality:

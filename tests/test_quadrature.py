@@ -1,5 +1,6 @@
-"""Composite Simpson layout, accuracy order and determinism; the node
-bound; the TwoSum row sums; the blocked phasor sums on uniform nodes."""
+"""Both layout rules (composite Simpson and band-sized Gauss-Legendre
+panels): layout, accuracy order and determinism; the node bound; the
+TwoSum row sums; the blocked phasor sums on both rules' blocks."""
 
 import math
 import tracemalloc
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moving_string import NumericError, Panelization, integrate
-from moving_string.quadrature import _MAX_NODES, UniformPhasors, _sum_rows
+from moving_string.quadrature import (
+    _GAUSS_NODES,
+    _GAUSS_W,
+    _GAUSS_X,
+    _MAX_NODES,
+    _RAD_PER_PANEL,
+    Segment,
+    UniformPhasors,
+    _gauss_segment,
+    _sum_rows,
+)
 
 
 def plain(fn):
@@ -83,6 +94,97 @@ class TestAccuracy:
         assert integrate(f, p) == pytest.approx(4.0, rel=1e-15)
 
 
+class TestGaussLegendreLayout:
+    """The band-sized rule: ceil(band l / 5) panels of 8 nodes per segment."""
+
+    def test_rule_is_numpys_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(_GAUSS_NODES)
+        assert _bits(_GAUSS_X).tolist() == _bits(x).tolist()
+        assert _bits(_GAUSS_W).tolist() == _bits(w).tolist()
+
+    def test_panel_count_follows_band(self):
+        p = Panelization(0.0, 2.0, breakpoints=(0.7,), band=40.0)
+        assert [len(s.nodes) for s in p.segments] == [
+            _GAUSS_NODES * math.ceil(40.0 * 0.7 / _RAD_PER_PANEL),
+            _GAUSS_NODES * math.ceil(40.0 * 1.3 / _RAD_PER_PANEL)]
+        assert p.node_count == _GAUSS_NODES * (6 + 11)
+
+    def test_panels_stay_inside_their_segment(self):
+        p = Panelization(0.0, 2.0, breakpoints=(0.7,), band=40.0)
+        assert p.breakpoints == (0.7,)
+        for seg in p.segments:
+            panels = seg.nodes.reshape(-1, _GAUSS_NODES)
+            edges = np.linspace(seg.lo, seg.hi, len(panels) + 1)
+            assert np.all(panels > edges[:-1, None]) and np.all(panels < edges[1:, None])
+
+    @pytest.mark.parametrize("panels, group", [
+        (1, 1), (7, 1), (31, 2), (100, 4), (513, 8), (8000, 32), (10000, 32)])
+    def test_blocks_group_panels(self, panels, group):
+        # G = sqrt(panels / 8) panels to a block, at most 32 (256 nodes);
+        # node r of block q is lo + q stride + offsets[r]
+        seg = _gauss_segment(-1.5, 7.0, panels)
+        width = 8.5 / panels
+        assert seg.step is None and len(seg.offsets) == _GAUSS_NODES * group
+        assert seg.stride == pytest.approx(group * width, rel=1e-15)
+        blocks = -(-panels // group)
+        starts = -1.5 + seg.stride * np.arange(blocks)
+        layout = (starts[:, None] + seg.offsets).ravel()[:len(seg.nodes)]
+        assert np.max(np.abs(layout - seg.nodes)) <= 1e-14
+
+    def test_segment_floor_and_weights(self):
+        p = Panelization(0.0, 3.0, breakpoints=(1e-4, 2.2), band=1.0,
+                         min_panels_per_segment=3)
+        assert [len(s.nodes) for s in p.segments] == [3 * _GAUSS_NODES] * 3
+        total = sum(math.fsum(s.weights.tolist()) for s in p.segments)
+        assert total == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(ValueError, match="band must be finite and positive"):
+            Panelization(0.0, 1.0, band=band)
+
+    def test_panels_per_unit_not_read(self):
+        a = Panelization(0.0, 2.0, band=30.0, panels_per_unit=8)
+        b = Panelization(0.0, 2.0, band=30.0, panels_per_unit=4096)
+        assert np.array_equal(a.segments[0].nodes, b.segments[0].nodes)
+
+
+class TestGaussLegendreAccuracy:
+    @pytest.mark.parametrize("degree", range(16))
+    def test_exact_through_degree_15(self, degree):
+        # one panel integrates x^d exactly for d <= 2 q - 1 = 15
+        p = Panelization(0.0, 1.0, band=1.0)
+        assert len(p.segments[0].nodes) == _GAUSS_NODES
+        assert integrate(plain(lambda x: x ** degree), p) == pytest.approx(
+            1.0 / (degree + 1), rel=4e-15)
+
+    def test_not_exact_at_degree_16(self):
+        p = Panelization(0.0, 1.0, band=1.0)
+        assert abs(integrate(plain(lambda x: x ** 16), p) - 1.0 / 17) > 1e-12
+
+    def test_geometric_convergence(self):
+        # cos(24 x) over (0, 1) on m = 1, 2, 3 panels (band 5 m gives m):
+        # each panel added cuts the error by three orders of magnitude or
+        # more, where Simpson's doubling gains 16; at 24 rad over 5 panels
+        # (the rule's 5 rad per panel) it is at rounding level
+        errs = [abs(integrate(plain(lambda x: np.cos(24.0 * x)),
+                              Panelization(0.0, 1.0, band=5.0 * m))
+                    - math.sin(24.0) / 24.0) for m in (1, 2, 3, 5)]
+        assert errs[0] > 1e3 * errs[1] > 1e6 * errs[2]
+        assert errs[3] < 2e-13
+
+    @pytest.mark.parametrize("omega", [1.0, 7.3, 40.0, 333.0])
+    def test_band_limited_square_to_rounding(self, omega):
+        # cos(omega x)^2 has band 2 omega; over a length that is no whole
+        # number of periods the band-sized rule is exact to rounding
+        b = 3.7
+        p = Panelization(0.0, b, band=2.0 * omega)
+        exact = b / 2.0 + math.sin(2.0 * omega * b) / (4.0 * omega)
+        assert integrate(plain(lambda x: np.cos(omega * x) ** 2), p) == pytest.approx(
+            exact, rel=2e-15)
+
+
 class TestProperties:
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
     def test_linearity(self, a, b):
@@ -135,6 +237,27 @@ class TestNodeBound:
         # the right-extended axis (0, L2) of the v = 0.99 coefficient table
         p = Panelization(0.0, 2 * math.pi / 0.01, breakpoints=(math.pi,))
         assert p.node_count == 321_704 < _MAX_NODES
+
+    def test_oversized_gauss_layouts_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            # one node past the bound: 1,250,001 panels of 8
+            with pytest.raises(ValueError, match=f"needs {_MAX_NODES + 8} nodes"):
+                Panelization(0.0, _MAX_NODES / _GAUSS_NODES + 1.0, band=_RAD_PER_PANEL)
+            with pytest.raises(ValueError, match=r"needs 1\.60e\+301 nodes, more than the "
+                                                 r"10000000 allowed; shorten the interval "
+                                                 r"or lower the band"):
+                Panelization(0.0, 1e300, band=10.0)
+            with pytest.raises(ValueError, match="needs inf nodes, more than"):
+                Panelization(0.0, 1e300, band=1e300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_gauss_layout_admitted(self):
+        p = Panelization(0.0, _MAX_NODES / _GAUSS_NODES, band=_RAD_PER_PANEL)
+        assert p.node_count == _MAX_NODES
 
     def test_infinite_interval_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -235,35 +358,76 @@ class TestRowSum:
                 integrate(plain(lambda x: np.full_like(x, 1e308)), p)
 
 
+def uniform_segment(lo, hi, count):
+    """``count`` uniform nodes on [lo, hi] in the block layout of a Simpson
+    segment, at any count (a Simpson segment's is odd)."""
+    h = (hi - lo) / (count - 1)
+    b = min(256, count)
+    return Segment(lo, hi, lo + h * np.arange(count), np.ones(count), b * h,
+                   h * np.arange(b), h)
+
+
+# uniform counts: a segment shorter than a block, exactly one block, one
+# node past it, a short last block and several chunks of blocks;
+# Gauss-Legendre panel counts (G panels to a block, 32 blocks to a chunk):
+# one panel, blocks of one panel, a short last block, exactly two chunks,
+# a block of one panel past them, and several chunks of 32-panel blocks
+GAUSS_PANELS = (1, 7, 31, 512, 513, 10000)
+PHASOR_SEGMENTS = [
+    *[pytest.param(uniform_segment(-1.5, 7.0, count), id=f"uniform-{count}")
+      for count in (3, 100, 256, 257, 1001, 20001)],
+    *[pytest.param(_gauss_segment(-1.5, 7.0, panels), id=f"gauss-{panels}")
+      for panels in GAUSS_PANELS],
+]
+
+
 class TestUniformPhasors:
     """Both directions of the blocked sum against every kernel evaluated
-    at the segment's own nodes.  The counts give a segment shorter than a
-    block, exactly one block, one node past it, a short last block and
-    several chunks of blocks."""
+    at the segment's own nodes, on both rules' block layouts."""
 
-    COUNTS = [3, 100, 256, 257, 1001, 20001]
+    OMEGA = 1.7 * np.concatenate([np.arange(-12, 0), np.arange(1, 13)])
 
-    @staticmethod
-    def case(count, lo=-1.5, hi=7.0):
-        nodes = lo + (hi - lo) / (count - 1) * np.arange(count)
-        omega = 1.7 * np.concatenate([np.arange(-12, 0), np.arange(1, 13)])
-        dense = np.exp(1j * np.outer(nodes, omega))          # (nodes, modes)
-        return UniformPhasors(nodes, (lo, hi), omega), dense, np.random.default_rng(count)
+    @classmethod
+    def case(cls, seg):
+        dense = np.exp(1j * np.outer(seg.nodes, cls.OMEGA))      # (nodes, modes)
+        rng = np.random.default_rng(len(seg.nodes))
+        return UniformPhasors(seg, cls.OMEGA), dense, rng
 
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_synthesis(self, count):
-        phasors, dense, rng = self.case(count)
+    @pytest.mark.parametrize("seg", PHASOR_SEGMENTS)
+    def test_synthesis(self, seg):
+        phasors, dense, rng = self.case(seg)
         coef = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
         ref = (dense @ coef.T).real.sum(axis=1)
         got = phasors.synthesize(coef)
-        assert got.shape == (count,)
+        assert got.shape == (len(seg.nodes),)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(coef).sum()
 
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_analysis(self, count):
-        phasors, dense, rng = self.case(count)
-        values = rng.standard_normal(count)
+    @pytest.mark.parametrize("seg", PHASOR_SEGMENTS)
+    def test_analysis(self, seg):
+        phasors, dense, rng = self.case(seg)
+        values = rng.standard_normal(len(seg.nodes))
         ref = values @ dense
         got = phasors.analyze(values)
         assert got.shape == (24,)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(values).sum()
+
+    @pytest.mark.parametrize("panels", GAUSS_PANELS)
+    def test_gauss_kernel_at_every_node(self, panels):
+        # each kernel alone, real and imaginary part, at every node of every
+        # panel on both sides of the block and chunk edges, against a direct
+        # exp
+        # exp: both sides round phases of up to |omega t| = 143 rad
+        seg = _gauss_segment(-1.5, 7.0, panels)
+        phasors, dense, _ = self.case(seg)
+        bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.outer(seg.nodes, self.OMEGA))))
+        for n, unit in enumerate(np.eye(len(self.OMEGA))):
+            assert np.max(np.abs(phasors.synthesize(unit) - dense[:, n].real)) <= bound
+            assert np.max(np.abs(phasors.synthesize(-1j * unit) - dense[:, n].imag)) <= bound
+
+    def test_simpson_segments_keep_their_layout(self):
+        # a Panelization's Simpson segment carries the uniform block layout
+        seg = Panelization(-1.5, 7.0, panels_per_unit=64).segments[0]
+        ref = uniform_segment(-1.5, 7.0, len(seg.nodes))
+        assert np.array_equal(seg.nodes, ref.nodes)
+        assert (seg.stride, seg.step) == (ref.stride, ref.step)
+        assert np.array_equal(seg.offsets, ref.offsets)

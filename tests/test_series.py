@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from moving_string import check_periodicity, field_components
-from moving_string.observability import _support_trace
-from moving_string.quadrature import Panelization
+from moving_string.observability import _support_trace, _trace_band
+from moving_string.quadrature import Panelization, _gauss_segment
 from moving_string.series import (
     _trace_values,
     field_on_moving_grid,
@@ -134,11 +134,11 @@ class TestTraceClosedForm:
     def test_velocity_trace_is_minus_v_times_slope(self, sine_v03):
         # the two velocity families, each summed on its own, against the
         # slope trace: a floating-point check of phi_t = -v phi_x there
-        c = sine_v03.consts
-        ts, seg = _uniform(0.0, c.T_v, 23)
-        vt = _support_trace(sine_v03, velocity_trace_rows(sine_v03, "left"), ts, seg)
-        tr = _support_trace(sine_v03, slope_trace_rows(sine_v03, "left"), ts, seg)
-        np.testing.assert_allclose(vt, -c.v * tr, atol=1e-10)
+        # on the nodes of the observability integral over (0, T_v)
+        seg = _trace_segment(sine_v03, sine_v03.consts.T_v)
+        vt = _support_trace(sine_v03, velocity_trace_rows(sine_v03, "left"), seg)
+        tr = _support_trace(sine_v03, slope_trace_rows(sine_v03, "left"), seg)
+        np.testing.assert_allclose(vt, -sine_v03.consts.v * tr, atol=1e-10)
 
     @pytest.mark.parametrize("rows", [slope_trace_rows, velocity_trace_rows])
     def test_trace_rows_refuse_unknown_endpoint(self, sine_v03, rows):
@@ -323,8 +323,9 @@ class TestAgainstHighPrecision:
         # sum them, stay within 0.32 and 0.81 of it
         sol = get_solution(0.9, preset="sine_velocity", n_max=80, amplitude=1.0, mode=1)
         c = sol.consts
-        t, seg = _uniform(0.0, 2 * c.T_v, 101)
-        got = _support_trace(sol, velocity_trace_rows(sol, endpoint), t, seg)
+        seg = _gauss_segment(0.0, 2 * c.T_v, 13)              # 104 nodes
+        t = seg.nodes
+        got = _support_trace(sol, velocity_trace_rows(sol, endpoint), seg)
         xb = 0.0 if endpoint == "left" else c.L
         ref = np.array([float(_mp_field(sol, None, ti, xb)[2].real) for ti in t])
         bound = sol.n_max * np.finfo(float).eps * np.abs(velocity_trace_rows(sol, endpoint)).sum()
@@ -339,9 +340,10 @@ class TestAgainstHighPrecision:
         assert _rel_dev(got, [_mp_trace(sol, endpoint, ti) for ti in t]) <= 1e-12
 
 
-def _uniform(lo, hi, count):
-    """A segment's nodes as ``Panelization`` lays them out, and its bounds."""
-    return lo + (hi - lo) / (count - 1) * np.arange(count), (lo, hi)
+def _trace_segment(sol, T):
+    """The Gauss-Legendre segment of the observability integral over (0, T)."""
+    (seg,) = Panelization(0.0, T, band=_trace_band(sol)).segments
+    return seg
 
 
 def _peak_bytes(fn):
@@ -355,68 +357,76 @@ def _peak_bytes(fn):
 
 class TestBlockedTraces:
     """The support traces that the observability integrals square, summed
-    on a segment's uniform nodes by the blocked matrix product
-    (``observability._support_trace``)."""
+    on a segment's Gauss-Legendre nodes by the blocked matrix product
+    (``observability._support_trace``): G panels of 8 nodes to a block,
+    32 blocks to a chunk."""
 
     @pytest.mark.parametrize("v", [0.3, 0.99])
     @pytest.mark.parametrize("endpoint", ["left", "right"])
     def test_against_high_precision(self, v, endpoint):
-        # 1001 nodes over 3 T_v: three whole blocks and a short one; the
-        # checked nodes sit on both sides of every block edge.  The
+        # the integral's nodes over 3 T_v: 302 panels in blocks of 6, one
+        # whole chunk and a short one ending in a block of 2 panels; the
+        # checked nodes sit on both sides of block and chunk edges.  The
         # reference velocity forms x = v t + x_b at 40 digits.
         mp = pytest.importorskip("mpmath")
         sol = get_solution(v)
         c = sol.consts
-        t, seg = _uniform(0.0, 3 * c.T_v, 1001)
-        idx = [0, 1, 255, 256, 257, 511, 512, 700, 767, 768, 769, 999, 1000]
+        seg = _trace_segment(sol, 3 * c.T_v)
+        t = seg.nodes
+        b = len(seg.offsets)
+        assert (len(t), b) == (2416, 48)
+        idx = [0, 1, b - 1, b, b + 1, 32 * b - 1, 32 * b, 32 * b + 1, 50 * b - 1, 50 * b,
+               len(t) - 2, len(t) - 1]
         xb = 0.0 if endpoint == "left" else c.L
-        slope = _support_trace(sol, slope_trace_rows(sol, endpoint), t, seg)[idx]
-        vel = _support_trace(sol, velocity_trace_rows(sol, endpoint), t, seg)[idx]
+        slope = _support_trace(sol, slope_trace_rows(sol, endpoint), seg)[idx]
+        vel = _support_trace(sol, velocity_trace_rows(sol, endpoint), seg)[idx]
         with mp.workdps(40):
             ref_slope = [_mp_trace(sol, endpoint, t[i]).real for i in idx]
             ref_vel = [_mp_field(sol, None, t[i], s=xb)[2].real for i in idx]
         assert _rel_dev(slope, ref_slope) <= 1e-12
         assert _rel_dev(vel, ref_vel) <= 1e-12
 
-    # a segment shorter than a block, exactly one block, one node past it,
-    # a short last block, and several chunks of blocks
-    COUNTS = [3, 100, 256, 257, 1001, 40001]
+    # one panel, a short last block, exactly two chunks, a block of one
+    # panel past them, and several chunks of 25-panel blocks
+    PANELS = [1, 31, 512, 513, 5001]
 
-    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("panels", PANELS)
     @pytest.mark.parametrize("v", [0.3, 0.99])
-    def test_slope_agrees_with_horner(self, v, count):
+    def test_slope_agrees_with_horner(self, v, panels):
         sol = get_solution(v)
-        t, seg = _uniform(0.0, sol.consts.T_v, count)
+        seg = _gauss_segment(0.0, sol.consts.T_v, panels)
         for endpoint in ("left", "right"):
-            got = _support_trace(sol, slope_trace_rows(sol, endpoint), t, seg)
-            ref = _trace_values(sol, endpoint, t).real
+            got = _support_trace(sol, slope_trace_rows(sol, endpoint), seg)
+            ref = _trace_values(sol, endpoint, seg.nodes).real
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_velocity_agrees_with_two_family_sum(self, count):
+    @pytest.mark.parametrize("panels", PANELS)
+    def test_velocity_agrees_with_two_family_sum(self, panels):
         # at v = 0.3: near v = 1 the scattered sum's own error, from forming
         # x = v t + x_b in floating point, reaches about 1e-12
         sol = get_solution(0.3)
         c = sol.consts
-        t, seg = _uniform(0.0, c.T_v, count)
+        seg = _gauss_segment(0.0, c.T_v, panels)
+        t = seg.nodes
         for endpoint, xb in (("left", 0.0), ("right", c.L)):
-            got = _support_trace(sol, velocity_trace_rows(sol, endpoint), t, seg)
+            got = _support_trace(sol, velocity_trace_rows(sol, endpoint), seg)
             ref = field_components(sol, xb + c.v * t, t)[2]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n_max", [40, 160])
-    def test_peak_memory_within_horner_integrand(self, n_max):
-        # the largest trace segment of certify-v099: 161,659 nodes over T_v
+    @pytest.mark.parametrize("n_max, periods", [(40, 1000), (160, 250)])
+    def test_peak_memory_within_horner_integrand(self, n_max, periods):
+        # a long horizon at v = 0.99: 804,248 nodes in 99 chunks of
+        # 32-panel blocks
         sol = get_solution(0.99, n_max=n_max, ppu=32)
         c = sol.consts
-        seg = Panelization(0.0, c.T_v).segments[0]
-        t, bounds = seg.nodes, (seg.lo, seg.hi)
-        assert len(t) == 161_659
+        seg = _trace_segment(sol, periods * c.T_v)
+        t = seg.nodes
+        assert len(t) == 804_248
         slope = slope_trace_rows(sol, "left")
         vel = velocity_trace_rows(sol, "left")
-        assert (_peak_bytes(lambda: _support_trace(sol, slope, t, bounds))
+        assert (_peak_bytes(lambda: _support_trace(sol, slope, seg))
                 <= _peak_bytes(lambda: _trace_values(sol, "left", t).real ** 2))
-        assert (_peak_bytes(lambda: _support_trace(sol, vel, t, bounds))
+        assert (_peak_bytes(lambda: _support_trace(sol, vel, seg))
                 <= _peak_bytes(lambda: field_components(sol, c.v * t, t)[2] ** 2))
 
 

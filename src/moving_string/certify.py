@@ -27,7 +27,7 @@ from .observability import (
     observe_one_endpoint,
 )
 from .oracle import CharacteristicSolver
-from .quadrature import Panelization, integrate
+from .quadrature import data_layout, integrate
 from .series import check_periodicity, field_components, field_on_moving_grid
 
 __all__ = ["Check", "certify"]
@@ -147,8 +147,9 @@ def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> l
         p0 = np.asarray(sol.data.phi0(x), float)
         return [(phi - p0) ** 2, p0 ** 2]
 
-    p = Panelization(0.0, c.L, breakpoints=tuple(sol.data.knots),
-                     panels_per_unit=sol.cfg.panels_per_unit)
+    # the series at t = 0 holds frequencies up to n_max pi (1 + v) / L
+    p = data_layout(sol.data, 0.0, c.L, sol.data.knots, sol.cfg.panels_per_unit,
+                    lambda rate: 2.0 * (sol.n_max * math.pi * (1.0 + c.v) / c.L + rate))
     l2, ref = np.sqrt(integrate(squares, p)).tolist()
     if ref > 0:
         checks.append(Check("initial_data_reproduction", l2 / ref < 5e-2, l2 / ref, 5e-2,

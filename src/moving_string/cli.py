@@ -8,7 +8,11 @@ validate.  Each takes only the options it reads: all but figures (whose
 problems are fixed) take ``--config``, the identity checks of energy,
 observe and validate take ``--tol``, and oracle and validate ``--seed``.
 Every run writes its outputs plus a ``manifest.json`` listing each emitted
-file and any pass/fail checks; the manifest is written last.
+file and any pass/fail checks; the manifest is written last.  Every
+subcommand that solves records under ``parameters.coefficient_tables``
+the rule that laid out the coefficient tables (``gauss-legendre`` for
+data that declare their rate, ``simpson`` at ``panels_per_unit`` for the
+others) and each formula's node count.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
 CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
 ``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
@@ -212,7 +216,8 @@ def cmd_coeffs(args) -> int:
     ]
     man.emit_csv("coeffs.csv",
                  ["n", "re_plus", "im_plus", "re_minus", "im_minus", "abs_diff"], rows)
-    man.doc["parameters"] = {"n_max": cfg.n_max, "panels_per_unit": cfg.panels_per_unit}
+    man.doc["parameters"] = {"n_max": cfg.n_max, "panels_per_unit": cfg.panels_per_unit,
+                             "coefficient_tables": sol.table_layout()}
     man.finish()
     print(f"wrote {2 * cfg.n_max} coefficients; "
           f"cross-check residual {fmt(sol.cross_check_residual)}")
@@ -256,7 +261,8 @@ def cmd_simulate(args) -> int:
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
     man = Manifest("simulate", args.config, Path(args.out))
-    man.doc["parameters"] = {"nx": args.nx, "nt": args.nt, "t_final": t_final}
+    man.doc["parameters"] = {"nx": args.nx, "nt": args.nt, "t_final": t_final,
+                             "coefficient_tables": sol.table_layout()}
     _emit_field(man, sol, args.nx, args.nt, t_final, "field")
     man.finish()
     print(f"wrote field.csv ({args.nx} x {args.nt} grid over t in [0, {fmt(t_final)}])")
@@ -274,6 +280,7 @@ def cmd_energy(args) -> int:
     times = np.linspace(0.0, t_final, args.times)
     rep = energy_report(sol, times, tol=args.tol)
     man = Manifest("energy", args.config, Path(args.out))
+    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
     spec = rep.spectral
     rows = [(t, cE, E, spec, abs(cE - spec) / spec if spec > 0 else abs(cE))
             for t, cE, E in zip(rep.times, rep.calE, rep.E)]
@@ -308,6 +315,7 @@ def cmd_observe(args) -> int:
         periods = 1 if args.periods is None else args.periods
         rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
     man = Manifest("observe", args.config, Path(args.out))
+    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [
         Check("observability_identity", rep.identity_residual <= args.tol,
@@ -329,6 +337,7 @@ def cmd_oracle(args) -> int:
     rep = cross_validate(sol, args.samples, seed=args.seed, nx=args.nx, cfl=args.cfl,
                          methods=methods)
     man = Manifest("oracle", args.config, Path(args.out))
+    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
     man.emit_json("oracle.json", {
         "samples": rep.sample_count,
         "seed": rep.seed,
@@ -357,7 +366,8 @@ def cmd_figures(args) -> int:
     sol = solve(cfg)
     man = Manifest("figures", None, Path(args.out))
     man.doc["parameters"] = {"figure": args.figure, "v": cfg.v, "T_v": sol.consts.T_v,
-                             "grid": [args.nx, args.nt]}
+                             "grid": [args.nx, args.nt],
+                             "coefficient_tables": sol.table_layout()}
     _emit_field(man, sol, args.nx, args.nt, sol.consts.T_v, f"fig{args.figure}_field")
     man.finish()
     print(f"figure {args.figure}: v = {cfg.v}, one period T_v = {fmt(sol.consts.T_v)}")
@@ -367,12 +377,14 @@ def cmd_figures(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     man = Manifest("validate", args.config, Path(args.out))
-    checks = certify(solve(cfg), args.tol, args.seed)
+    sol = solve(cfg)
+    checks = certify(sol, args.tol, args.seed)
     for check in checks:
         man.add_check(check)
     failed = [check.name for check in checks if not check.passed]
     man.doc["parameters"] = {"tol": args.tol, "seed": args.seed, "n_max": cfg.n_max,
-                             "panels_per_unit": cfg.panels_per_unit}
+                             "panels_per_unit": cfg.panels_per_unit,
+                             "coefficient_tables": sol.table_layout()}
     summary = {"checks_total": len(checks), "checks_failed": len(failed), "failed_names": failed}
     man.emit_json("validate.json", {"summary": summary, "checks": man.doc["checks"]})
     man.finish()

@@ -12,17 +12,23 @@ slips.  Quadrature splits at the branch boundaries (x = L for the first
 form, x = 0 for the second) plus any data knots mapped through the branch
 argument maps.
 
-The weighted integrand is evaluated once per segment of a composite
-Simpson layout at the config's ``panels_per_unit``: the extended data's
-own rate is not declared, so no band can size the panels.  A segment's
-nodes are uniform, so its integrals against e^{i omega n x} for every mode,
-n = -n_max..-1 and 1..n_max each with its own phasors, are one blocked
-matrix product (``quadrature.UniformPhasors.analyze``): kernels are split
-into a block factor and an offset factor, and the node sums run in BLAS.
-A kernel's phase error is about eps * (|omega n x| + log2 256), so an
-integral carries at most about n_max * eps * Sum |weight * integrand| of
-absolute error, as stepping one phasor per node did.  Memory stays
-linear in the node count.
+The weighted integrand is evaluated once per segment of the layout that
+``quadrature.data_layout`` picks.  Data that declare their rate
+(``InitialData.rate``: the sine presets and ``zero``) get Gauss-Legendre
+panels sized to the integrand's band (see ``_formula``).  At v = 0.99 and
+n_max = 40 a table takes 2,352 nodes where Simpson took 321,704 on the
+plus axis, and the two formulas agree to 1.8e-18 where Simpson left
+2.6e-8.  Bump and tabulated data declare no rate and keep composite
+Simpson at the config's ``panels_per_unit``.
+Either way a segment's nodes fall into blocks that share their offsets,
+so its integrals against e^{i omega n x} for every mode, n = -n_max..-1
+and 1..n_max each with its own phasors, are one blocked matrix product
+(``quadrature.UniformPhasors.analyze``): kernels are split into a block
+factor and an offset factor, and the node sums run in BLAS.  A kernel's
+phase error is about eps * (|omega n x| + log2 256), so an integral
+carries at most about n_max * eps * Sum |weight * integrand| of absolute
+error, as stepping one phasor per node did.  Memory stays linear in the
+node count.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .domain import DerivedConstants, InitialData, StringConfig, derive_constants, initial_data
 from .extension import ExtensionField
-from .quadrature import (Panelization, UniformPhasors, check_phasor_memory, integrate,
+from .quadrature import (UniformPhasors, check_phasor_memory, data_layout, integrate,
                          require_finite)
 
 __all__ = [
@@ -65,19 +71,31 @@ def _mapped_knots(data: InitialData, consts: DerivedConstants, side: str) -> lis
 
 
 def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
-             side: str):
-    """Panels, extended integrand slope~ +- velocity~ and kernel frequency
-    unit of one coefficient formula."""
+             side: str, n_max: int | None):
+    """Layout, extended integrand slope~ +- velocity~ and kernel frequency
+    unit of one coefficient formula.
+
+    The layout is sized for the table of ``n_max`` modes, whose integrand
+    times kernel has band |omega_unit| n_max plus the data's rate on this
+    formula, or, with ``n_max`` None, for the squared integrand of the
+    Parseval form, of band twice that rate.  The left branch contracts the
+    data by gamma_v, so on the minus formula their rate is gamma_v times
+    their rate on [0, L]; the right branch dilates it.
+    """
     if side == "plus":
-        a, b, cut = 0.0, consts.L2, consts.L
+        a, b, cut, scale = 0.0, consts.L2, consts.L, 1.0
         sign_vel, omega_unit = +1.0, -math.pi * (1.0 - consts.v) / consts.L
     else:
-        a, b, cut = -consts.L1, consts.L, 0.0
+        a, b, cut, scale = -consts.L1, consts.L, 0.0, consts.gamma_v
         sign_vel, omega_unit = -1.0, +math.pi * (1.0 + consts.v) / consts.L
     slope = ExtensionField("slope", data, consts)
     velocity = ExtensionField("velocity", data, consts)
-    cuts = [cut, *_mapped_knots(data, consts, side)]
-    p = Panelization(a, b, breakpoints=tuple(cuts), panels_per_unit=panels_per_unit)
+    cuts = (cut, *_mapped_knots(data, consts, side))
+    if n_max is None:
+        p = data_layout(data, a, b, cuts, panels_per_unit, lambda rate: 2.0 * scale * rate)
+    else:
+        p = data_layout(data, a, b, cuts, panels_per_unit,
+                        lambda rate: abs(omega_unit) * n_max + scale * rate)
 
     def integrand(x, seg):
         return slope.on_segment(x, seg) + sign_vel * velocity.on_segment(x, seg)
@@ -91,7 +109,7 @@ def _table(data: InitialData, consts: DerivedConstants, n_max: int,
     ``side`` "plus" is the right-extended formula over (0, L2), split at
     x = L, and "minus" the left-extended one over (-L1, L), split at x = 0."""
     check_phasor_memory(2 * n_max)
-    p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side)
+    p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side, n_max)
     n = mode_numbers(n_max)
     integrals = np.zeros(len(n), dtype=complex)
     for seg in p.segments:
@@ -120,6 +138,14 @@ class SpectralSolution:
     @property
     def n_max(self) -> int:
         return int(self.n[-1])
+
+    def table_layout(self) -> dict:
+        """The rule that laid out the two coefficient tables (``simpson`` or
+        ``gauss-legendre``) and each formula's node count."""
+        layouts = {side: _formula(self.data, self.consts, self.cfg.panels_per_unit, side,
+                                  self.n_max)[0] for side in ("plus", "minus")}
+        return {"rule": layouts["plus"].rule,
+                "nodes": {side: p.node_count for side, p in layouts.items()}}
 
     def coefficient(self, n: int) -> complex:
         idx = n + self.n_max if n < 0 else n + self.n_max - 1
@@ -175,7 +201,7 @@ def parseval_sum(sol: SpectralSolution) -> ParsevalSums:
     L, v = sol.consts.L, sol.consts.v
 
     def squared(side):
-        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.panels_per_unit, side)
+        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.panels_per_unit, side, None)
         return integrate(lambda x, seg: integrand(x, seg) ** 2, p)
 
     plus = L / (8.0 * math.pi ** 2 * (1.0 - v)) * squared("plus")

@@ -47,10 +47,12 @@ __all__ = [
 SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
 
 #: Composite Simpson panels (each spanning two equal sub-intervals) per unit
-#: length of the integrals of the raw initial data (coefficient tables,
-#: Parseval forms, initial energies, the t = 0 L2 gap), unless a config sets
-#: its own.  The trace and energy integrals of the truncated series size
-#: their Gauss-Legendre panels to the series' band and do not read it.
+#: length of the integrals of raw initial data that declare no rate (bump
+#: and tabulated data: coefficient tables, Parseval forms, initial
+#: energies, the t = 0 L2 gap), unless a config sets its own.  Data that
+#: declare their rate (``InitialData.rate``) and the trace and energy
+#: integrals of the truncated series size Gauss-Legendre panels to their
+#: band and do not read it.
 DEFAULT_PANELS_PER_UNIT = 256
 
 #: Tolerance of the identity checks, unless a caller sets its own.
@@ -112,7 +114,12 @@ class InitialData:
 
     ``phi0``, ``phi0_x`` and ``phi1`` accept scalars or arrays.  ``knots``
     lists interior points where higher derivatives of the data jump (used
-    to split quadrature panels when sharp accuracy matters).
+    to split quadrature panels when sharp accuracy matters).  ``rate`` is
+    the highest frequency, in radians per unit length, that ``phi0_x`` and
+    ``phi1`` hold on [0, L], when the data are band-limited and declare it
+    (k pi / L for the sine presets, 0 for ``zero``); the integrals of the
+    raw data then size Gauss-Legendre panels to it.  None (the bump and
+    tabulated data) leaves them on Simpson at ``panels_per_unit``.
     """
 
     label: str
@@ -120,11 +127,13 @@ class InitialData:
     phi0_x: Callable[[np.ndarray], np.ndarray]
     phi1: Callable[[np.ndarray], np.ndarray]
     knots: tuple = ()
+    rate: float | None = None
 
 
 @dataclass(frozen=True)
 class StringConfig:
-    """Full problem description: geometry, speed, data and Simpson density."""
+    """Full problem description: geometry, speed, data and the Simpson
+    density of the raw-data integrals of data that declare no rate."""
 
     L: float
     v: float
@@ -221,7 +230,7 @@ def _zeros_like(x):
 
 
 def _preset_zero(L: float) -> InitialData:
-    return InitialData("zero", _zeros_like, _zeros_like, _zeros_like)
+    return InitialData("zero", _zeros_like, _zeros_like, _zeros_like, rate=0.0)
 
 
 def _mode_number(preset: str, mode) -> int:
@@ -239,6 +248,7 @@ def _preset_sine_mode(L: float, amplitude: float = 0.1, mode: int = 1) -> Initia
         lambda x: amplitude * np.sin(w * np.asarray(x, float)),
         lambda x: amplitude * w * np.cos(w * np.asarray(x, float)),
         _zeros_like,
+        rate=w,
     )
 
 
@@ -250,6 +260,7 @@ def _preset_sine_velocity(L: float, amplitude: float = 1.0, mode: int = 1) -> In
         _zeros_like,
         _zeros_like,
         lambda x: amplitude * np.sin(w * np.asarray(x, float)),
+        rate=w,
     )
 
 
@@ -265,6 +276,7 @@ def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
         base.phi0,
         base.phi0_x,
         lambda x, _d=base.phi0_x: sign * _d(x),
+        rate=base.rate,
     )
 
 

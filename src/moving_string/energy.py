@@ -26,9 +26,10 @@ with ``band``), whatever the config's ``panels_per_unit``; conservation
 then holds to rounding, where Simpson at 256 panels per unit left up to
 1.4e-6 at v = 0.99.  At high n_max and small v this spends more nodes
 than Simpson did (6,120 against 1,611 at v = 0.9, n_max = 320).
-``initial_energies`` integrates the raw initial data on Simpson panels at
-``panels_per_unit``; it is the exact t = 0 reference that a truncated
-table can only approach.
+``initial_energies`` integrates the raw initial data on the layout of
+``quadrature.data_layout`` (Gauss-Legendre panels sized to twice the
+data's declared rate, else Simpson at ``panels_per_unit``); it is the
+exact t = 0 reference that a truncated table can only approach.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .coefficients import SpectralSolution
 from .domain import DEFAULT_TOL, StringConfig, check_tolerance, initial_data
-from .quadrature import Panelization, integrate
+from .quadrature import Panelization, data_layout, integrate
 from .series import field_on_moving_grid
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps this
@@ -97,8 +98,8 @@ def spectral_energy(sol: SpectralSolution) -> float:
 def initial_energies(cfg: StringConfig) -> tuple[float, float]:
     """Exact (calE(0), E(0)) by quadrature of the raw initial data."""
     data = initial_data(cfg)
-    p = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots),
-                     panels_per_unit=cfg.panels_per_unit)
+    p = data_layout(data, 0.0, cfg.L, data.knots, cfg.panels_per_unit,
+                    lambda rate: 2.0 * rate)
     v = cfg.v
 
     def densities(x, seg):

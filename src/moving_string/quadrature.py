@@ -9,19 +9,21 @@ lays out one of two rules:
 * composite Simpson at ``panels_per_unit`` panels per unit length, each
   panel spanning two equal sub-intervals; every segment between
   breakpoints gets at least one panel, i.e. an even sub-interval count
-  >= 2.  It serves the integrals of the raw initial data, whose rate no
-  one declares: the coefficient tables, the Parseval forms, the initial
-  energies and the t = 0 L2 gap.
+  >= 2.  It serves the integrals of raw initial data that declare no rate
+  (bump and tabulated data): the coefficient tables, the Parseval forms,
+  the initial energies and the t = 0 L2 gap.
 * Gauss-Legendre panels of ``_GAUSS_NODES`` nodes sized to a ``band`` the
   caller passes in: a segment of length l gets ceil(band l /
   ``_RAD_PER_PANEL``) panels, so no panel spans more than
   ``_RAD_PER_PANEL`` radians of the highest frequency present.  It serves
-  integrands whose band is known exactly, the squared boundary traces and
-  the energy densities of the truncated series, which are trigonometric
-  polynomials (Trefethen, "Is Gauss quadrature better than
-  Clenshaw-Curtis?", SIAM Review 50, 2008).  Each panel is exact to
-  polynomial degree 2 ``_GAUSS_NODES`` - 1, and the error falls
-  geometrically as the panels shrink against the band.
+  integrands whose band is known: the squared boundary traces and the
+  energy densities of the truncated series, which are trigonometric
+  polynomials, and the same four raw-data integrals for data that declare
+  their rate (``data_layout``, which widens the band so that a panel spans
+  at most ``_DATA_RAD_PER_PANEL`` radians).  See Trefethen, "Is Gauss
+  quadrature better than Clenshaw-Curtis?", SIAM Review 50, 2008.  Each
+  panel is exact to polynomial degree 2 ``_GAUSS_NODES`` - 1, and the
+  error falls geometrically as the panels shrink against the band.
 
 An integrand may stack k functions on the same nodes, returning an array
 of shape (k, nodes); ``integrate`` then returns the k integrals as an
@@ -62,14 +64,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_PANELS_PER_UNIT, check_memory
+from .domain import DEFAULT_PANELS_PER_UNIT, InitialData, check_memory
 from .errors import NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
 
 # A layout may hold no more nodes than this.  The largest one in the
-# shipped configurations, the v = 0.99 coefficient table, has 321,704;
-# 1e7 nodes already take 80 MB per float array.
+# shipped configurations, the plus table of the bump at v = 0.7, has
+# 10,744; 1e7 nodes already take 80 MB per float array.
 _MAX_NODES = 10_000_000
 # nodes per block of the phasor split (a Simpson block's count, a
 # Gauss-Legendre block's cap), and blocks per matrix product
@@ -80,6 +82,12 @@ _BLOCKS_PER_CHUNK = 32
 # 3e-14, where 8 leaves 8e-11
 _GAUSS_NODES = 8
 _RAD_PER_PANEL = 5.0
+# the most radians a panel may span in an integral of raw initial data
+# (``data_layout``): on the sine tables, n_max 1..48 and v 0..0.99 against
+# an exact mpmath integral, 3 leaves at most 9.4e-16 of max |c|, 4 leaves
+# 1.3e-14 and 5 leaves 2.1e-13 (at n_max = 3, where few panels run close
+# to their 5 rad)
+_DATA_RAD_PER_PANEL = 3.0
 # numpy.polynomial.legendre.leggauss(8) to the bit (a test compares them),
 # written out so that no run pays for importing numpy.polynomial
 _GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
@@ -195,6 +203,27 @@ class Panelization:
     @property
     def node_count(self) -> int:
         return sum(len(s.nodes) for s in self.segments)
+
+    @property
+    def rule(self) -> str:
+        return "simpson" if self.band is None else "gauss-legendre"
+
+
+def data_layout(data: InitialData, a: float, b: float, breakpoints: tuple,
+                panels_per_unit: int, band) -> Panelization:
+    """Layout of an integral of the raw initial data over (a, b).
+
+    Data that declare their rate get Gauss-Legendre panels sized to
+    ``band(data.rate)``, the integrand's band in radians per unit length,
+    at most ``_DATA_RAD_PER_PANEL`` radians of it per panel.  The band is
+    floored at one panel over (a, b), so that data of rate 0, whose squares
+    have band 0, still get a layout.  Data that declare no rate get
+    composite Simpson at ``panels_per_unit``.
+    """
+    if data.rate is None:
+        return Panelization(a, b, breakpoints, panels_per_unit=panels_per_unit)
+    widened = band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL)
+    return Panelization(a, b, breakpoints, band=max(widened, _RAD_PER_PANEL / (b - a)))
 
 
 def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:

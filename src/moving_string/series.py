@@ -33,7 +33,7 @@ the observability integrals sum on Gauss-Legendre nodes as blocked
 products (``quadrature.UniformPhasors``).  Horner's rule serves scattered points
 only: ``field_components`` (``check_periodicity``, ``cross_validate``,
 ``certify``'s seeded checks and its ``initial_data_reproduction``, which
-sums on the Simpson nodes at t = 0, where x = s exactly).
+sums on the nodes of its raw-data layout at t = 0, where x = s exactly).
 """
 
 from __future__ import annotations

@@ -123,3 +123,14 @@ def test_near_critical_energy_conservation_certified():
     checks = {ch.name: ch for ch in certify(solve(cfg))}
     assert checks["energy_conservation"].passed
     assert checks["energy_conservation"].residual <= 1e-12
+
+
+def test_near_critical_formula_equivalence_certified():
+    # v = 0.99, n_max = 40: Simpson at 256 panels per unit left the two
+    # coefficient formulas 2.6e-8 apart against the 1e-8 tolerance; panels
+    # sized to the sine data's band leave rounding
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                      / "sine_v099.json")
+    checks = {ch.name: ch for ch in certify(solve(cfg))}
+    assert checks["coefficient_formula_equivalence"].passed
+    assert checks["coefficient_formula_equivalence"].residual <= 1e-15

@@ -37,10 +37,10 @@ def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24, ppu=128):
     return str(path)
 
 
-def write_raw_cfg(tmp_path, key, text):
+def write_raw_cfg(tmp_path, key, text, preset=None):
     """A valid config whose top-level or dotted ``key`` holds the JSON
     ``text`` verbatim (which ``json.dumps`` could not write, e.g. 1e400)."""
-    doc = json.loads(Path(write_cfg(tmp_path, n_max=6)).read_text())
+    doc = json.loads(Path(write_cfg(tmp_path, n_max=6, preset=preset)).read_text())
     *parents, leaf = key.split(".")
     node = doc
     for name in parents:
@@ -49,6 +49,10 @@ def write_raw_cfg(tmp_path, key, text):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps(doc).replace('"@PLACEHOLDER@"', text))
     return str(path)
+
+
+BUMP = {"name": "bump", "params": {"center": 1.2, "width": 1.0, "amplitude": 0.1}}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_manifest(out):
@@ -273,7 +277,9 @@ class TestBadInputExitsTwo:
         assert message in capsys.readouterr().err
 
     def test_panel_density_past_float_range(self, tmp_path, capsys):
-        cfg = write_raw_cfg(tmp_path, "quadrature.panels_per_unit", "1" + "0" * 400)
+        # panels_per_unit sizes the tables of data that declare no rate
+        cfg = write_raw_cfg(tmp_path, "quadrature.panels_per_unit", "1" + "0" * 400,
+                            preset=BUMP)
         rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "needs inf nodes, more than the 10000000 allowed" in capsys.readouterr().err
@@ -756,6 +762,51 @@ class TestManifest:
         assert man["files"][-1] == "manifest.json"  # written last
         assert man["version"]
         assert man["duration_seconds"] >= 0
+
+
+    @pytest.mark.parametrize("argv", [SHORT_RUNS[k] for k in SHORT_RUNS if k != "constants"],
+                             ids=[k for k in SHORT_RUNS if k != "constants"])
+    @pytest.mark.parametrize("preset, rule", [(None, "gauss-legendre"), (BUMP, "simpson")],
+                             ids=["sine", "bump"])
+    def test_records_table_rule(self, tmp_path, capsys, argv, preset, rule):
+        cfg = write_cfg(tmp_path, preset=preset, n_max=8)
+        out = tmp_path / "out"
+        main([*argv, "--config", cfg, "--out", str(out)] if argv[0] != "figures"
+             else [*argv, "--out", str(out)])
+        tables = read_manifest(out)["parameters"]["coefficient_tables"]
+        if argv[0] == "figures":    # its own sine problem at n_max = 40
+            assert tables["rule"] == "gauss-legendre"
+        else:
+            assert tables == solve(load_config(cfg)).table_layout()
+            assert tables["rule"] == rule
+        assert tables["nodes"]["plus"] > 0 and tables["nodes"]["minus"] > 0
+
+
+class TestZeroConfig:
+    """configs/zero.json declares rate 0: its squared integrands have band
+    0, which the layout floors."""
+
+    def test_coeffs_are_zero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["coeffs", "--config", str(ROOT / "configs" / "zero.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        rows = np.loadtxt(out / "coeffs.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (80, 6) and np.all(rows[:, 1:] == 0.0)
+        assert "cross-check residual 0" in capsys.readouterr().out
+
+    def test_validate_passes_vacuously(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["validate", "--config", str(ROOT / "configs" / "zero.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "validate.json").read_text())
+        assert doc["summary"]["checks_failed"] == 0
+        # every residual of the data reads 0; the constants' own does not
+        measured = [c["residual"] for c in doc["checks"]
+                    if c["residual"] is not None and c["name"] != "constants_identities"]
+        assert measured and all(r == 0.0 for r in measured)
+        assert read_manifest(out)["parameters"]["coefficient_tables"]["rule"] == "gauss-legendre"
 
 
 class TestValidateCmd:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from moving_string import derive_constants, initial_data, parseval_sum, solve
-from moving_string.coefficients import _mapped_knots, _table
-from moving_string.extension import ExtensionField
+from moving_string import (InitialDataSpec, StringConfig, derive_constants, initial_data,
+                           parseval_sum, solve)
+from moving_string.coefficients import _formula, _mapped_knots, _table
 from moving_string.quadrature import Panelization
 
 from conftest import get_solution, make_config
@@ -136,11 +136,23 @@ class TestDecay:
 
 class TestTruncationConsistency:
     def test_enlarging_n_max_preserves_entries(self):
-        small = get_solution(0.3, n_max=12)
-        large = get_solution(0.3, n_max=24)
-        # identical panelization => per-mode integrals are bit-identical
+        # bump data declare no rate, so the Simpson layout does not depend
+        # on n_max and the per-mode integrals are bit-identical
+        bump = {"center": 1.2, "width": 1.0, "amplitude": 0.1}
+        small = get_solution(0.3, preset="bump", n_max=12, **bump)
+        large = get_solution(0.3, preset="bump", n_max=24, **bump)
         sel = np.abs(large.n) <= 12
         np.testing.assert_array_equal(large.c[sel], small.c)
+
+    def test_enlarging_n_max_moves_sine_entries_by_rounding(self):
+        # sine data size the layout to |omega| n_max + rate, so n_max = 24
+        # integrates on more panels than 12; both are exact to rounding,
+        # which reads 2.7e-16 of max |c| here (5.6e-16 at v = 0.99)
+        small = get_solution(0.3, n_max=12)
+        large = get_solution(0.3, n_max=24)
+        sel = np.abs(large.n) <= 12
+        scale = np.max(np.abs(small.c))
+        assert np.max(np.abs(large.c[sel] - small.c)) <= 1e-14 * scale
 
 
 class TestSolutionContainer:
@@ -164,30 +176,23 @@ class TestSolutionContainer:
 
 
 class TestTableAgainstHighPrecision:
-    """The blocked table against a 40-digit evaluation of the same Simpson
-    sum: at v = 0.99, where the right-extended axis reaches L2 ~ 628, and
-    on a narrow bump whose knots cut both axes into short segments (3 to
-    633 nodes, shorter and longer than a block).  Coarse panel densities
-    keep the reference cheap; the summation error does not depend on
-    them."""
+    """The blocked table against a 40-digit sum over the table's own
+    layout (``_formula``): at v = 0.99, where the right-extended axis
+    reaches L2 ~ 628 on Gauss-Legendre panels sized to the band, and on a
+    narrow bump whose knots cut both axes into short Simpson segments (3 to
+    633 nodes, shorter and longer than a block).  A coarse Simpson density
+    keeps the bump's reference cheap; the summation error does not depend
+    on it."""
 
     @staticmethod
     def _reference(mp, cfg, n_max, ppu, side):
         consts, data = derive_constants(cfg.L, cfg.v), initial_data(cfg)
         L, v = consts.L, consts.v
-        if side == "plus":
-            a, b, cut, sign_vel, omega = 0.0, consts.L2, L, 1.0, -(1 - mp.mpf(v))
-        else:
-            a, b, cut, sign_vel, omega = -consts.L1, L, 0.0, -1.0, 1 + mp.mpf(v)
-        p = Panelization(a, b, breakpoints=(cut, *_mapped_knots(data, consts, side)),
-                         panels_per_unit=ppu)
-        slope = ExtensionField("slope", data, consts)
-        velocity = ExtensionField("velocity", data, consts)
+        omega = -(1 - mp.mpf(v)) if side == "plus" else 1 + mp.mpf(v)
+        p, integrand, _ = _formula(data, consts, ppu, side, n_max)
         nodes = np.concatenate([s.nodes for s in p.segments])
-        wg = np.concatenate([
-            s.weights * (slope.on_segment(s.nodes, (s.lo, s.hi))
-                         + sign_vel * velocity.on_segment(s.nodes, (s.lo, s.hi)))
-            for s in p.segments])
+        wg = np.concatenate([s.weights * integrand(s.nodes, (s.lo, s.hi))
+                             for s in p.segments])
         with mp.workdps(40):
             pos = []
             for n in range(1, n_max + 1):
@@ -212,3 +217,103 @@ class TestTableAgainstHighPrecision:
         got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, 32, side)
         ref = self._reference(mp, cfg, 24, 32, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12
+
+
+def _mp_exact_table(mp, cfg, n_max, side):
+    """c_n, |n| <= n_max, of a sine preset by ``mpmath.quad`` of the exact
+    extended integrand, branch by branch, on pieces of at most 8 rad of
+    its band: no layout of the program enters."""
+    params = cfg.initial.params
+    with mp.workdps(20):
+        L, v, a = mp.mpf(cfg.L), mp.mpf(cfg.v), mp.mpf(params["amplitude"])
+        g, w = (1 + v) / (1 - v), params["mode"] * mp.pi / L
+        if cfg.initial.name == "sine_mode":
+            slope, velocity = (lambda y: a * w * mp.cos(w * y)), (lambda y: 0)
+        else:
+            slope, velocity = (lambda y: 0), (lambda y: a * mp.sin(w * y))
+        # (lo, hi, map to the data's argument, slope factor, velocity factor)
+        middle = (lambda x: x, 1, 1)
+        if side == "plus":
+            sign, omega = 1, -mp.pi * (1 - v) / L
+            branches = [(0, L, *middle),
+                        (L, 2 * L / (1 - v), lambda x: -x / g + 2 * L / (1 + v), 1 / g, -1 / g)]
+        else:
+            sign, omega = -1, mp.pi * (1 + v) / L
+            branches = [(-L / g, 0, lambda x: -g * x, g, -g), (0, L, *middle)]
+        pos = []
+        for n in range(1, n_max + 1):
+            total = 0
+            for lo, hi, arg, fs, fv in branches:
+                rate = abs(arg(mp.mpf(1)) - arg(mp.mpf(0))) * w
+                pieces = max(1, int(mp.ceil((abs(omega) * n + rate) * (hi - lo) / 8)))
+
+                def f(x):
+                    y = arg(x)
+                    return (fs * slope(y) + sign * fv * velocity(y)) * mp.expj(omega * n * x)
+
+                total += mp.quad(f, mp.linspace(lo, hi, pieces + 1), method="gauss-legendre")
+            pos.append(complex(total / (4 * n * mp.pi * 1j)))
+    return np.concatenate([np.conj(pos[::-1]), pos])
+
+
+class TestTableAgainstExactIntegral:
+    """Sine tables against the exact coefficient integrals: band-sized
+    Gauss-Legendre panels leave rounding, at most 9.4e-16 of max |c| over
+    n_max 1..48, where Simpson at 256 panels per unit left about 1e-8 at
+    v = 0.99."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("v, preset, params", [
+        (0.3, "sine_mode", {"amplitude": 0.1, "mode": 1}),
+        (0.99, "sine_mode", {"amplitude": 0.1, "mode": 1}),
+        (0.99, "sine_velocity", {"amplitude": 1.0, "mode": 2}),
+    ], ids=["sine_mode-0.3", "sine_mode-0.99", "sine_velocity-0.99"])
+    def test_table(self, v, preset, params, side):
+        mp = pytest.importorskip("mpmath")
+        cfg = make_config(v, preset=preset, **params)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24,
+                     cfg.panels_per_unit, side)
+        ref = _mp_exact_table(mp, cfg, 24, side)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize("n_max", [40, None], ids=["table", "parseval"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_near_critical_layout_is_small(self, side, n_max):
+        # Simpson at 256 panels per unit took 321,704 nodes on the plus axis
+        cfg = make_config(0.99)
+        p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v),
+                           cfg.panels_per_unit, side, n_max)
+        assert p.rule == "gauss-legendre"
+        assert p.node_count <= 5000
+
+    @pytest.mark.parametrize("n_max", [24, None], ids=["table", "parseval"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("kind", ["bump", "table"])
+    def test_undeclared_rate_keeps_simpson(self, kind, side, n_max):
+        if kind == "bump":
+            spec = InitialDataSpec.preset("bump", center=1.2, width=1.0, amplitude=0.1)
+        else:
+            x = np.linspace(0.0, math.pi, 41)
+            spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.0 * x)
+        cfg = StringConfig(L=math.pi, v=0.7, initial=spec, n_max=24, panels_per_unit=48)
+        data, consts = initial_data(cfg), derive_constants(cfg.L, cfg.v)
+        p, _, _ = _formula(data, consts, cfg.panels_per_unit, side, n_max)
+        a, b, cut = (0.0, consts.L2, consts.L) if side == "plus" else (-consts.L1, consts.L, 0.0)
+        simpson = Panelization(a, b, breakpoints=(cut, *_mapped_knots(data, consts, side)),
+                               panels_per_unit=48)
+        assert p.rule == "simpson" and p.band is None and p.panels_per_unit == 48
+        assert len(p.segments) == len(simpson.segments)
+        for got, want in zip(p.segments, simpson.segments):
+            np.testing.assert_array_equal(got.nodes, want.nodes)
+            np.testing.assert_array_equal(got.weights, want.weights)
+
+    def test_zero_rate_gets_one_panel_per_segment(self):
+        # the squares of rate-0 data have band 0; the layout floors it
+        cfg = make_config(0.3, preset="zero")
+        for side in ("plus", "minus"):
+            p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v),
+                               cfg.panels_per_unit, side, None)
+            assert p.rule == "gauss-legendre"
+            assert p.node_count == 8 * len(p.segments)

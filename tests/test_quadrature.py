@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moving_string import NumericError, Panelization, integrate
+from moving_string.domain import InitialData
 from moving_string.quadrature import (
+    _DATA_RAD_PER_PANEL,
     _GAUSS_NODES,
     _GAUSS_W,
     _GAUSS_X,
@@ -20,6 +22,7 @@ from moving_string.quadrature import (
     UniformPhasors,
     _gauss_segment,
     _sum_rows,
+    data_layout,
 )
 
 
@@ -150,6 +153,30 @@ class TestGaussLegendreLayout:
         assert np.array_equal(a.segments[0].nodes, b.segments[0].nodes)
 
 
+class TestDataLayout:
+    """Raw-data integrals of data that declare their rate: Gauss-Legendre
+    panels of at most 3 rad of the band (data that declare none keep
+    Simpson: ``test_coefficients.TestTableLayout``)."""
+
+    @staticmethod
+    def _data(rate):
+        return InitialData("test", np.sin, np.cos, np.sin, rate=rate)
+
+    def test_declared_rate_sizes_gauss_panels(self):
+        p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), 64, lambda rate: 10.0 * rate)
+        assert p.rule == "gauss-legendre"
+        assert [len(s.nodes) for s in p.segments] == [
+            _GAUSS_NODES * math.ceil(20.0 * 0.7 / _DATA_RAD_PER_PANEL),
+            _GAUSS_NODES * math.ceil(20.0 * 1.3 / _DATA_RAD_PER_PANEL)]
+
+    def test_zero_band_floored_to_one_panel(self):
+        # rate 0 squared is band 0, which Panelization refuses
+        p = data_layout(self._data(0.0), 0.0, 2.0, (0.7,), 64, lambda rate: 2.0 * rate)
+        assert p.rule == "gauss-legendre"
+        assert [len(s.nodes) for s in p.segments] == [_GAUSS_NODES, _GAUSS_NODES]
+        assert integrate(lambda x, seg: np.full_like(x, 3.0), p) == pytest.approx(6.0, rel=1e-15)
+
+
 class TestGaussLegendreAccuracy:
     @pytest.mark.parametrize("degree", range(16))
     def test_exact_through_degree_15(self, degree):
@@ -234,7 +261,8 @@ class TestNodeBound:
         assert peak < 1 << 20
 
     def test_largest_configured_layout_admitted(self):
-        # the right-extended axis (0, L2) of the v = 0.99 coefficient table
+        # the right-extended axis (0, L2) of a v = 0.99 coefficient table on
+        # Simpson panels, as data that declare no rate would take it
         p = Panelization(0.0, 2 * math.pi / 0.01, breakpoints=(math.pi,))
         assert p.node_count == 321_704 < _MAX_NODES
 

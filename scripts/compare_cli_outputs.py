@@ -43,6 +43,8 @@ SUBCOMMANDS = {
     "observe-both": ["observe", "--endpoint", "both"],
     "observe-horizon": ["observe", "--endpoint", "left", "--horizon", "2.5"],
     "oracle": ["oracle", "--samples", "50", "--nx", "256"],
+    # the benchmark's oracle-bump command line: the FD march at nx = 1024
+    "oracle-bench": ["oracle", "--method", "both", "--samples", "4000", "--nx", "1024"],
     "validate": ["validate"],
     "figures": ["figures", "--figure", "6"],
 }

@@ -12,7 +12,9 @@ file and any pass/fail checks; the manifest is written last.  Every
 subcommand that solves records under ``parameters.coefficient_tables``
 the rule that laid out the coefficient tables (``gauss-legendre`` for
 data that declare their rate, ``simpson`` at ``panels_per_unit`` for the
-others) and each formula's node count.
+others) and each formula's node count; oracle runs that march the FD
+scheme record its step count and the largest row mass its propagator
+dropped under ``parameters.fd``.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
 CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
 ``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
@@ -338,6 +340,9 @@ def cmd_oracle(args) -> int:
                          methods=methods)
     man = Manifest("oracle", args.config, Path(args.out))
     man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
+    if rep.max_fd is not None:
+        man.doc["parameters"]["fd"] = {"n_steps": rep.fd_steps,
+                                       "dropped_tail": rep.fd_dropped_tail}
     man.emit_json("oracle.json", {
         "samples": rep.sample_count,
         "seed": rep.seed,

@@ -26,29 +26,37 @@ centered cross stencil
 (u_{j+1}^{n+1} - u_{j-1}^{n+1} - u_{j+1}^{n-1} + u_{j-1}^{n-1})/(4 de dt)
 for the mixed term.  On the m = nx - 1 interior nodes each step solves
 M u^{n+1} = A u^n + C u^{n-1}, with the same tridiagonal M = tridiag(beta,
-1, -beta) at every step and beta = v dtau / (2 deta).  It is applied as the
-explicit step u^{n+1} = P u^n + Q u^{n-1}, P = M^-1 A and Q = M^-1 C.  The
-step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, and the
-entries of M^-1 fall off like beta^d at d nodes from the diagonal, so at
-beta = 1/16 a row of P or Q holds about 1.3e-20 beyond 16 nodes.  Each
-block of ``_BAND`` = 16 outputs therefore reads only its own block and the
-two next to it, and a step is a matrix product over all blocks
-(``_BandedStep``).  The weights are cut once per run from P and Q of a
-small copy of the system (``numpy.linalg.solve``), and a run whose dropped
-tail exceeds ``_TAIL_BOUND`` (eps / 1024 per row) is refused.  The
-first step is seeded by a Taylor expansion with u_tau(eta, 0) = phi1(eta) +
-v phi0_x(eta) (chain rule through eta = x - v t).  The scheme shares nothing
-with the reflection geometry, guarding against common-mode errors in the
-extension maps.
+1, -beta) at every step and beta = v dtau / (2 deta).  The first step is
+seeded by a Taylor expansion with u_tau(eta, 0) = phi1(eta) + v phi0_x(eta)
+(chain rule through eta = x - v t).  The scheme shares nothing with the
+reflection geometry, guarding against common-mode errors in the extension
+maps.
 
-One generator, ``_march``, steps the scheme and hands out overlapping
-blocks of time levels.  ``fd_solve`` takes one block as long as the whole
-history (for the energy probe and library callers); ``fd_sample``, which
-``cross_validate`` uses, locates each sample's cell before marching and
-gathers its four corners from a window of ``_SAMPLE_WINDOW`` levels, so its
+The march carries u^k and the increment d^k = u^k - u^{k-1}, in which the
+step reads d^{n+1} = M^-1 (lam2 Delta u^n + 2 d^n) - d^n and u^{n+1} =
+u^n + d^{n+1} (Delta the second difference, lam2 = (1 - v^2)
+(dtau / deta)^2).  Marching (u^k, u^{k-1}) instead rounds like n_steps^2
+eps, because the two-level recurrence is nearly a Jordan block; carrying
+the increment (Henrici's summed form) keeps the growth linear.  One matrix
+product advances the state ``_LEVELS`` = 10 levels (``_Propagator``).  The
+step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, and the
+entries of M^-1 fall off like beta^d at d nodes from the diagonal, so every
+level of a block of ``_BAND`` = 16 nodes reads only the ``_REACH`` = 2
+blocks on either side: a row drops at most 3.6e-28 of its mass over the
+admissible (v, cfl).  The weights are cut once per run from the exact level
+maps of a small copy of the system (``numpy.linalg.solve``), and a run whose
+dropped tail exceeds ``_TAIL_BOUND`` (eps / 1024 per row) is refused.
+
+One generator, ``_march``, hands out the levels the propagator holds: 0,
+then 1, 1 + K, 1 + 2 K, ...; the levels between are read from the one
+before them through per-level rows of the weights.  ``fd_solve`` reads every
+node of every level into the history (for the energy probe and library
+callers); ``fd_sample``, which ``cross_validate`` uses, locates each
+sample's cell before marching and reads only its four corners, so its
 memory is O(nx) and its bound is the work n_steps * (nx + 1), not the
-history's size.  Both interpolate with the same cell arithmetic, so the
-sampled values equal ``fd_solve(...).eval`` bit for bit.
+history's size.  Both form each value as the same sum and interpolate with
+the same cell arithmetic, so the sampled values equal ``fd_solve(...).eval``
+bit for bit.
 
 Both oracles evaluate whole arrays of sample points in one call: the
 reflection reduction runs elementwise with per-point reflection counts, and
@@ -83,12 +91,11 @@ DEFAULT_FD_CFL = 0.4  # FD time step: dtau <= cfl (1 - v) deta
 MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
-_SAMPLE_WINDOW = 64   # time levels fd_sample holds at once
 _MAX_NODE_STEPS = 10**10   # fd_sample work bound, n_steps * (nx + 1)
-_BAND = 16            # nodes per block of the banded FD step
-_COPY_BLOCKS = 6      # blocks in the copy of the system the weights come from
-_INNER_BLOCK = 2      # the copy block whose weights all inner blocks share
-_TAIL_BOUND = 2.0 ** -62   # largest row mass the banded step may drop (eps / 1024)
+_LEVELS = 10          # time levels one FD product advances
+_BAND = 16            # nodes per block of the FD propagator
+_REACH = 2            # neighbour blocks on each side that a block's window reads
+_TAIL_BOUND = 2.0 ** -62   # largest row mass the propagator may drop (eps / 1024)
 
 
 def _cumulative_simpson(fn, a: float, b: float, cells: int):
@@ -312,148 +319,207 @@ def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _S
                    t_final=t_final, deta=deta, dtau=dtau, beta=beta, lam2=lam2)
 
 
-def _step_operators(m: int, beta: float, lam2: float):
-    """Dense P = M^-1 A and Q = M^-1 C of the scheme on m interior nodes."""
-    eye, sub, sup = np.eye(m), np.eye(m, k=-1), np.eye(m, k=1)
-    M = eye + beta * (sub - sup)
-    A = (2.0 - 2.0 * lam2) * eye + lam2 * (sub + sup)
-    PQ = np.linalg.solve(M, np.hstack([A, M - 2.0 * eye]))
-    return PQ[:, :m], PQ[:, m:]
+def _layout(m: int):
+    """Blocks of the m interior nodes: (nb, pad, copy, kinds, groups).
+
+    nb blocks of ``_BAND`` nodes, the last padded with ``pad`` zeros; the
+    weights come from a copy of the system with ``copy`` blocks; block b
+    takes those of copy block ``kinds[b]``.  ``groups`` lists the (blocks,
+    copy blocks) of each product: the blocks whose window reaches past a
+    support or into the partial last block own their weights, the others
+    share those of copy block ``_REACH``.
+    """
+    band, reach = _BAND, _REACH
+    nb = -(-m // band)
+    pad = nb * band - m
+    if nb <= 2 * reach + 2:
+        copy, left, right = nb, nb, 0
+    else:
+        copy, left, right = 2 * reach + 2, reach, reach + (pad > 0)
+    kinds = np.full(nb, reach)
+    kinds[:left] = np.arange(left)
+    kinds[nb - right:] = np.arange(copy - right, copy)
+    groups = [(slice(0, left), slice(0, left))]
+    if nb - right > left:
+        groups.append((slice(left, nb - right), reach))
+    if right:
+        groups.append((slice(nb - right, nb), slice(copy - right, copy)))
+    return nb, pad, copy, kinds, groups
 
 
-class _BandedStep:
-    """The step u^{n+1} = P u^n + Q u^{n-1} on the m interior nodes, applied
-    block by block.
+class _Propagator:
+    """The scheme in increment form, advanced ``_LEVELS`` = K levels per
+    product, block by block.
 
-    The nodes fall into nb blocks of ``band`` = ``_BAND``, the last one
-    padded with zeros.  The outputs of block b read blocks b - 1, b and
-    b + 1 of both levels: 6 band inputs, held in row b of ``_s`` as
-    [neighbour, slot, node] with level k in slot k % 2.  Each new level is
-    stored three times, as every block's own values and as both of its
-    neighbours', so a step is a product (nb x 6 band) (6 band x band) over
-    contiguous rows: one call for the inner blocks, which share weights, and
-    one for the blocks at each boundary, which have their own.
+    The state of level k is u^k and d^k = u^k - u^{k-1} on the m interior
+    nodes.  Rewritten in d, the step M u^{n+1} = A u^n + C u^{n-1} reads
 
-    The weights are cut from P and Q of a copy of the system with
-    ``_COPY_BLOCKS`` blocks and the same padding, or of the whole system
-    when it has no more blocks than that.  The blocks next to a boundary
-    take the weights of the copy's blocks at the same place: the first, and
-    the last one, or the last two when the last is partial and the boundary
-    sits inside it.  All other blocks share the weights of copy block
-    ``_INNER_BLOCK``, two blocks or more from either end of the copy.
-    Raises ConfigurationError when the mass a row drops outside its three
-    blocks exceeds ``_TAIL_BOUND``.
+        d^{n+1} = M^-1 (lam2 Delta u^n + 2 d^n) - d^n,    u^{n+1} = u^n + d^{n+1},
+
+    with Delta the second difference (zero supports), so every level k + r
+    is u^k plus a linear map of w = Delta u^k and d^k.  Carrying d instead
+    of u^{k-1} keeps the rounding of a long march linear in the step count
+    (the two-level recurrence is nearly a Jordan block), and w, formed as a
+    difference of first differences, carries the small second difference
+    without the cancellation a map of u itself would round.
+
+    The nodes fall into nb blocks of ``_BAND``, the last one padded with
+    zeros.  Block b's window holds [w, d] of blocks b - ``_REACH`` .. b +
+    ``_REACH`` (zero past either end).  ``weights[c]`` (window x 2 band)
+    maps a window to [u^{k+K} - u^k, d^{k+K}] of its block, so one product
+    over all windows advances the state K levels; ``rows[c, r - 1]`` (band
+    x window) maps it to u^{k+r} - u^k for 0 < r < K, read only where a
+    caller asks.  The weights are cut once from the exact increment maps of
+    a copy of the system with 2 ``_REACH`` + 2 blocks and the same padding,
+    or of the whole system when it has no more blocks than that.  A block
+    whose window reaches past a support or into the partial last block
+    takes the weights of the copy's block at the same place (``_layout``);
+    all others share those of copy block ``_REACH``.  Raises
+    ConfigurationError when the mass a row drops outside its window exceeds
+    ``_TAIL_BOUND``; ``tail`` is the largest such mass.
     """
 
     def __init__(self, m: int, beta: float, lam2: float):
-        band = _BAND
-        nb = -(-m // band)
-        pad = nb * band - m
-        if nb <= _COPY_BLOCKS:
-            copy, left, right = nb, nb, 0
-        else:
-            copy, left, right = _COPY_BLOCKS, 1, 1 if pad == 0 else 2
+        band, reach, K = _BAND, _REACH, _LEVELS
+        span = 2 * reach + 1          # blocks in a window
+        width = span * 2 * band
+        nb, pad, copy, _, self._groups = _layout(m)
         size = copy * band - pad
-        # P and Q with one zero block of columns on either side, and zero
-        # rows for the padding
-        ops = np.zeros((2, copy * band, (copy + 2) * band))
-        ops[:, :size, band:band + size] = _step_operators(size, beta, lam2)
-        weights = np.zeros((copy, 2, 3, 2, band, band))   # [block, parity, nbr, slot, in, out]
-        tail = 0.0
-        for c in range(copy):
-            rows = ops[:, c * band:(c + 1) * band]
-            block = rows[:, :, c * band:(c + 3) * band]   # [op, out, in]
-            dropped = (np.abs(rows[:, :, :c * band]).sum(axis=2)
-                       + np.abs(rows[:, :, (c + 3) * band:]).sum(axis=2))
-            tail = max(tail, float(dropped.sum(axis=0).max()))
-            win = block.reshape(2, band, 3, band).transpose(0, 2, 3, 1)  # [op, nbr, in, out]
-            for p in range(2):   # level k in slot p is u^n and reads P
-                weights[c, p, :, p] = win[0]
-                weights[c, p, :, 1 - p] = win[1]
-        if tail > _TAIL_BOUND:
+        eye = np.eye(size)
+        Minv = np.linalg.solve(eye + beta * (np.eye(size, k=-1) - np.eye(size, k=1)), eye)
+        del eye
+        rows = np.zeros((copy, K - 1, band, span, 2, band))        # [.., out, block, w|d, in]
+        weights = np.zeros((copy, span, 2, band, 2, band))         # [.., block, w|d, in, u|d, out]
+        dropped = np.zeros((copy, K + 1, band))   # per row: u^{k+1} .. u^{k+K}, then d^{k+K}
+        E, D, Y, Z = (np.empty((size, size)) for _ in range(4))
+        for part in range(2):
+            # u^{k+r} - u^k (E) and d^{k+r} (D) as maps of w, then of d^k,
+            # one level at a time; every column evolves on its own
+            E[:] = 0.0
+            D[:] = 0.0
+            if part:
+                D.flat[::size + 1] = 1.0
+            for r in range(1, K + 1):
+                # Y = lam2 Delta u^{k+r-1} + 2 d^{k+r-1}, with Delta u^{k+r-1} = w + Delta E
+                np.multiply(E, -2.0, out=Y)
+                Y[1:] += E[:-1]
+                Y[:-1] += E[1:]
+                if not part:
+                    Y.flat[::size + 1] += 1.0
+                Y *= lam2
+                np.multiply(D, 2.0, out=Z)
+                Y += Z
+                np.matmul(Minv, Y, out=Z)
+                np.subtract(Z, D, out=D)
+                E += D
+                for c in range(copy):
+                    out = slice(c * band, min((c + 1) * band, size))
+                    first = (c - reach) * band      # node of the window's first column
+                    lo, hi = max(first, 0), min(first + span * band, size)
+                    for i, op in enumerate((E, D) if r == K else (E,)):
+                        cols = op[out]
+                        dropped[c, r - 1 + i, :len(cols)] += (np.abs(cols[:, :lo]).sum(axis=1)
+                                                              + np.abs(cols[:, hi:]).sum(axis=1))
+                        win = np.zeros((band, span * band))
+                        win[:len(cols), lo - first:hi - first] = cols[:, lo:hi]
+                        win = win.reshape(band, span, band)
+                        if r < K:
+                            rows[c, r - 1, :, :, part] = win
+                        else:
+                            weights[c, :, part, :, i] = win.transpose(1, 2, 0)
+        del Minv, E, D, Y, Z
+        self.rows = rows.reshape(copy, K - 1, band, width)
+        self.weights = weights.reshape(copy, width, 2 * band)
+        self.tail = float(dropped.max())
+        if self.tail > _TAIL_BOUND:
             raise ConfigurationError(
-                f"banded FD step would drop a row tail of {tail:.3g} at beta={beta:.4g}, "
+                f"FD propagator would drop a row tail of {self.tail:.3g} at beta={beta:.4g}, "
                 f"above {_TAIL_BOUND:.3g}; reduce cfl")
-        weights = weights.reshape(copy, 2, 6 * band, band)
+        self.m, self.nb = m, nb
+        self.u = np.zeros(nb * band)                          # u^k, zero padded
+        self._blocks = self.u.reshape(nb, band)
+        self._state = np.zeros((nb + 2 * reach, 2 * band))    # [w, d] per block
+        self._live = self._state[reach:reach + nb]
+        self._ext = np.zeros(m + 2)                            # u^k with its supports
+        self._diff = np.empty(m + 1)
+        self._flat = np.zeros(nb * band)
+        self.win = np.empty((nb, width))
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            self._state.reshape(-1), width)[::2 * band]
 
-        self._s = np.zeros((nb, 3, 2, band))
-        x = self._s.reshape(nb, 6 * band)
-        self._y = np.zeros((nb, band))
-        self._out = self._y.reshape(-1)[:m]
-        y = self._y
-        self._groups = []   # per parity: (inputs, weights, outputs) of each product
-        for p in range(2):
-            groups = [(x[:left, None], np.ascontiguousarray(weights[:left, p]), y[:left, None])]
-            if nb - right > left:
-                groups.append((x[left:nb - right],
-                               np.ascontiguousarray(weights[_INNER_BLOCK, p]),
-                               y[left:nb - right]))
-            if right:
-                groups.append((x[nb - right:, None],
-                               np.ascontiguousarray(weights[copy - right:, p]),
-                               y[nb - right:, None]))
-            self._groups.append(groups)
+    def _refresh(self) -> None:
+        """w from u^k, then every block's window."""
+        m = self.m
+        self._ext[1:-1] = self.u[:m]
+        np.subtract(self._ext[1:], self._ext[:-1], out=self._diff)
+        np.subtract(self._diff[1:], self._diff[:-1], out=self._flat[:m])
+        self._live[:, :_BAND] = self._flat.reshape(self.nb, _BAND)
+        np.copyto(self.win, self._windows)
 
-    def _write(self, level: np.ndarray, slot: int) -> None:
-        """Store a padded level (nb x band) as own and neighbour values."""
-        s = self._s
-        s[:, 1, slot] = level
-        s[1:, 0, slot] = level[:-1]
-        s[:-1, 2, slot] = level[1:]
+    def start(self, u: np.ndarray, d: np.ndarray) -> None:
+        """Load u^k and d^k (interior values)."""
+        m = self.m
+        self.u[:m] = u
+        self._flat[:m] = d
+        self._live[:, _BAND:] = self._flat.reshape(self.nb, _BAND)
+        self._refresh()
 
-    def load(self, level: np.ndarray, k: int) -> None:
-        """Take the interior values of level k (the padding of ``_y`` stays
-        zero: the weights give padded outputs none)."""
-        self._out[:] = level
-        self._write(self._y, k % 2)
+    def advance(self) -> None:
+        """Move the state K levels on."""
+        for blocks, w in self._groups:
+            w = self.weights[w]
+            if w.ndim == 3:
+                np.matmul(self.win[blocks, None], w, out=self._live[blocks, None])
+            else:
+                np.matmul(self.win[blocks], w, out=self._live[blocks])
+        self._blocks += self._live[:, :_BAND]
+        self._refresh()
 
-    def advance(self, k: int) -> np.ndarray:
-        """Level k + 1 from the stored levels k and k - 1.  Returns a view of
-        its m interior values that the next call overwrites."""
-        p = k % 2
-        for x, w, y in self._groups[p]:
-            np.matmul(x, w, out=y)
-        self._write(self._y, 1 - p)
-        return self._out
+    def levels(self, count: int) -> np.ndarray:
+        """u^k .. u^{k+count}, count < K, at every interior node: each one
+        u^k + rows . window, the sum ``_sample`` forms, bit for bit."""
+        inc = np.empty((self.nb, count, _BAND))
+        for blocks, w in self._groups:
+            inc[blocks] = np.vecdot(self.rows[w, :count], self.win[blocks, None, None, :])
+        inc += self._blocks[:, None, :]
+        out = np.empty((count + 1, self.nb * _BAND))
+        out[0] = self.u
+        out[1:] = inc.transpose(1, 0, 2).reshape(count, self.nb * _BAND)
+        return out[:, :self.m]
 
 
-def _march(s: _Scheme, eta: np.ndarray, window: int):
-    """March the scheme from tau = 0 to t_final, holding ``window`` (>= 3)
-    time levels at a time.
+def _march(s: _Scheme, eta: np.ndarray, prop: _Propagator):
+    """March the scheme from tau = 0 to t_final in ``prop``, ``_LEVELS``
+    levels per product.
 
-    Yields ``(k0, block)`` with ``block[r]`` the level k0 + r.  Consecutive
-    blocks overlap by the two levels the stencil reads, so every pair of
-    adjacent levels lies in one block.  A block is overwritten when the
-    generator resumes.  With ``window > n_steps`` the one block is the whole
-    history.
+    Yields each level k0 that ``prop`` holds: 0 (with d = 0, to be read
+    alone), then 1, 1 + K, 1 + 2 K, ... up to n_steps; levels k0 + r,
+    0 <= r < K, are read from it.
     """
-    v, deta, dtau, beta, lam2 = s.v, s.deta, s.dtau, s.beta, s.lam2
+    v, deta, dtau = s.v, s.deta, s.dtau
     data = s.data
-    u = np.zeros((min(window, s.n_steps + 1), s.nx + 1))
-    u[0] = np.asarray(data.phi0(eta), dtype=float)
-    u[0, 0] = u[0, -1] = 0.0
+    u0 = np.asarray(data.phi0(eta), dtype=float)
+    u0[0] = u0[-1] = 0.0
     rate = np.asarray(data.phi1(eta), float) + v * np.asarray(data.phi0_x(eta), float)
     # second-order first step: u_tautau(0) from the PDE with discrete
     # derivatives of the sampled data (keeps the oracle self-contained)
     d_rate = np.zeros_like(rate)
     d_rate[1:-1] = (rate[2:] - rate[:-2]) / (2.0 * deta)
     d2u = np.zeros_like(rate)
-    d2u[1:-1] = (u[0, 2:] - 2.0 * u[0, 1:-1] + u[0, :-2]) / deta ** 2
-    u[1] = u[0] + dtau * rate + 0.5 * dtau ** 2 * (2.0 * v * d_rate + (1.0 - v * v) * d2u)
-    u[1, 0] = u[1, -1] = 0.0
+    d2u[1:-1] = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / deta ** 2
+    u1 = u0 + dtau * rate + 0.5 * dtau ** 2 * (2.0 * v * d_rate + (1.0 - v * v) * d2u)
+    u1[0] = u1[-1] = 0.0
 
-    step = _BandedStep(s.nx - 1, beta, lam2)
-    step.load(u[0, 1:-1], 0)
-    step.load(u[1, 1:-1], 1)
-    k0, r = 0, 1             # level k sits in row r = k - k0
-    for k in range(1, s.n_steps):
-        if r + 1 == len(u):
-            yield k0, u
-            u[:2] = u[-2:]   # boundary columns stay zero in every row
-            k0, r = k - 1, 1
-        u[r + 1, 1:-1] = step.advance(k)
-        r += 1
-    yield k0, u[:r + 1]
+    prop.start(u0[1:-1], np.zeros(s.nx - 1))
+    yield 0
+    prop.start(u1[1:-1], u1[1:-1] - u0[1:-1])
+    k0 = 1
+    while True:
+        yield k0
+        if k0 + _LEVELS > s.n_steps:
+            return
+        prop.advance()
+        k0 += _LEVELS
 
 
 def fd_solve(cfg: StringConfig, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
@@ -464,45 +530,89 @@ def fd_solve(cfg: StringConfig, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD
     check_memory((s.n_steps + 1) * (nx + 1) * 8, "the FD history",
                  "; lower nx or use --method characteristics")
     eta = s.eta()
-    (_, u), = _march(s, eta, s.n_steps + 1)
+    u = np.zeros((s.n_steps + 1, nx + 1))
+    prop = _Propagator(nx - 1, s.beta, s.lam2)
+    for k0 in _march(s, eta, prop):
+        count = min(_LEVELS - 1, s.n_steps - k0) if k0 else 0
+        u[k0:k0 + count + 1, 1:-1] = prop.levels(count)
     tau = _level_time(s.t_final, s.n_steps, np.arange(s.n_steps + 1))
     return FrozenFrameFD(eta=eta, tau=tau, u=u, v=s.v, L=s.L)
+
+
+def _corner_reads(k: np.ndarray, j: np.ndarray, m: int):
+    """The corners u[k, j], u[k, j + 1], u[k + 1, j], u[k + 1, j + 1] of the
+    points with cells (k, j) that lie off the supports (those read 0), in
+    level order: (flat index into the (4, n) corners, interior node, level,
+    row of ``_Propagator.rows`` flattened to (rows, window))."""
+    level = np.concatenate([k, k, k + 1, k + 1])
+    node = np.concatenate([j, j + 1, j, j + 1]) - 1
+    dest = np.flatnonzero((node >= 0) & (node < m))
+    order = np.argsort(level[dest], kind="stable")
+    dest = dest[order]
+    level, node = level[dest], node[dest]
+    # level k0 + r is read from level k0 = 0, 1, 1 + K, 1 + 2 K, ... of the march
+    r = np.where(level > 0, (level - 1) % _LEVELS, 0)
+    block, offset = np.divmod(node, _BAND)
+    row = (_layout(m)[3][block] * (_LEVELS - 1) + r - 1) * _BAND + offset
+    index = np.int32 if max(4 * k.size, m) < 2 ** 31 else np.intp
+    return dest.astype(index), node.astype(index), level, row.astype(index)
+
+
+def _sample(s: _Scheme, x, t):
+    """``fd_sample`` on the scheme ``s``: the values, and the largest row
+    mass the propagator dropped."""
+    work = s.n_steps * (s.nx + 1)
+    if work > _MAX_NODE_STEPS:
+        raise ConfigurationError(
+            f"FD oracle needs {s.n_steps} time steps x {s.nx + 1} nodes = {work:.3g} "
+            f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
+            f"lower nx or use --method characteristics")
+    eta = s.eta()
+    k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.t_final, s.n_steps)
+    shape = k.shape
+    dest, node, level, row = _corner_reads(k.ravel(), j.ravel(), s.nx - 1)
+    # the reads of each march level: [first, held) at the level itself,
+    # [held, last) at the levels after it
+    starts = np.concatenate([[0], np.arange(1, s.n_steps + 1, _LEVELS)])
+    first = np.searchsorted(level, starts)
+    held = np.searchsorted(level, starts, side="right")
+    ends = starts + _LEVELS - 1
+    ends[0] = 0
+    last = np.searchsorted(level, ends, side="right")
+    del k, j, level   # before the propagator's tables: they set the peak memory
+    prop = _Propagator(s.nx - 1, s.beta, s.lam2)
+    rows = prop.rows.reshape(-1, prop.rows.shape[-1])
+    corners = np.zeros((4, wt.size))
+    flat = corners.reshape(-1)
+    for i, _ in enumerate(_march(s, eta, prop)):
+        u = prop.u
+        flat[dest[first[i]:held[i]]] = u[node[first[i]:held[i]]]
+        later = slice(held[i], last[i])
+        if later.start < later.stop:
+            at = node[later]
+            vals = np.vecdot(rows[row[later]], prop.win[at // _BAND])
+            vals += u[at]
+            flat[dest[later]] = vals
+        if last[i] == dest.size:
+            break
+    values = _bilinear(*corners, wt.ravel(), we.ravel()).reshape(shape)
+    return _as_output(values), prop.tail
 
 
 def fd_sample(cfg: StringConfig, x, t, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
               t_final: float | None = None):
     """``fd_solve(cfg, nx, cfl, t_final).eval(x, t)``, bit for bit, read
-    while the scheme marches: only ``_SAMPLE_WINDOW`` time levels are held
-    at once, so memory is O(nx) whatever the step count.  The work
-    n_steps * (nx + 1) is bounded by ``_MAX_NODE_STEPS`` instead."""
-    s = _scheme(cfg, nx, cfl, t_final)
-    work = s.n_steps * (nx + 1)
-    if work > _MAX_NODE_STEPS:
-        raise ConfigurationError(
-            f"FD oracle needs {s.n_steps} time steps x {nx + 1} nodes = {work:.3g} "
-            f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
-            f"lower nx or use --method characteristics")
-    eta = s.eta()
-    k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.t_final, s.n_steps)
-    shape, k, j = k.shape, k.ravel(), j.ravel()
-    order = np.argsort(k)
-    k_sorted = k[order]
-    corners = np.empty((4, k.size))
-    done = 0
-    for k0, block in _march(s, eta, _SAMPLE_WINDOW):
-        # points whose levels k and k + 1 both lie in this block
-        stop = int(np.searchsorted(k_sorted, k0 + len(block) - 1))
-        idx = order[done:stop]
-        r, c = k[idx] - k0, j[idx]
-        corners[:, idx] = block[r, c], block[r, c + 1], block[r + 1, c], block[r + 1, c + 1]
-        done = stop
-    return _as_output(_bilinear(*corners, wt.ravel(), we.ravel()).reshape(shape))
+    while the scheme marches: each corner is read from the level of the
+    march that covers it, so memory is O(nx) whatever the step count.  The
+    work n_steps * (nx + 1) is bounded by ``_MAX_NODE_STEPS`` instead."""
+    return _sample(_scheme(cfg, nx, cfl, t_final), x, t)[0]
 
 
 @dataclass(frozen=True)
 class CrossValidation:
     """Max pointwise discrepancies between the series and each oracle
-    (None for oracles that were not requested)."""
+    (None for oracles that were not requested), and the FD run's step count
+    and the largest row mass its propagator dropped (None without FD)."""
 
     sample_count: int
     seed: int
@@ -510,6 +620,8 @@ class CrossValidation:
     cfl: float
     max_characteristics: float | None
     max_fd: float | None
+    fd_steps: int | None = None
+    fd_dropped_tail: float | None = None
 
 
 def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
@@ -529,13 +641,15 @@ def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
     x = consts.v * t + rng.uniform(0.0, 1.0, sample_count) * consts.L
     phi, _, _, _ = field_components(sol, x, t)
 
-    max_char = max_fd = None
+    max_char = max_fd = fd_steps = tail = None
     if "characteristics" in methods:
         vals = CharacteristicSolver(sol.data, consts).value(x, t)
         max_char = float(np.max(np.abs(phi - vals)))
     if "fd" in methods:
-        vals = fd_sample(sol.cfg, x, t, nx=nx, cfl=cfl)
+        s = _scheme(sol.cfg, nx, cfl, None)
+        vals, tail = _sample(s, x, t)
         max_fd = float(np.max(np.abs(phi - vals)))
+        fd_steps = s.n_steps
     return CrossValidation(
         sample_count=sample_count,
         seed=seed,
@@ -543,4 +657,6 @@ def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
         cfl=cfl,
         max_characteristics=max_char,
         max_fd=max_fd,
+        fd_steps=fd_steps,
+        fd_dropped_tail=tail,
     )

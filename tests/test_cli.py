@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moving_string
-from moving_string import _csvfmt, certify, cross_validate, load_config, solve
+from moving_string import _csvfmt, certify, cross_validate, load_config, oracle, solve
 from moving_string.cli import _build_parser, fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
@@ -724,6 +724,25 @@ class TestOracleCmd:
         assert doc["max_abs_series_vs_characteristics"] < 1e-2
         assert doc["max_abs_series_vs_fd"] is None
         assert doc["seed"] == 0
+
+    def test_fd_run_reports_steps_and_tail(self, tmp_path, capsys):
+        # the manifest records the FD march; oracle.json keeps exactly the
+        # keys the oracle gate reads
+        cfg = write_cfg(tmp_path, n_max=12)
+        out = tmp_path / "out"
+        rc = main(["oracle", "--config", cfg, "--out", str(out),
+                   "--method", "both", "--samples", "20", "--nx", "64"])
+        assert rc == 0
+        fd = read_manifest(out)["parameters"]["fd"]
+        assert fd["n_steps"] == oracle._scheme(load_config(cfg), 64, 0.4, None).n_steps == 503
+        assert 0.0 < fd["dropped_tail"] < 2.0 ** -62
+        doc = json.loads((out / "oracle.json").read_text())
+        assert list(doc) == ["samples", "seed", "nx", "cfl",
+                             "max_abs_series_vs_characteristics", "max_abs_series_vs_fd"]
+        chars = tmp_path / "chars"
+        main(["oracle", "--config", cfg, "--out", str(chars),
+              "--method", "characteristics", "--samples", "20"])
+        assert "fd" not in read_manifest(chars)["parameters"]
 
     def test_fd_defaults_are_the_librarys(self):
         args = _build_parser().parse_args(["oracle"])

@@ -61,6 +61,36 @@ def _mp_march(u0, u1, beta, lam2, n_steps, dps=30):
     return np.array(out)
 
 
+def _ld_march(u0, u1, beta, lam2, n_steps):
+    """The FD scheme marched in long double from levels u0, u1 (boundary
+    nodes included), in increment form: d' = M^-1 (lam2 Delta u + 2 d) - d,
+    u' = u + d', with M^-1 from Gauss-Jordan elimination in long double.
+    Returns every level rounded to float."""
+    ld = np.longdouble
+    m = len(u0) - 2
+    b = ld(beta)
+    # M = tridiag(b, 1, -b): eliminate below the diagonal, then above
+    rows, piv = np.eye(m, dtype=ld), np.ones(m, dtype=ld)
+    for i in range(1, m):
+        piv[i] = 1 + b * b / piv[i - 1]
+        rows[i] -= b / piv[i - 1] * rows[i - 1]
+    rows[m - 1] /= piv[m - 1]
+    for i in range(m - 2, -1, -1):
+        rows[i] = (rows[i] + b * rows[i + 1]) / piv[i]
+    u, l2 = u1[1:-1].astype(ld), ld(lam2)
+    d = u - u0[1:-1].astype(ld)
+    out = np.zeros((n_steps + 1, m + 2))
+    out[0], out[1] = u0, u1
+    for k in range(2, n_steps + 1):
+        lap = -2 * u
+        lap[1:] += u[:-1]
+        lap[:-1] += u[1:]
+        d = rows @ (l2 * lap + 2 * d) - d
+        u = u + d
+        out[k, 1:-1] = u
+    return out
+
+
 class TestCharacteristicsExactCases:
     def test_standing_wave(self):
         cs = char_solver(0.0)
@@ -249,10 +279,11 @@ class TestCharacteristicsOnArrays:
 
 class TestFrozenFrameFD:
     def test_history_matches_reference_banded_march(self):
-        # the banded step marches the implicit scheme: from the same two
+        # the propagator marches the implicit scheme: from the same two
         # seeded levels its history lies within n_steps^2 eps max|u| of a
-        # per-step banded solve and of a 30-digit march (measured: 7.3e-13
-        # and 2.0e-13 of max|u|, against a bound of 9.2e-12)
+        # per-step banded solve and of a 30-digit march (measured: 9.3e-13
+        # and 1.6e-14 of max|u|, against a bound of 9.2e-12; the per-step
+        # solve itself is 9.2e-13 from the 30-digit march)
         cfg = make_config(0.5)
         nx, t_final, v = 64, 2.0, 0.5
         fd = fd_solve(cfg, nx=nx, t_final=t_final)
@@ -372,48 +403,119 @@ class TestFrozenFrameFD:
             fd.eval(1.0, 2.0)
 
 
-class TestBandedStep:
-    """The block weights of the FD step against the dense operators
-    P = M^-1 A and Q = M^-1 C, at the largest beta the step rule allows
-    (v = 0.5, cfl = 0.5: beta = 1/16)."""
+class TestPropagator:
+    """The propagator's tables against the increment maps of the two-level
+    step u^{n+1} = P u^n + Q u^{n-1}, P = M^-1 A and Q = M^-1 C, at the
+    largest beta the step rule allows (v = 0.5, cfl = 0.5: beta = 1/16)."""
 
     BETA = 1.0 / 16
     LAM2 = (1.0 - 0.5 ** 2) * (0.5 * (1.0 - 0.5)) ** 2
 
+    def _step(self, m):
+        """Dense P and Q on m interior nodes."""
+        eye, sub, sup = np.eye(m), np.eye(m, k=-1), np.eye(m, k=1)
+        M = eye + self.BETA * (sub - sup)
+        A = (2.0 - 2.0 * self.LAM2) * eye + self.LAM2 * (sub + sup)
+        PQ = np.linalg.solve(M, np.hstack([A, M - 2.0 * eye]))
+        return PQ[:, :m], PQ[:, m:]
+
     @staticmethod
-    def _applied(step, m, k):
-        """The step's P and Q, column by column, from unit levels k and k - 1."""
-        P, Q, zero = np.empty((m, m)), np.empty((m, m)), np.zeros(m)
-        for j, e in enumerate(np.eye(m)):
-            step.load(zero, k - 1)
-            step.load(e, k)
-            P[:, j] = step.advance(k)
-            step.load(e, k - 1)
-            step.load(zero, k)
-            Q[:, j] = step.advance(k)
-        return P, Q
+    def _dense_rows(P, Q, nodes):
+        """Rows ``nodes`` of u^{k+r} - u^k, r = 1 .. K, and of d^{k+K}, as
+        maps of (u^k, d^k): rows of [I 0] T^r with T = [[P, Q], [I, 0]]
+        acting on (u^k, u^{k-1}) = (u^k, u^k - d^k)."""
+        pick = np.eye(len(P))[nodes]
+        y1, y2 = pick, np.zeros_like(pick)
+        levels = []
+        for _ in range(oracle._LEVELS):
+            y1, y2 = y1 @ P + y2, y1 @ Q
+            levels.append(np.hstack([y1 + y2 - pick, -y2]))
+        return levels, levels[-1] - levels[-2]
 
-    # m < 2 band, m a multiple of the band, a partial last block, and more
-    # blocks than the copy the weights come from
+    @staticmethod
+    def _in_u_basis(table, b, m):
+        """A table's (band x window) rows for block b as maps of (u^k, d^k):
+        the columns of w = Delta u^k composed with Delta.  Columns past
+        either support must be exactly zero."""
+        band, span = oracle._BAND, 2 * oracle._REACH + 1
+        nodes = (b - oracle._REACH) * band + np.arange(span * band)
+        inside = (nodes >= 0) & (nodes < m)
+        w_d = np.zeros((2, band, m))
+        for part in range(2):
+            cols = table.reshape(band, span, 2, band)[:, :, part].reshape(band, -1)
+            assert np.all(cols[:, ~inside] == 0.0)
+            w_d[part][:, nodes[inside]] = cols[:, inside]
+        w = w_d[0]
+        u = -2.0 * w
+        u[:, 1:] += w[:, :-1]
+        u[:, :-1] += w[:, 1:]
+        return np.hstack([u, w_d[1]])
+
+    # m < 2 blocks, m a multiple of the block, a partial last block, and
+    # more blocks than the copy the weights come from
     @pytest.mark.parametrize("nx", [32, 33, 47, 64, 97, 100, 1024])
-    def test_weights_are_the_dense_operators(self, nx):
+    def test_tables_are_the_dense_increment_maps(self, nx):
+        # every level 1 .. K of every kind of block; per row, level r lies
+        # within 4 r eps of the row's largest entry and d^{k+K} (levels K
+        # minus K - 1) within 4 (K + 1) eps.  Measured: 1.2 eps at r = 1,
+        # 19 eps at r = 9, 21 eps at r = K = 10 and 30 eps for d^{k+K},
+        # about the rounding of the powers of P and Q themselves
         m = nx - 1
-        M = np.eye(m) + self.BETA * (np.eye(m, k=-1) - np.eye(m, k=1))
-        A = (2.0 - 2.0 * self.LAM2) * np.eye(m) + self.LAM2 * (np.eye(m, k=-1) + np.eye(m, k=1))
-        C = M - 2.0 * np.eye(m)
-        step = oracle._BandedStep(m, self.BETA, self.LAM2)
+        band, K = oracle._BAND, oracle._LEVELS
+        prop = oracle._Propagator(m, self.BETA, self.LAM2)
+        nb, _, _, kinds, _ = oracle._layout(m)
+        blocks = range(nb) if nb <= 8 else [0, 1, 2, nb // 2, nb - 4, nb - 3, nb - 2, nb - 1]
+        nodes = np.concatenate([np.arange(b * band, min(b * band + band, m)) for b in blocks])
+        P, Q = self._step(m)
+        levels, d_last = self._dense_rows(P, Q, nodes)
         eps = np.finfo(float).eps
-        for k in (1, 2):   # both slot parities
-            for got, dense in zip(self._applied(step, m, k),
-                                  (np.linalg.solve(M, A), np.linalg.solve(M, C))):
-                row_err = np.max(np.abs(got - dense), axis=1)
-                assert np.all(row_err <= 4 * eps * np.max(np.abs(dense), axis=1))
+        start = 0
+        for b in blocks:
+            c = kinds[b]
+            n = min(b * band + band, m) - b * band
+            tables = [*prop.rows[c], prop.weights[c][:, :band].T, prop.weights[c][:, band:].T]
+            dense = [*levels, d_last]
+            bounds = [4 * r * eps for r in range(1, K + 1)] + [4 * (K + 1) * eps]
+            for table, rows, bound in zip(tables, dense, bounds):
+                got = self._in_u_basis(table, b, m)
+                assert np.all(got[n:] == 0.0)        # padded nodes
+                rows = rows[start:start + n]
+                row_err = np.max(np.abs(got[:n] - rows), axis=1)
+                assert np.all(row_err <= bound * np.max(np.abs(rows), axis=1))
+            start += n
+        # every node of every block: levels 1 .. K + 1 read from a random
+        # state against the two-level march of it, within 4 (K + 1) eps of
+        # max|u| (measured: at most 19 eps, at nx = 100)
+        rng = np.random.default_rng(nx)
+        u, d = rng.uniform(-1.0, 1.0, (2, m))
+        prop.start(u, d)
+        got = list(prop.levels(K - 1)[1:])
+        prop.advance()
+        got += list(prop.levels(1))
+        now, before = u, u - d
+        for level in got:
+            now, before = P @ now + Q @ before, now
+            assert np.max(np.abs(level - now)) <= 4 * (K + 1) * eps * np.max(np.abs(now))
 
-    def test_too_narrow_band_refused(self, monkeypatch):
-        oracle._BandedStep(1023, self.BETA, self.LAM2)
-        monkeypatch.setattr(oracle, "_BAND", 8)
+    def test_too_narrow_window_refused(self, monkeypatch):
+        oracle._Propagator(1023, self.BETA, self.LAM2)
+        monkeypatch.setattr(oracle, "_REACH", 1)
         with pytest.raises(ConfigurationError, match="row tail of .* above"):
-            oracle._BandedStep(1023, self.BETA, self.LAM2)
+            oracle._Propagator(1023, self.BETA, self.LAM2)
+
+    def test_dropped_tail_below_bound_on_admissible_box(self):
+        # the step rule dtau <= cfl (1 - v) deta, cfl <= 1/2, at its largest
+        # step: no run it admits is refused (worst measured 3.6e-28, at
+        # m = 99, v = 0.45, cfl = 0.5; 24 levels per product would be
+        # refused at cfl = 0.5)
+        worst = 0.0
+        for m in (31, 32, 99, 1023):
+            for v in [0.05 * i for i in range(20)] + [0.99, 0.999]:
+                for cfl in (0.1, 0.25, 0.4, 0.5):
+                    ratio = cfl * (1.0 - v)
+                    prop = oracle._Propagator(m, v * ratio / 2.0, (1.0 - v * v) * ratio ** 2)
+                    worst = max(worst, prop.tail)
+        assert 0.0 < worst < 1e-24 < oracle._TAIL_BOUND
 
 
 BUMP = {"center": 1.2, "width": 1.0, "amplitude": 0.1}
@@ -426,21 +528,25 @@ def slab_points(cfg, t_final, n, seed=0):
 
 
 class TestFDSampler:
-    """fd_sample reads the march through a window of levels; every value
-    must carry the bits of fd_solve(...).eval at the same point."""
+    """fd_sample reads each corner from the level of the march that covers
+    it; every value must carry the bits of fd_solve(...).eval at the same
+    point."""
 
+    # nx = 250: more blocks than the copy the weights come from, the last
+    # one partial, so inner blocks are read too
+    @pytest.mark.parametrize("nx", [64, 250])
     @pytest.mark.parametrize("v, preset, params", [
         (0.0, "sine_mode", {}),
         (0.5, "bump", BUMP),
         (0.7, "bump", BUMP),
         (0.3, "zero", {}),
     ])
-    def test_bitwise_equal_to_history(self, v, preset, params):
+    def test_bitwise_equal_to_history(self, v, preset, params, nx):
         cfg = make_config(v, preset=preset, **params)
         t_final = derive_constants(cfg.L, cfg.v).T_v
         x, t = slab_points(cfg, t_final, 400)
-        expected = fd_solve(cfg, nx=64, t_final=t_final).eval(x, t)
-        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final), expected)
+        expected = fd_solve(cfg, nx=nx, t_final=t_final).eval(x, t)
+        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=nx, t_final=t_final), expected)
 
     def test_edges_and_shared_cells(self):
         cfg = make_config(0.5, preset="bump", **BUMP)
@@ -463,9 +569,11 @@ class TestFDSampler:
         np.testing.assert_array_equal(fd_sample(cfg, *grid, nx=nx, t_final=t_final),
                                       fd.eval(*grid))
 
-    @pytest.mark.parametrize("window", [3, 4, 7])
-    def test_samples_straddle_windows(self, monkeypatch, window):
-        monkeypatch.setattr(oracle, "_SAMPLE_WINDOW", window)
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7])
+    def test_samples_straddle_windows(self, monkeypatch, levels):
+        # levels per product: a cell's two levels often come from two
+        # levels of the march
+        monkeypatch.setattr(oracle, "_LEVELS", levels)
         cfg = make_config(0.7, preset="bump", **BUMP)
         t_final = 2.0
         fd = fd_solve(cfg, nx=64, t_final=t_final)
@@ -478,6 +586,24 @@ class TestFDSampler:
         x, t = np.concatenate([x, xr]), np.concatenate([t, tr])
         np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final),
                                       fd.eval(x, t))
+
+    def test_near_critical_rounding_is_linear(self):
+        # at v = 0.99, lam2 ~ 3e-7 makes the two-level recurrence nearly a
+        # Jordan block, and a march that carries u^{k-1} rounds like
+        # n_steps^2 eps.  Against a long-double march of the same scheme
+        # from the same two levels, the samples lie within 8 n_steps eps
+        # max|u| (measured: 0.04 n_steps eps; a per-step march of
+        # (u^k, u^{k-1}) read 147 n_steps eps)
+        cfg = make_config(0.99, preset="bump", **BUMP)
+        nx, t_final = 128, 0.3
+        fd = fd_solve(cfg, nx=nx, t_final=t_final)
+        s = oracle._scheme(cfg, nx, oracle.DEFAULT_FD_CFL, t_final)
+        assert s.n_steps == 3056
+        ref = _ld_march(fd.u[0], fd.u[1], s.beta, s.lam2, s.n_steps)
+        x, t = slab_points(cfg, t_final, 2000)
+        exact = oracle.FrozenFrameFD(eta=fd.eta, tau=fd.tau, u=ref, v=fd.v, L=fd.L).eval(x, t)
+        err = np.max(np.abs(fd_sample(cfg, x, t, nx=nx, t_final=t_final) - exact))
+        assert err <= 8 * s.n_steps * np.finfo(float).eps * np.max(np.abs(ref))
 
     def test_outside_slab_rejected_before_march(self, monkeypatch):
         def no_march(*args):

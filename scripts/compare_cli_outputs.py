@@ -46,6 +46,10 @@ SUBCOMMANDS = {
     # the benchmark's oracle-bump command line: the FD march at nx = 1024
     "oracle-bench": ["oracle", "--method", "both", "--samples", "4000", "--nx", "1024"],
     "validate": ["validate"],
+    # a second sample set for the FD sampler's reads and the seeded checks
+    "oracle-bench-seed7": ["oracle", "--method", "both", "--samples", "4000", "--nx", "1024",
+                           "--seed", "7"],
+    "validate-seed7": ["validate", "--seed", "7"],
     "figures": ["figures", "--figure", "6"],
 }
 # Both sides run at once; one BLAS thread each keeps them from

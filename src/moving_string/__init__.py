@@ -43,7 +43,6 @@ from .oracle import (
     CrossValidation,
     FrozenFrameFD,
     cross_validate,
-    fd_sample,
     fd_solve,
 )
 from .quadrature import Panelization, integrate
@@ -78,7 +77,6 @@ __all__ = [
     "cross_validate",
     "derive_constants",
     "energy_report",
-    "fd_sample",
     "fd_solve",
     "field_components",
     "field_on_moving_grid",

@@ -478,9 +478,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # reject a bad --tol before any work, on the subcommands that take one
+        # reject a bad --tol or --seed before any work, where the subcommand takes it
         if hasattr(args, "tol"):
             check_tolerance(args.tol)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigurationError(f"--seed must be a nonnegative integer, got {args.seed}")
         return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -147,12 +147,6 @@ class SpectralSolution:
         return {"rule": layouts["plus"].rule,
                 "nodes": {side: p.node_count for side, p in layouts.items()}}
 
-    def coefficient(self, n: int) -> complex:
-        idx = n + self.n_max if n < 0 else n + self.n_max - 1
-        if n == 0 or not (0 <= idx < len(self.n)):
-            raise ValueError(f"mode {n} outside table (|n| in 1..{self.n_max})")
-        return complex(self.c[idx])
-
     def weighted_square_sum(self) -> float:
         """Sum |n c_n|^2 over the table, exactly rounded (``math.fsum``)."""
         return math.fsum((np.abs(self.n * self.c) ** 2).tolist())

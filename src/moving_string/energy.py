@@ -66,6 +66,14 @@ def _density_band(sol: SpectralSolution) -> float:
     return 2.0 * math.pi * sol.n_max * (1.0 + sol.consts.v) / sol.consts.L
 
 
+def densities(v: float, slope, velocity):
+    """The calE and E densities of a string moving at speed ``v`` with
+    slope phi_x and velocity phi_t: ((phi_t + v phi_x)^2 + (1 - v^2)
+    phi_x^2) / 2 and (phi_t^2 + phi_x^2) / 2."""
+    return (0.5 * ((velocity + v * slope) ** 2 + (1.0 - v ** 2) * slope ** 2),
+            0.5 * (velocity ** 2 + slope ** 2))
+
+
 def _energy_integrals(sol: SpectralSolution, times):
     """(calE, E, cross) at each of ``times``, cross = int phi_x phi_t dx;
     each is an array of the shape of ``times``.
@@ -77,14 +85,12 @@ def _energy_integrals(sol: SpectralSolution, times):
     times = np.asarray(times, dtype=float)
     p = Panelization(0.0, c.L, band=_density_band(sol))
 
-    def densities(ts, s):
+    def integrands(ts, s):
         _, phx, pht, _ = field_on_moving_grid(sol, ts, s)
-        return np.stack([0.5 * ((pht + c.v * phx) ** 2 + (1.0 - c.v ** 2) * phx ** 2),
-                         0.5 * (pht ** 2 + phx ** 2),
-                         phx * pht])
+        return np.stack([*densities(c.v, phx, pht), phx * pht])
 
     passes = max(1, math.ceil(times.size / _TIMES_PER_PASS))
-    out = np.concatenate([integrate(lambda s, seg: densities(ts, s), p)
+    out = np.concatenate([integrate(lambda s, seg: integrands(ts, s), p)
                           for ts in np.array_split(times.ravel(), passes)], axis=1)
     return tuple(out.reshape((3,) + times.shape))
 
@@ -100,15 +106,12 @@ def initial_energies(cfg: StringConfig) -> tuple[float, float]:
     data = initial_data(cfg)
     p = data_layout(data, 0.0, cfg.L, data.knots, cfg.panels_per_unit,
                     lambda rate: 2.0 * rate)
-    v = cfg.v
 
-    def densities(x, seg):
-        p0x = np.asarray(data.phi0_x(x), dtype=float)
-        p1 = np.asarray(data.phi1(x), dtype=float)
-        return [0.5 * ((p1 + v * p0x) ** 2 + (1.0 - v * v) * p0x ** 2),
-                0.5 * (p1 ** 2 + p0x ** 2)]
+    def integrands(x, seg):
+        return densities(cfg.v, np.asarray(data.phi0_x(x), dtype=float),
+                         np.asarray(data.phi1(x), dtype=float))
 
-    return tuple(integrate(densities, p).tolist())
+    return tuple(integrate(integrands, p).tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ coefficient integrals consume.
 
 Branch convention: [-L1, 0) left, [0, L] middle, (L, L2] right.  The
 extension is generally discontinuous at 0 and L, so quadrature must split
-there; ``on_segment`` evaluates one branch across a whole sub-interval so
-that shared endpoints get the correct one-sided limit.
+there.  ``on_segment``, the one evaluator, takes one branch across a whole
+sub-interval, so that shared endpoints get the one-sided limit from inside
+the segment.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DerivedConstants, InitialData, edge_slack
+from .domain import DerivedConstants, InitialData
 
 __all__ = ["ExtensionField"]
 
@@ -36,11 +37,6 @@ class ExtensionField:
         if self.which not in ("slope", "velocity"):
             raise ValueError(f"which must be 'slope' or 'velocity', got {self.which!r}")
 
-    @property
-    def breakpoints(self) -> tuple[float, float, float, float]:
-        c = self.consts
-        return (-c.L1, 0.0, c.L, c.L2)
-
     def _branch(self, x, branch: str):
         c = self.consts
         g = c.gamma_v
@@ -51,10 +47,8 @@ class ExtensionField:
             return val if self.which == "slope" else -val
         if branch == "middle":
             return np.asarray(base(x), dtype=float) + np.zeros_like(x)
-        if branch == "right":
-            val = base(-x / g + 2.0 * c.L / (1.0 + c.v)) / g
-            return val if self.which == "slope" else -val
-        raise ValueError(f"unknown branch {branch!r}")
+        val = base(-x / g + 2.0 * c.L / (1.0 + c.v)) / g   # right
+        return val if self.which == "slope" else -val
 
     def branch_of(self, x: float) -> str:
         if x < 0.0:
@@ -62,22 +56,6 @@ class ExtensionField:
         if x <= self.consts.L:
             return "middle"
         return "right"
-
-    def __call__(self, x):
-        """Pointwise evaluation with the half-open branch convention."""
-        c = self.consts
-        arr = np.asarray(x, dtype=float)
-        slack = edge_slack(c.L)
-        if np.any(arr < -c.L1 - slack) or np.any(arr > c.L2 + slack):
-            raise ValueError(
-                f"extension argument outside [-L1, L2] = [{-c.L1}, {c.L2}]"
-            )
-        out = np.where(
-            arr < 0.0,
-            self._branch(arr, "left"),
-            np.where(arr <= c.L, self._branch(arr, "middle"), self._branch(arr, "right")),
-        )
-        return out if out.shape else float(out)
 
     def on_segment(self, x, segment: tuple[float, float]):
         """Evaluate the branch containing ``segment`` at every node of ``x``.

@@ -44,7 +44,7 @@ from .domain import (
     check_tolerance,
     derive_constants,
 )
-from .energy import spectral_energy
+from .energy import densities, spectral_energy
 from .errors import ConfigurationError
 from .oracle import CharacteristicSolver
 from .quadrature import Panelization, Segment, UniformPhasors, integrate
@@ -264,10 +264,8 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
     p0 = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots),
                       panels_per_unit=ppu, min_panels_per_segment=64)
     calE0 = integrate(
-        lambda x, seg: 0.5 * ((np.asarray(data.phi1(x)) + v * np.asarray(data.phi0_x(x))) ** 2
-                              + (1.0 - v * v) * np.asarray(data.phi0_x(x)) ** 2),
-        p0,
-    )
+        lambda x, seg: densities(v, np.asarray(data.phi0_x(x)), np.asarray(data.phi1(x)))[0],
+        p0)
     data = unit_energy_bump(1.0 / math.sqrt(calE0))
     cs = CharacteristicSolver(data, consts)
 

@@ -39,24 +39,23 @@ u^n + d^{n+1} (Delta the second difference, lam2 = (1 - v^2)
 eps, because the two-level recurrence is nearly a Jordan block; carrying
 the increment (Henrici's summed form) keeps the growth linear.  One matrix
 product advances the state ``_LEVELS`` = 10 levels (``_Propagator``).  The
-step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, and the
-entries of M^-1 fall off like beta^d at d nodes from the diagonal, so every
-level of a block of ``_BAND`` = 16 nodes reads only the ``_REACH`` = 2
-blocks on either side: a row drops at most 3.6e-28 of its mass over the
-admissible (v, cfl).  The weights are cut once per run from the exact level
+step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, so M is
+diagonally dominant with no check, and the entries of M^-1 fall off like
+beta^d at d nodes from the diagonal, so every level of a block of
+``_BAND`` = 16 nodes reads only the ``_REACH`` = 2 blocks on either side:
+a row drops at most 3.6e-28 of its mass over the admissible (v, cfl).  The weights are cut once per run from the exact level
 maps of a small copy of the system (``numpy.linalg.solve``), and a run whose
 dropped tail exceeds ``_TAIL_BOUND`` (eps / 1024 per row) is refused.
 
 One generator, ``_march``, hands out the levels the propagator holds: 0,
 then 1, 1 + K, 1 + 2 K, ...; the levels between are read from the one
 before them through per-level rows of the weights.  ``fd_solve`` reads every
-node of every level into the history (for the energy probe and library
-callers); ``fd_sample``, which ``cross_validate`` uses, locates each
-sample's cell before marching and reads only its four corners, so its
-memory is O(nx) and its bound is the work n_steps * (nx + 1), not the
-history's size.  Both form each value as the same sum and interpolate with
-the same cell arithmetic, so the sampled values equal ``fd_solve(...).eval``
-bit for bit.
+node of every level into the history (for the energy probe); ``_sample``,
+which ``cross_validate`` runs, locates each sample's cell before marching
+and reads only its four corners, so its memory is O(nx) and its bound is
+the work n_steps * (nx + 1), not the history's size.  Both form each value
+as the same sum and interpolate with the same cell arithmetic, so the
+sampled values equal ``fd_solve(...).eval`` bit for bit.
 
 Both oracles evaluate whole arrays of sample points in one call: the
 reflection reduction runs elementwise with per-point reflection counts, and
@@ -81,7 +80,6 @@ __all__ = [
     "CharacteristicSolver",
     "FrozenFrameFD",
     "fd_solve",
-    "fd_sample",
     "CrossValidation",
     "cross_validate",
 ]
@@ -91,7 +89,7 @@ DEFAULT_FD_CFL = 0.4  # FD time step: dtau <= cfl (1 - v) deta
 MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
-_MAX_NODE_STEPS = 10**10   # fd_sample work bound, n_steps * (nx + 1)
+_MAX_NODE_STEPS = 10**10   # _sample work bound, n_steps * (nx + 1)
 _LEVELS = 10          # time levels one FD product advances
 _BAND = 16            # nodes per block of the FD propagator
 _REACH = 2            # neighbour blocks on each side that a block's window reads
@@ -196,10 +194,6 @@ class CharacteristicSolver:
         f, b = self._waves(x, t, derivative=True)
         return _as_output(f + b)
 
-    def velocity(self, x, t):
-        f, b = self._waves(x, t, derivative=True)
-        return _as_output(f - b)
-
 
 def _as_output(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
@@ -302,19 +296,19 @@ def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _S
     L, v = consts.L, consts.v
     if t_final is None:
         t_final = consts.T_v
-    if t_final <= 0:
-        raise ConfigurationError(f"t_final must be positive, got {t_final}")
+    if not 0.0 < t_final < math.inf:
+        raise ConfigurationError(f"t_final must be positive and finite, got {t_final}")
 
     deta = L / nx
-    n_steps = max(2, math.ceil(t_final / (cfl * (1.0 - v) * deta)))
+    step = cfl * (1.0 - v) * deta   # the largest dtau the rule admits
+    if not (step > 0.0 and math.isfinite(t_final / step)):
+        raise ConfigurationError(
+            f"cfl={cfl} is too small: the FD step count t_final / (cfl (1 - v) deta) "
+            f"is past float range; raise cfl")
+    n_steps = max(2, math.ceil(t_final / step))
     dtau = t_final / n_steps
     beta = v * dtau / (2.0 * deta)
     lam2 = (1.0 - v * v) * (dtau / deta) ** 2
-    if 2.0 * beta >= 1.0:
-        raise ConfigurationError(
-            f"time step dtau={dtau} breaks tridiagonal diagonal dominance; "
-            f"reduce cfl (needs v dtau / deta < 1)"
-        )
     return _Scheme(data=initial_data(cfg), L=L, v=v, nx=nx, n_steps=n_steps,
                    t_final=t_final, deta=deta, dtau=dtau, beta=beta, lam2=lam2)
 
@@ -559,26 +553,24 @@ def _corner_reads(k: np.ndarray, j: np.ndarray, m: int):
 
 
 def _sample(s: _Scheme, x, t):
-    """``fd_sample`` on the scheme ``s``: the values, and the largest row
-    mass the propagator dropped."""
-    work = s.n_steps * (s.nx + 1)
+    """The scheme ``s`` at (x, t), read while it marches, in O(nx) memory and
+    at most ``_MAX_NODE_STEPS`` node-steps: the values, bit for bit those of
+    ``fd_solve(...).eval``, and the largest row mass the propagator dropped."""
+    work = float(s.n_steps) * (s.nx + 1)
     if work > _MAX_NODE_STEPS:
         raise ConfigurationError(
-            f"FD oracle needs {s.n_steps} time steps x {s.nx + 1} nodes = {work:.3g} "
+            f"FD oracle needs {s.n_steps:.3g} time steps x {s.nx + 1} nodes = {work:.3g} "
             f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
             f"lower nx or use --method characteristics")
     eta = s.eta()
     k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.t_final, s.n_steps)
     shape = k.shape
     dest, node, level, row = _corner_reads(k.ravel(), j.ravel(), s.nx - 1)
-    # the reads of each march level: [first, held) at the level itself,
-    # [held, last) at the levels after it
+    # the reads of march level i: [bounds[i], held[i]) at the level itself,
+    # [held[i], bounds[i + 1]) at the levels after it
     starts = np.concatenate([[0], np.arange(1, s.n_steps + 1, _LEVELS)])
-    first = np.searchsorted(level, starts)
+    bounds = np.append(np.searchsorted(level, starts), level.size)
     held = np.searchsorted(level, starts, side="right")
-    ends = starts + _LEVELS - 1
-    ends[0] = 0
-    last = np.searchsorted(level, ends, side="right")
     del k, j, level   # before the propagator's tables: they set the peak memory
     prop = _Propagator(s.nx - 1, s.beta, s.lam2)
     rows = prop.rows.reshape(-1, prop.rows.shape[-1])
@@ -586,26 +578,17 @@ def _sample(s: _Scheme, x, t):
     flat = corners.reshape(-1)
     for i, _ in enumerate(_march(s, eta, prop)):
         u = prop.u
-        flat[dest[first[i]:held[i]]] = u[node[first[i]:held[i]]]
-        later = slice(held[i], last[i])
+        now, later = slice(bounds[i], held[i]), slice(held[i], bounds[i + 1])
+        flat[dest[now]] = u[node[now]]
         if later.start < later.stop:
             at = node[later]
             vals = np.vecdot(rows[row[later]], prop.win[at // _BAND])
             vals += u[at]
             flat[dest[later]] = vals
-        if last[i] == dest.size:
+        if later.stop == dest.size:
             break
     values = _bilinear(*corners, wt.ravel(), we.ravel()).reshape(shape)
     return _as_output(values), prop.tail
-
-
-def fd_sample(cfg: StringConfig, x, t, nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
-              t_final: float | None = None):
-    """``fd_solve(cfg, nx, cfl, t_final).eval(x, t)``, bit for bit, read
-    while the scheme marches: each corner is read from the level of the
-    march that covers it, so memory is O(nx) whatever the step count.  The
-    work n_steps * (nx + 1) is bounded by ``_MAX_NODE_STEPS`` instead."""
-    return _sample(_scheme(cfg, nx, cfl, t_final), x, t)[0]
 
 
 @dataclass(frozen=True)

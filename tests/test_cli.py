@@ -150,8 +150,12 @@ class TestBadInputExitsTwo:
          "--t-final must be finite and nonnegative, got nan"),
         (["oracle", "--samples", "0"], "--samples must be at least 1, got 0"),
         (["oracle", "--samples", "-5"], "--samples must be at least 1, got -5"),
+        (["oracle", "--samples", "4", "--seed", "-1"],
+         "--seed must be a nonnegative integer, got -1"),
+        (["validate", "--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
     ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
-            "oracle-samples-0", "oracle-samples-minus-5"])
+            "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
+            "validate-seed-minus-1"])
     def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
         cfg = write_cfg(tmp_path, n_max=6)
         out = tmp_path / "o"
@@ -263,10 +267,22 @@ class TestBadInputExitsTwo:
          f"one FD level of {10**400 + 1} nodes: inf GiB"),
         (["oracle", "--samples", "4", "--nx", str(10**200)],
          f"one FD level of {10**200 + 1} nodes: 7.45e+191 GiB"),
+        # the FD step count t_final / (cfl (1 - v) deta) overflows, or its
+        # divisor underflows to 0; or it is finite and the work bound
+        # prints it to three digits
+        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-320"],
+         "cfl=1e-320 is too small: the FD step count t_final / (cfl (1 - v) deta) "
+         "is past float range; raise cfl"),
+        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "5e-324"],
+         "cfl=5e-324 is too small"),
+        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-300"],
+         "needs 1.61e+303 time steps x 513 nodes = 8.25e+305 node-steps, above the bound"),
+        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-304"],
+         "needs 1.61e+307 time steps x 513 nodes = inf node-steps, above the bound"),
         (["energy", "--times", "0"], "--times must be at least 1, got 0"),
         (["energy", "--times", "-3"], "--times must be at least 1, got -3"),
     ], ids=["periods-10^400", "periods-10^306", "horizon-1e306", "nx-10^400", "nx-10^200",
-            "times-0", "times-minus-3"])
+            "cfl-1e-320", "cfl-5e-324", "cfl-1e-300", "cfl-1e-304", "times-0", "times-minus-3"])
     def test_past_float_range(self, tmp_path, capsys, argv, message):
         # sizes whose float arithmetic overflows, and a sweep of no times,
         # are refused by name; the panel density is that of

@@ -21,8 +21,8 @@ class TestAnalyticStandingWave:
     """
 
     def test_fundamental_pair(self, sine_v0):
-        assert sine_v0.coefficient(1) == pytest.approx(-1j / 40, abs=1e-12)
-        assert sine_v0.coefficient(-1) == pytest.approx(1j / 40, abs=1e-12)
+        assert sine_v0.c[sine_v0.n == 1].item() == pytest.approx(-1j / 40, abs=1e-12)
+        assert sine_v0.c[sine_v0.n == -1].item() == pytest.approx(1j / 40, abs=1e-12)
 
     def test_all_other_modes_vanish(self, sine_v0):
         mask = np.abs(sine_v0.n) != 1
@@ -39,8 +39,8 @@ class TestAnalyticVelocityData:
         # v=0, phi0 = 0, phi1 = sin(x)  =>  phi = sin(x) sin(t), and by the
         # same expansion c_{+1} = c_{-1} = -1/4
         sol = get_solution(0.0, preset="sine_velocity", amplitude=1.0, mode=1)
-        assert sol.coefficient(1) == pytest.approx(-0.25, abs=1e-12)
-        assert sol.coefficient(-1) == pytest.approx(-0.25, abs=1e-12)
+        assert sol.c[sol.n == 1].item() == pytest.approx(-0.25, abs=1e-12)
+        assert sol.c[sol.n == -1].item() == pytest.approx(-0.25, abs=1e-12)
 
 
 class TestZeroData:
@@ -161,12 +161,6 @@ class TestSolutionContainer:
         assert n[0] == -40 and n[-1] == 40
         assert 0 not in n
         assert np.all(np.diff(n) >= 1)
-
-    def test_coefficient_accessor_bounds(self, sine_v03):
-        with pytest.raises(ValueError):
-            sine_v03.coefficient(0)
-        with pytest.raises(ValueError):
-            sine_v03.coefficient(41)
 
     def test_solve_is_deterministic(self):
         cfg = make_config(0.3, n_max=8, ppu=32)

@@ -10,16 +10,15 @@ from hypothesis import given, strategies as st
 from moving_string import (
     CharacteristicSolver,
     ConfigurationError,
-    ExtensionField,
     InitialDataSpec,
     StringConfig,
     build_initial_data,
     derive_constants,
-    fd_sample,
     field_components,
     field_on_moving_grid,
     initial_data,
     load_config,
+    oracle,
 )
 from moving_string.domain import check_moving_interval, edge_slack
 
@@ -115,8 +114,7 @@ class TestMovingInterval:
 
 def _outside(entry, d, upper):
     """``entry`` at t = 1, a distance d below the lower or above the upper
-    edge of the interval it reads: the moving interval (v t, L + v t), or
-    (-L1, L2) for the extension."""
+    edge of the moving interval (v t, L + v t)."""
     cfg = make_config(0.3)
     c = derive_constants(cfg.L, cfg.v)
     t = 1.0
@@ -127,9 +125,8 @@ def _outside(entry, d, upper):
         return field_on_moving_grid(get_solution(0.3), [t], [s])[0]
     if entry == "CharacteristicSolver.value":
         return CharacteristicSolver(initial_data(cfg), c).value(c.v * t + s, t)
-    if entry == "ExtensionField":
-        return ExtensionField("slope", initial_data(cfg), c)(c.L2 + d if upper else -c.L1 - d)
-    return fd_sample(cfg, c.v * t + s, t, nx=32, t_final=2.0)
+    scheme = oracle._scheme(cfg, 32, oracle.DEFAULT_FD_CFL, 2.0)
+    return oracle._sample(scheme, c.v * t + s, t)[0]
 
 
 class TestSharedEdgeSlack:
@@ -141,8 +138,7 @@ class TestSharedEdgeSlack:
         ("field_components", "x outside the moving interval"),
         ("field_on_moving_grid", "s outside the reference interval"),
         ("CharacteristicSolver.value", "x outside the moving interval"),
-        ("ExtensionField", "extension argument outside"),
-        ("fd_sample", "outside the computed slab"),
+        ("oracle._sample", "outside the computed slab"),
     ])
     def test_half_a_slack_admitted_two_refused(self, entry, message, upper):
         slack = edge_slack(math.pi)

@@ -16,7 +16,6 @@ from moving_string import (
     check_periodicity,
     cross_validate,
     derive_constants,
-    fd_sample,
     fd_solve,
     field_components,
     initial_data,
@@ -104,9 +103,6 @@ class TestCharacteristicsExactCases:
         for x, t in [(1.1, 0.4), (2.3, 3.0)]:
             assert cs.slope(x, t) == pytest.approx(
                 math.cos(x) * math.cos(t) / 10, abs=1e-10
-            )
-            assert cs.velocity(x, t) == pytest.approx(
-                -math.sin(x) * math.sin(t) / 10, abs=1e-10
             )
 
     def test_velocity_data_standing_wave(self):
@@ -245,7 +241,7 @@ class TestCharacteristicsOnArrays:
         assert {0, 1} <= set(counts)
         assert max(counts) >= 2
 
-    @pytest.mark.parametrize("method", ["value", "slope", "velocity"])
+    @pytest.mark.parametrize("method", ["value", "slope"])
     def test_array_equals_pointwise(self, cs, mixed_points, method):
         x, t = mixed_points
         fn = getattr(cs, method)
@@ -272,7 +268,7 @@ class TestCharacteristicsOnArrays:
         x, t = x.copy(), t.copy()
         t[23] = 300 * c.T_v
         x[23] = c.v * t[23] + 1.0
-        for fn in (cs.value, cs.slope, cs.velocity):
+        for fn in (cs.value, cs.slope):
             with pytest.raises(RecursionError):
                 fn(x, t)
 
@@ -385,11 +381,24 @@ class TestFrozenFrameFD:
             fd_solve(cfg, nx=16)
         with pytest.raises(ConfigurationError):
             fd_solve(cfg, nx=64, cfl=0.8)
-        with pytest.raises(ConfigurationError):
-            fd_solve(cfg, nx=64, t_final=-1.0)
+        for t_final in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="t_final must be positive and finite"):
+                fd_solve(cfg, nx=64, t_final=t_final)
         # ~1e8 steps x 4097 nodes: a 3 TiB history is refused before allocating
         with pytest.raises(ConfigurationError, match="--method characteristics"):
             fd_solve(make_config(0.99), nx=4096)
+
+    def test_step_rule_bounds_beta(self):
+        # dtau <= cfl (1 - v) deta gives beta = v dtau / (2 deta) <=
+        # cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, far from the beta = 1/2
+        # where M = tridiag(beta, 1, -beta) stops being diagonally dominant
+        for v in [0.05 * i for i in range(20)] + [0.99, 0.999]:
+            cfg = make_config(v)
+            for cfl in (0.1, 0.25, 0.4, 0.5):
+                for nx in (32, 1024):
+                    for t_final in (1e-3, 0.1, 1.0, 2 * math.pi, 9.87, None):
+                        s = oracle._scheme(cfg, nx, cfl, t_final)
+                        assert 0.0 <= s.beta <= cfl / 8
 
     @pytest.mark.parametrize("t_final, n_steps", [(1.0, 2), (2 * math.pi, 321), (9.87, 13654)])
     def test_levels_are_linspace(self, t_final, n_steps):
@@ -528,9 +537,9 @@ def slab_points(cfg, t_final, n, seed=0):
 
 
 class TestFDSampler:
-    """fd_sample reads each corner from the level of the march that covers
-    it; every value must carry the bits of fd_solve(...).eval at the same
-    point."""
+    """The sampler ``_sample``, which cross_validate runs, reads each corner
+    from the level of the march that covers it; every value must carry the
+    bits of fd_solve(...).eval at the same point."""
 
     # nx = 250: more blocks than the copy the weights come from, the last
     # one partial, so inner blocks are read too
@@ -546,7 +555,8 @@ class TestFDSampler:
         t_final = derive_constants(cfg.L, cfg.v).T_v
         x, t = slab_points(cfg, t_final, 400)
         expected = fd_solve(cfg, nx=nx, t_final=t_final).eval(x, t)
-        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=nx, t_final=t_final), expected)
+        s = oracle._scheme(cfg, nx, oracle.DEFAULT_FD_CFL, t_final)
+        np.testing.assert_array_equal(oracle._sample(s, x, t)[0], expected)
 
     def test_edges_and_shared_cells(self):
         cfg = make_config(0.5, preset="bump", **BUMP)
@@ -562,12 +572,11 @@ class TestFDSampler:
         t = np.concatenate([t, (17 + rng.uniform(0, 1, 50)) * dtau])
         s = np.concatenate([s, (5 + rng.uniform(0, 1, 50)) * deta])
         x = s + v * t
-        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=nx, t_final=t_final),
-                                      fd.eval(x, t))
-        assert fd_sample(cfg, L, 0.0, nx=nx, t_final=t_final) == fd.eval(L, 0.0)
+        scheme = oracle._scheme(cfg, nx, oracle.DEFAULT_FD_CFL, t_final)
+        np.testing.assert_array_equal(oracle._sample(scheme, x, t)[0], fd.eval(x, t))
+        assert oracle._sample(scheme, L, 0.0)[0] == fd.eval(L, 0.0)
         grid = (x.reshape(2, -1), t.reshape(2, -1))
-        np.testing.assert_array_equal(fd_sample(cfg, *grid, nx=nx, t_final=t_final),
-                                      fd.eval(*grid))
+        np.testing.assert_array_equal(oracle._sample(scheme, *grid)[0], fd.eval(*grid))
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 7])
     def test_samples_straddle_windows(self, monkeypatch, levels):
@@ -584,8 +593,8 @@ class TestFDSampler:
         x = s + cfg.v * t
         xr, tr = slab_points(cfg, t_final, 300, seed=2)
         x, t = np.concatenate([x, xr]), np.concatenate([t, tr])
-        np.testing.assert_array_equal(fd_sample(cfg, x, t, nx=64, t_final=t_final),
-                                      fd.eval(x, t))
+        s = oracle._scheme(cfg, 64, oracle.DEFAULT_FD_CFL, t_final)
+        np.testing.assert_array_equal(oracle._sample(s, x, t)[0], fd.eval(x, t))
 
     def test_near_critical_rounding_is_linear(self):
         # at v = 0.99, lam2 ~ 3e-7 makes the two-level recurrence nearly a
@@ -602,7 +611,7 @@ class TestFDSampler:
         ref = _ld_march(fd.u[0], fd.u[1], s.beta, s.lam2, s.n_steps)
         x, t = slab_points(cfg, t_final, 2000)
         exact = oracle.FrozenFrameFD(eta=fd.eta, tau=fd.tau, u=ref, v=fd.v, L=fd.L).eval(x, t)
-        err = np.max(np.abs(fd_sample(cfg, x, t, nx=nx, t_final=t_final) - exact))
+        err = np.max(np.abs(oracle._sample(s, x, t)[0] - exact))
         assert err <= 8 * s.n_steps * np.finfo(float).eps * np.max(np.abs(ref))
 
     def test_outside_slab_rejected_before_march(self, monkeypatch):
@@ -610,17 +619,20 @@ class TestFDSampler:
             raise AssertionError("marched before checking the points")
 
         monkeypatch.setattr(oracle, "_march", no_march)
-        cfg = make_config(0.3)
+        s = oracle._scheme(make_config(0.3), 64, oracle.DEFAULT_FD_CFL, 1.0)
         for x, t in [(1.0, 2.0), (0.0, 0.5), (1.0, -0.1)]:
             with pytest.raises(ValueError, match="outside the computed slab"):
-                fd_sample(cfg, x, t, nx=64, t_final=1.0)
+                oracle._sample(s, x, t)
 
     def test_work_bound_before_march(self, monkeypatch):
         monkeypatch.setattr(oracle, "_march", None)
-        # ~1e8 steps x 4097 nodes, far above the node-step bound
+        # ~1e8 steps x 4097 nodes, far above the node-step bound; the
+        # counts are printed to 3 significant digits
+        s = oracle._scheme(make_config(0.99), 4096, oracle.DEFAULT_FD_CFL, None)
+        assert s.n_steps == 102914573
         with pytest.raises(ConfigurationError, match="--method characteristics") as err:
-            fd_sample(make_config(0.99), 1.0, 1.0, nx=4096)
-        assert "102914573 time steps" in str(err.value)
+            oracle._sample(s, 1.0, 1.0)
+        assert "needs 1.03e+08 time steps x 4097 nodes = 4.22e+11 node-steps" in str(err.value)
 
     def test_memory_is_a_window_not_the_history(self):
         # the FD part of cross_validate on the oracle-bump workload
@@ -632,7 +644,7 @@ class TestFDSampler:
         assert history > 110e6
         tracemalloc.start()
         try:
-            fd_sample(cfg, x, t, nx=1024, t_final=t_final)
+            oracle._sample(oracle._scheme(cfg, 1024, 0.4, t_final), x, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

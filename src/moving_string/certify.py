@@ -148,7 +148,7 @@ def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> l
         return [(phi - p0) ** 2, p0 ** 2]
 
     # the series at t = 0 holds frequencies up to n_max pi (1 + v) / L
-    p = data_layout(sol.data, 0.0, c.L, sol.data.knots, sol.cfg.panels_per_unit,
+    p = data_layout(sol.data, 0.0, c.L, sol.data.knots,
                     lambda rate: 2.0 * (sol.n_max * math.pi * (1.0 + c.v) / c.L + rate))
     l2, ref = np.sqrt(integrate(squares, p)).tolist()
     if ref > 0:

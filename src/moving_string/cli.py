@@ -11,10 +11,10 @@ Every run writes its outputs plus a ``manifest.json`` listing each emitted
 file and any pass/fail checks; the manifest is written last.  Every
 subcommand that solves records under ``parameters.coefficient_tables``
 the rule that laid out the coefficient tables (``gauss-legendre`` for
-data that declare their rate, ``simpson`` at ``panels_per_unit`` for the
-others) and each formula's node count; oracle runs that march the FD
-scheme record its step count and the largest row mass its propagator
-dropped under ``parameters.fd``.
+data that declare their rate, ``simpson`` for the others) and each
+formula's node count; oracle runs that march the FD scheme record its
+step count and the largest row mass its propagator dropped under
+``parameters.fd``.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
 CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
 ``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
@@ -55,7 +55,7 @@ from .domain import (
 from .energy import energy_report
 from .errors import ConfigurationError, NumericError
 from .observability import observe_both_endpoints, observe_horizon, observe_one_endpoint
-from .oracle import DEFAULT_FD_CFL, DEFAULT_FD_NX, cross_validate
+from .oracle import DEFAULT_FD_CFL, DEFAULT_FD_NX, check_fd_grid, cross_validate
 from .series import sample_moving_grid
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps these
@@ -218,8 +218,7 @@ def cmd_coeffs(args) -> int:
     ]
     man.emit_csv("coeffs.csv",
                  ["n", "re_plus", "im_plus", "re_minus", "im_minus", "abs_diff"], rows)
-    man.doc["parameters"] = {"n_max": cfg.n_max, "panels_per_unit": cfg.panels_per_unit,
-                             "coefficient_tables": sol.table_layout()}
+    man.doc["parameters"] = {"n_max": cfg.n_max, "coefficient_tables": sol.table_layout()}
     man.finish()
     print(f"wrote {2 * cfg.n_max} coefficients; "
           f"cross-check residual {fmt(sol.cross_check_residual)}")
@@ -334,6 +333,7 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
+    check_fd_grid(args.nx, args.cfl, "--")
     sol = solve(cfg)
     methods = ("characteristics", "fd") if args.method == "both" else (args.method,)
     rep = cross_validate(sol, args.samples, seed=args.seed, nx=args.nx, cfl=args.cfl,
@@ -388,7 +388,6 @@ def cmd_validate(args) -> int:
         man.add_check(check)
     failed = [check.name for check in checks if not check.passed]
     man.doc["parameters"] = {"tol": args.tol, "seed": args.seed, "n_max": cfg.n_max,
-                             "panels_per_unit": cfg.panels_per_unit,
                              "coefficient_tables": sol.table_layout()}
     summary = {"checks_total": len(checks), "checks_failed": len(failed), "failed_names": failed}
     man.emit_json("validate.json", {"summary": summary, "checks": man.doc["checks"]})

@@ -19,16 +19,16 @@ panels sized to the integrand's band (see ``_formula``).  At v = 0.99 and
 n_max = 40 a table takes 2,352 nodes where Simpson took 321,704 on the
 plus axis, and the two formulas agree to 1.8e-18 where Simpson left
 2.6e-8.  Bump and tabulated data declare no rate and keep composite
-Simpson at the config's ``panels_per_unit``.
+Simpson at its fixed density.
 Either way a segment's nodes fall into blocks that share their offsets,
 so its integrals against e^{i omega n x} for every mode, n = -n_max..-1
 and 1..n_max each with its own phasors, are one blocked matrix product
 (``quadrature.UniformPhasors.analyze``): kernels are split into a block
 factor and an offset factor, and the node sums run in BLAS.  A kernel's
-phase error is about eps * (|omega n x| + log2 256), so an integral
-carries at most about n_max * eps * Sum |weight * integrand| of absolute
-error, as stepping one phasor per node did.  Memory stays linear in the
-node count.
+phase error is about eps * (1 + |omega n x|), so an integral carries at
+most about n_max * eps * Sum |weight * integrand| of absolute error, as
+stepping one phasor per node did.  Memory stays linear in the node
+count.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _mapped_knots(data: InitialData, consts: DerivedConstants, side: str) -> lis
     return cuts
 
 
-def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
-             side: str, n_max: int | None):
+def _formula(data: InitialData, consts: DerivedConstants, side: str,
+             n_max: int | None):
     """Layout, extended integrand slope~ +- velocity~ and kernel frequency
     unit of one coefficient formula.
 
@@ -92,10 +92,9 @@ def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
     velocity = ExtensionField("velocity", data, consts)
     cuts = (cut, *_mapped_knots(data, consts, side))
     if n_max is None:
-        p = data_layout(data, a, b, cuts, panels_per_unit, lambda rate: 2.0 * scale * rate)
+        p = data_layout(data, a, b, cuts, lambda rate: 2.0 * scale * rate)
     else:
-        p = data_layout(data, a, b, cuts, panels_per_unit,
-                        lambda rate: abs(omega_unit) * n_max + scale * rate)
+        p = data_layout(data, a, b, cuts, lambda rate: abs(omega_unit) * n_max + scale * rate)
 
     def integrand(x, seg):
         return slope.on_segment(x, seg) + sign_vel * velocity.on_segment(x, seg)
@@ -104,12 +103,12 @@ def _formula(data: InitialData, consts: DerivedConstants, panels_per_unit: int,
 
 
 def _table(data: InitialData, consts: DerivedConstants, n_max: int,
-           panels_per_unit: int, side: str) -> np.ndarray:
+           side: str) -> np.ndarray:
     """Coefficient table for one formula, ordered by mode_numbers(n_max):
     ``side`` "plus" is the right-extended formula over (0, L2), split at
     x = L, and "minus" the left-extended one over (-L1, L), split at x = 0."""
     check_phasor_memory(2 * n_max)
-    p, integrand, omega_unit = _formula(data, consts, panels_per_unit, side, n_max)
+    p, integrand, omega_unit = _formula(data, consts, side, n_max)
     n = mode_numbers(n_max)
     integrals = np.zeros(len(n), dtype=complex)
     for seg in p.segments:
@@ -142,8 +141,8 @@ class SpectralSolution:
     def table_layout(self) -> dict:
         """The rule that laid out the two coefficient tables (``simpson`` or
         ``gauss-legendre``) and each formula's node count."""
-        layouts = {side: _formula(self.data, self.consts, self.cfg.panels_per_unit, side,
-                                  self.n_max)[0] for side in ("plus", "minus")}
+        layouts = {side: _formula(self.data, self.consts, side, self.n_max)[0]
+                   for side in ("plus", "minus")}
         return {"rule": layouts["plus"].rule,
                 "nodes": {side: p.node_count for side, p in layouts.items()}}
 
@@ -156,8 +155,8 @@ def solve(cfg: StringConfig) -> SpectralSolution:
     """Build the truncated spectral solution for a configuration."""
     consts = derive_constants(cfg.L, cfg.v)
     data = initial_data(cfg)
-    cp = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "plus")
-    cm = _table(data, consts, cfg.n_max, cfg.panels_per_unit, "minus")
+    cp = _table(data, consts, cfg.n_max, "plus")
+    cm = _table(data, consts, cfg.n_max, "minus")
     return SpectralSolution(
         cfg=cfg,
         consts=consts,
@@ -195,7 +194,7 @@ def parseval_sum(sol: SpectralSolution) -> ParsevalSums:
     L, v = sol.consts.L, sol.consts.v
 
     def squared(side):
-        p, integrand, _ = _formula(sol.data, sol.consts, sol.cfg.panels_per_unit, side, None)
+        p, integrand, _ = _formula(sol.data, sol.consts, side, None)
         return integrate(lambda x, seg: integrand(x, seg) ** 2, p)
 
     plus = L / (8.0 * math.pi ** 2 * (1.0 - v)) * squared("plus")

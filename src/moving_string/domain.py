@@ -46,15 +46,6 @@ __all__ = [
 #: wave propagation speed; v = 0 is admitted as the classical fixed string.
 SPEED_CONDITION = "0 <= v < 1 (axial speed strictly below the wave speed)"
 
-#: Composite Simpson panels (each spanning two equal sub-intervals) per unit
-#: length of the integrals of raw initial data that declare no rate (bump
-#: and tabulated data: coefficient tables, Parseval forms, initial
-#: energies, the t = 0 L2 gap), unless a config sets its own.  Data that
-#: declare their rate (``InitialData.rate``) and the trace and energy
-#: integrals of the truncated series size Gauss-Legendre panels to their
-#: band and do not read it.
-DEFAULT_PANELS_PER_UNIT = 256
-
 #: Tolerance of the identity checks, unless a caller sets its own.
 DEFAULT_TOL = 1e-6
 
@@ -119,7 +110,7 @@ class InitialData:
     ``phi1`` hold on [0, L], when the data are band-limited and declare it
     (k pi / L for the sine presets, 0 for ``zero``); the integrals of the
     raw data then size Gauss-Legendre panels to it.  None (the bump and
-    tabulated data) leaves them on Simpson at ``panels_per_unit``.
+    tabulated data) leaves them on composite Simpson.
     """
 
     label: str
@@ -132,21 +123,18 @@ class InitialData:
 
 @dataclass(frozen=True)
 class StringConfig:
-    """Full problem description: geometry, speed, data and the Simpson
-    density of the raw-data integrals of data that declare no rate."""
+    """Full problem description: geometry, speed, data and the truncation
+    order."""
 
     L: float
     v: float
     initial: InitialDataSpec
     n_max: int = 40
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
 
     def __post_init__(self) -> None:
         _check_geometry(self.L, self.v)
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
-        if self.panels_per_unit < 8:
-            raise ConfigurationError(f"panels_per_unit must be >= 8, got {self.panels_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -407,6 +395,10 @@ def load_config(path: str | Path) -> StringConfig:
          "quadrature": {"panels_per_unit": integer}}
 
     Table paths are resolved relative to the config file location.
+    ``quadrature`` is optional and has no effect.  Its integer
+    ``panels_per_unit`` is accepted because the shipped and benchmark
+    configs carry it, but the Simpson density of the raw-data integrals is
+    fixed (``quadrature._SIMPSON_PANELS_PER_UNIT``, the 256 they carry).
     """
     path = Path(path)
     try:
@@ -463,6 +455,6 @@ def load_config(path: str | Path) -> StringConfig:
     quad_raw = raw.get("quadrature", {})
     if not isinstance(quad_raw, dict):
         raise ConfigurationError(f"{path}: quadrature must be an object")
-    ppu = typed("quadrature.panels_per_unit",
-                quad_raw.get("panels_per_unit", DEFAULT_PANELS_PER_UNIT), int, "an integer")
-    return StringConfig(L=L, v=v, initial=spec, n_max=n_max, panels_per_unit=ppu)
+    if "panels_per_unit" in quad_raw:
+        typed("quadrature.panels_per_unit", quad_raw["panels_per_unit"], int, "an integer")
+    return StringConfig(L=L, v=v, initial=spec, n_max=n_max)

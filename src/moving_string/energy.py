@@ -22,14 +22,14 @@ e^{2 pi i n t/T_v} carries the T_v-periodicity of E.  In s the densities
 are trigonometric polynomials of band 2 n_max pi (1 + v)/L, the top mode
 shape's frequency doubled by the squares, so the panelization is
 Gauss-Legendre panels sized to that band (``quadrature.Panelization``
-with ``band``), whatever the config's ``panels_per_unit``; conservation
-then holds to rounding, where Simpson at 256 panels per unit left up to
-1.4e-6 at v = 0.99.  At high n_max and small v this spends more nodes
-than Simpson did (6,120 against 1,611 at v = 0.9, n_max = 320).
+with ``band``), whatever the data; conservation then holds to rounding,
+where Simpson at 256 panels per unit left up to 1.4e-6 at v = 0.99.  At
+high n_max and small v this spends more nodes than Simpson did (6,120
+against 1,611 at v = 0.9, n_max = 320).
 ``initial_energies`` integrates the raw initial data on the layout of
 ``quadrature.data_layout`` (Gauss-Legendre panels sized to twice the
-data's declared rate, else Simpson at ``panels_per_unit``); it is the
-exact t = 0 reference that a truncated table can only approach.
+data's declared rate, else composite Simpson); it is the exact t = 0
+reference that a truncated table can only approach.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ def spectral_energy(sol: SpectralSolution) -> float:
 def initial_energies(cfg: StringConfig) -> tuple[float, float]:
     """Exact (calE(0), E(0)) by quadrature of the raw initial data."""
     data = initial_data(cfg)
-    p = data_layout(data, 0.0, cfg.L, data.knots, cfg.panels_per_unit,
-                    lambda rate: 2.0 * rate)
+    p = data_layout(data, 0.0, cfg.L, data.knots, lambda rate: 2.0 * rate)
 
     def integrands(x, seg):
         return densities(cfg.v, np.asarray(data.phi0_x(x), dtype=float),

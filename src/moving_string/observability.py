@@ -11,9 +11,9 @@ trace, not via the coefficient-table shortcut, so each identity is an
 end-to-end test; the reference energy is the table's conserved value.
 A squared trace is a trigonometric polynomial of band 2 (2 pi n_max/T_v),
 so (0, T) is laid out as Gauss-Legendre panels sized to that band
-(``quadrature.Panelization`` with ``band``), whatever the config's
-``panels_per_unit``: 808 nodes per period at n_max = 40, where Simpson
-at 256 panels per unit took 161,659 at v = 0.99.  The trace is
+(``quadrature.Panelization`` with ``band``), whatever the data: 808
+nodes per period at n_max = 40, where Simpson at 256 panels per unit
+took 161,659 at v = 0.99.  The trace is
 synthesized from its Fourier coefficient rows in e^{2 pi i n t/T_v}
 (``series.slope_trace_rows``, ``series.velocity_trace_rows``) at all the
 segment's nodes at once, as blocked matrix products over blocks of
@@ -36,7 +36,6 @@ import numpy as np
 
 from .coefficients import SpectralSolution
 from .domain import (
-    DEFAULT_PANELS_PER_UNIT,
     DEFAULT_TOL,
     InitialDataSpec,
     StringConfig,
@@ -249,7 +248,6 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
         width = cfg.L / 64.0
     if center is None:
         center = width / 2.0
-    ppu = max(cfg.panels_per_unit, DEFAULT_PANELS_PER_UNIT)
 
     def unit_energy_bump(amplitude):
         return build_initial_data(
@@ -261,8 +259,7 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
     # per-segment panel floor to integrate to full order
     data = unit_energy_bump(1.0)
     v = consts.v
-    p0 = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots),
-                      panels_per_unit=ppu, min_panels_per_segment=64)
+    p0 = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots), min_panels_per_segment=64)
     calE0 = integrate(
         lambda x, seg: densities(v, np.asarray(data.phi0_x(x)), np.asarray(data.phi1(x)))[0],
         p0)
@@ -282,7 +279,7 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
             cuts.append(k / (1.0 + v))
             cuts.append((consts.L - k) / (1.0 - v))
         p = Panelization(0.0, T, breakpoints=tuple(c for c in cuts if 0 < c < T),
-                         panels_per_unit=ppu, min_panels_per_segment=64)
+                         min_panels_per_segment=64)
         return integrate(f, p)
 
     left = trace_sq("left")

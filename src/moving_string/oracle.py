@@ -79,6 +79,7 @@ from .series import field_components
 __all__ = [
     "CharacteristicSolver",
     "FrozenFrameFD",
+    "check_fd_grid",
     "fd_solve",
     "CrossValidation",
     "cross_validate",
@@ -285,13 +286,19 @@ class _Scheme:
         return np.linspace(0.0, self.L, self.nx + 1)
 
 
+def check_fd_grid(nx: int, cfl: float, prefix: str = "") -> None:
+    """Refuse fewer than 32 FD intervals or a ``cfl`` outside (0, 0.5],
+    naming ``prefix`` + "nx" or ``prefix`` + "cfl"."""
+    if nx < 32:
+        raise ConfigurationError(f"{prefix}nx must be >= 32, got {nx}")
+    if not (0.0 < cfl <= 0.5):
+        raise ConfigurationError(f"{prefix}cfl must lie in (0, 0.5], got {cfl}")
+
+
 def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _Scheme:
     """Validate the FD parameters and size the grid; allocates no grid arrays."""
-    if nx < 32:
-        raise ConfigurationError(f"nx must be >= 32, got {nx}")
+    check_fd_grid(nx, cfl)
     check_memory(8 * (nx + 1), f"one FD level of {nx + 1} nodes", "; lower nx")
-    if not (0.0 < cfl <= 0.5):
-        raise ConfigurationError(f"cfl must lie in (0, 0.5], got {cfl}")
     consts = derive_constants(cfg.L, cfg.v)
     L, v = consts.L, consts.v
     if t_final is None:

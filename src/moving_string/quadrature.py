@@ -6,12 +6,12 @@ node set is a pure function of the interval, the breakpoints and the rule's
 density, and results are reproducible bit-for-bit.  A ``Panelization``
 lays out one of two rules:
 
-* composite Simpson at ``panels_per_unit`` panels per unit length, each
-  panel spanning two equal sub-intervals; every segment between
-  breakpoints gets at least one panel, i.e. an even sub-interval count
-  >= 2.  It serves the integrals of raw initial data that declare no rate
-  (bump and tabulated data): the coefficient tables, the Parseval forms,
-  the initial energies and the t = 0 L2 gap.
+* composite Simpson at ``_SIMPSON_PANELS_PER_UNIT`` panels per unit
+  length, each panel spanning two equal sub-intervals; every segment
+  between breakpoints gets at least one panel, i.e. an even sub-interval
+  count >= 2.  It serves the integrals of raw initial data that declare
+  no rate (bump and tabulated data): the coefficient tables, the Parseval
+  forms, the initial energies and the t = 0 L2 gap.
 * Gauss-Legendre panels of ``_GAUSS_NODES`` nodes sized to a ``band`` the
   caller passes in: a segment of length l gets ceil(band l /
   ``_RAD_PER_PANEL``) panels, so no panel spans more than
@@ -41,20 +41,19 @@ the row alone.
 
 Under either rule a segment's nodes fall into blocks that share their
 offsets from the block start: node r of block q is lo + q ``stride`` +
-offset_r.  A Simpson segment's blocks hold ``_BLOCK`` uniform nodes,
-offset_r = r h; a Gauss-Legendre segment's block is G panels, about
-sqrt(panels / 8) of them, whose offsets are their abscissae.  So a sum over modes of e^{i omega_n t}
-splits into a block factor e^{i omega_n (lo + q stride)} times an offset
-factor e^{i omega_n offset_r}.  ``UniformPhasors`` uses that split for
-both directions of a spectral sum: synthesis (a table of coefficients to
+offset_r.  A Simpson segment's block is b uniform nodes, offset_r = r h;
+a Gauss-Legendre segment's block is G panels, whose offsets are their
+abscissae.  So a sum over modes of e^{i omega_n t} splits into a block
+factor e^{i omega_n (lo + q stride)} times an offset factor
+e^{i omega_n offset_r}.  ``UniformPhasors`` uses that split for both
+directions of a spectral sum: synthesis (a table of coefficients to
 values at every node) and analysis (values at every node to one integral
 per mode).  Each becomes a (blocks x modes) by (modes x offsets) matrix
-product, taken a few blocks at a time.  Block factors cost one ``exp``
-each.  A Simpson segment builds the B offset factors of a mode by
-doubling from one ``exp`` per power of two, so every kernel is a product
-of at most log2(B) + 2 correctly rounded factors; a Gauss-Legendre
-segment takes one ``exp`` per offset, so every kernel is a product of two.
-Either way a block holds at most ``_BLOCK`` nodes.
+product, taken a few blocks at a time.  Block and offset factors cost one
+``exp`` each, so every kernel is a product of two correctly rounded
+factors.  A mode then costs one ``exp`` per offset and one per block,
+fewest when a block holds about sqrt(nodes) nodes; either rule sizes its
+blocks so (``_per_block``), and no block holds more than ``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_PANELS_PER_UNIT, InitialData, check_memory
+from .domain import InitialData, check_memory
 from .errors import NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
@@ -73,8 +72,11 @@ __all__ = ["Panelization", "Segment", "integrate"]
 # shipped configurations, the plus table of the bump at v = 0.7, has
 # 10,744; 1e7 nodes already take 80 MB per float array.
 _MAX_NODES = 10_000_000
-# nodes per block of the phasor split (a Simpson block's count, a
-# Gauss-Legendre block's cap), and blocks per matrix product
+# Composite Simpson panels (each spanning two equal sub-intervals) per unit
+# length: the density of every Simpson layout
+_SIMPSON_PANELS_PER_UNIT = 256
+# the most nodes in a block of the phasor split, and blocks per matrix
+# product
 _BLOCK = 256
 _BLOCKS_PER_CHUNK = 32
 # nodes per Gauss-Legendre panel, and the most radians of the band a panel
@@ -104,8 +106,6 @@ class Segment:
 
     The nodes fall into blocks of ``len(offsets)``: node r of block q is
     lo + q ``stride`` + ``offsets[r]`` (the last block may be short).
-    ``step`` is the spacing h of uniform nodes, whose offsets are r h, and
-    None on Gauss-Legendre panels.
     """
 
     lo: float
@@ -114,61 +114,65 @@ class Segment:
     weights: np.ndarray
     stride: float
     offsets: np.ndarray
-    step: float | None
+
+
+def _per_block(units: int, size: int) -> int:
+    """How many of ``units`` groups of ``size`` nodes go in one block.
+
+    A mode's kernels cost one ``exp`` per offset and one per block, fewest
+    when a block holds about sqrt(units size) nodes; a block holds at least
+    one group and at most ``_BLOCK`` nodes.
+    """
+    return max(1, min(_BLOCK // size, round(math.sqrt(units / size))))
 
 
 def _simpson_segment(lo: float, hi: float, m: int) -> Segment:
-    """Composite Simpson over m (even) equal sub-intervals of (lo, hi)."""
+    """Composite Simpson over m (even) equal sub-intervals of (lo, hi),
+    about sqrt(m) nodes to a block."""
     h = (hi - lo) / m
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (hi - lo) / (3.0 * m)
-    b = min(_BLOCK, m + 1)
-    return Segment(lo, hi, lo + h * np.arange(m + 1), w, b * h, h * np.arange(b), h)
+    b = _per_block(m + 1, 1)
+    return Segment(lo, hi, lo + h * np.arange(m + 1), w, b * h, h * np.arange(b))
 
 
 def _gauss_segment(lo: float, hi: float, panels: int) -> Segment:
-    """``panels`` equal Gauss-Legendre panels on (lo, hi), G to a block.
-
-    A mode's kernels then cost 8 G offset ``exp``s and one per block,
-    fewest at G = sqrt(panels / 8); G is capped so that a block holds at
-    most ``_BLOCK`` nodes, as a Simpson block does.
-    """
+    """``panels`` equal Gauss-Legendre panels on (lo, hi), G to a block."""
     width = (hi - lo) / panels
     unit_x, unit_w = (_GAUSS_X + 1.0) / 2.0, _GAUSS_W / 2.0    # the rule on [0, 1]
-    g = max(1, min(_BLOCK // _GAUSS_NODES, round(math.sqrt(panels / _GAUSS_NODES))))
+    g = _per_block(panels, _GAUSS_NODES)
     offsets = (width * np.arange(g)[:, None] + width * unit_x).ravel()
     nodes = (lo + width * np.arange(panels))[:, None] + width * unit_x
     return Segment(lo, hi, nodes.ravel(), np.tile(width * unit_w, panels), g * width,
-                   offsets, None)
+                   offsets)
 
 
 @dataclass(frozen=True, eq=False)
 class Panelization:
     """Node/weight layout for (a, b) split at interior breakpoints.
 
-    Without ``band`` the rule is composite Simpson at ``panels_per_unit``;
-    with it, Gauss-Legendre panels sized to that band in radians per unit
-    length, and ``panels_per_unit`` is not read (see the module
-    docstring).  ``min_panels_per_segment`` forces short segments (e.g.
-    around narrow bump knots) to still carry enough panels for full-order
-    accuracy.  A layout of more than ``_MAX_NODES`` nodes is refused before
-    any node is allocated.
+    Without ``band`` the rule is composite Simpson at
+    ``_SIMPSON_PANELS_PER_UNIT``; with it, Gauss-Legendre panels sized to
+    that band in radians per unit length (see the module docstring).
+    ``min_panels_per_segment`` forces short segments (e.g. around narrow
+    bump knots) to still carry enough panels for full-order accuracy.  A
+    layout of more than ``_MAX_NODES`` nodes is refused before any node is
+    allocated.
     """
 
     a: float
     b: float
     breakpoints: tuple = ()
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
     min_panels_per_segment: int = 1
     band: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.a < self.b):
             raise ValueError(f"need a < b, got ({self.a}, {self.b})")
-        if self.panels_per_unit < 1 or self.min_panels_per_segment < 1:
-            raise ValueError("panel densities must be >= 1")
+        if self.min_panels_per_segment < 1:
+            raise ValueError("min_panels_per_segment must be >= 1")
         if self.band is not None and not (math.isfinite(self.band) and self.band > 0.0):
             raise ValueError(f"band must be finite and positive, got {self.band}")
         if not math.isfinite(self.b - self.a):
@@ -180,7 +184,7 @@ class Panelization:
         floor = self.min_panels_per_segment
         try:
             if self.band is None:     # Simpson sub-intervals per segment
-                counts = [2 * max(floor, math.ceil(self.panels_per_unit * (hi - lo)))
+                counts = [2 * max(floor, math.ceil(_SIMPSON_PANELS_PER_UNIT * (hi - lo)))
                           for lo, hi in spans]
                 total = sum(counts) + len(counts)
             else:                     # Gauss-Legendre panels per segment
@@ -192,10 +196,9 @@ class Panelization:
         if total > _MAX_NODES:
             from decimal import Decimal   # rounds a count past float range
             shown = f"{Decimal(total):.3g}" if math.inf > total >= 10**15 else total
-            knob = "panels_per_unit" if self.band is None else "the band"
+            hint = "shorten the interval" + ("" if self.band is None else " or lower the band")
             raise ValueError(f"quadrature over ({self.a}, {self.b}) needs {shown} nodes, "
-                             f"more than the {_MAX_NODES} allowed; shorten the interval "
-                             f"or lower {knob}")
+                             f"more than the {_MAX_NODES} allowed; {hint}")
         build = _simpson_segment if self.band is None else _gauss_segment
         segments = tuple(build(lo, hi, m) for (lo, hi), m in zip(spans, counts))
         object.__setattr__(self, "segments", segments)
@@ -210,7 +213,7 @@ class Panelization:
 
 
 def data_layout(data: InitialData, a: float, b: float, breakpoints: tuple,
-                panels_per_unit: int, band) -> Panelization:
+                band) -> Panelization:
     """Layout of an integral of the raw initial data over (a, b).
 
     Data that declare their rate get Gauss-Legendre panels sized to
@@ -218,10 +221,10 @@ def data_layout(data: InitialData, a: float, b: float, breakpoints: tuple,
     at most ``_DATA_RAD_PER_PANEL`` radians of it per panel.  The band is
     floored at one panel over (a, b), so that data of rate 0, whose squares
     have band 0, still get a layout.  Data that declare no rate get
-    composite Simpson at ``panels_per_unit``.
+    composite Simpson.
     """
     if data.rate is None:
-        return Panelization(a, b, breakpoints, panels_per_unit=panels_per_unit)
+        return Panelization(a, b, breakpoints)
     widened = band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL)
     return Panelization(a, b, breakpoints, band=max(widened, _RAD_PER_PANEL / (b - a)))
 
@@ -274,7 +277,7 @@ def _two_sum(a: np.ndarray, b: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 
 def integrate(f, p: Panelization):
-    """Composite Simpson integral of ``f`` over ``p``.
+    """Integral of ``f`` over ``p``, on the layout's rule.
 
     ``f(x, (lo, hi))`` is called once per smooth segment with the array of
     that segment's nodes; the segment bounds let piecewise integrands
@@ -303,21 +306,6 @@ def _expj(phase: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _doubling_powers(step: np.ndarray, rows: int) -> np.ndarray:
-    """Rows e^{i r step} for r = 0..rows-1.  Rows r..2r-1 are rows 0..r-1
-    times e^{i r step} for r = 1, 2, 4, ..., so a row is a product of at
-    most log2(rows) + 1 correctly rounded exponentials: one ``exp`` per
-    power of two instead of one per row."""
-    out = np.empty((rows, len(step)), dtype=complex)
-    out[0] = 1.0
-    r = 1
-    while r < rows:
-        k = min(r, rows - r)
-        np.multiply(out[:k], _expj(r * step), out=out[r:r + k])
-        r += k
-    return out
-
-
 def check_phasor_memory(modes: int) -> None:
     """Refuse a mode count whose ``UniformPhasors`` offset table, up to
     ``_BLOCK`` offsets x modes complex, would exceed physical memory."""
@@ -339,10 +327,7 @@ class UniformPhasors:
         self._omega = np.asarray(omega, dtype=float)
         self._lo, self._stride = seg.lo, seg.stride
         self._b = len(seg.offsets)
-        if seg.step is None:
-            self._offset = _expj(np.outer(seg.offsets, self._omega))
-        else:
-            self._offset = _doubling_powers(seg.step * self._omega, self._b)
+        self._offset = _expj(np.outer(seg.offsets, self._omega))
 
     def _chunks(self):
         """(first node, block factors of shape (blocks, modes)) per chunk."""

@@ -10,7 +10,7 @@ from moving_string import InitialDataSpec, StringConfig, solve
 L_PI = math.pi
 
 
-def make_config(v, preset="sine_mode", n_max=40, ppu=256, L=L_PI, **params):
+def make_config(v, preset="sine_mode", n_max=40, L=L_PI, **params):
     if preset == "sine_mode" and not params:
         params = {"amplitude": 0.1, "mode": 1}
     return StringConfig(
@@ -18,21 +18,20 @@ def make_config(v, preset="sine_mode", n_max=40, ppu=256, L=L_PI, **params):
         v=v,
         initial=InitialDataSpec.preset(preset, **params),
         n_max=n_max,
-        panels_per_unit=ppu,
     )
 
 
 @lru_cache(maxsize=32)
-def _cached_solution(v, preset, n_max, ppu, params_key):
-    cfg = make_config(v, preset=preset, n_max=n_max, ppu=ppu, **dict(params_key))
+def _cached_solution(v, preset, n_max, params_key):
+    cfg = make_config(v, preset=preset, n_max=n_max, **dict(params_key))
     return solve(cfg)
 
 
-def get_solution(v, preset="sine_mode", n_max=40, ppu=256, **params):
+def get_solution(v, preset="sine_mode", n_max=40, **params):
     """Memoized solve() so expensive tables are built once per session."""
     if preset == "sine_mode" and not params:
         params = {"amplitude": 0.1, "mode": 1}
-    return _cached_solution(v, preset, n_max, ppu, tuple(sorted(params.items())))
+    return _cached_solution(v, preset, n_max, tuple(sorted(params.items())))
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ class TestCriterion2FormulaEquivalence:
         worst = 0.0
         for v in (0.0, 0.3, 0.7):
             for preset, params in self.CASES:
-                sol = get_solution(v, preset=preset, n_max=40, ppu=256, **params)
+                sol = get_solution(v, preset=preset, n_max=40, **params)
                 worst = max(worst, sol.cross_check_residual)
         ok = verdict(2, worst < 1e-8,
                      f"max |c_n(+) - c_n(-)| over presets x speeds = {worst:.2e} "

@@ -23,14 +23,14 @@ from moving_string.cli import _build_parser, fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
 
-def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24, ppu=128):
+def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24):
     preset = preset or {"name": "sine_mode", "params": {"amplitude": 0.1, "mode": 1}}
     doc = {
         "L": math.pi,
         "v": v,
         "n_max": n_max,
         "initial": {"preset": preset},
-        "quadrature": {"panels_per_unit": ppu},
+        "quadrature": {"panels_per_unit": 256},   # accepted, no effect
     }
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -153,9 +153,12 @@ class TestBadInputExitsTwo:
         (["oracle", "--samples", "4", "--seed", "-1"],
          "--seed must be a nonnegative integer, got -1"),
         (["validate", "--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        (["oracle", "--samples", "4", "--nx", "16"], "--nx must be >= 32, got 16"),
+        (["oracle", "--samples", "4", "--cfl", "0.8"], "--cfl must lie in (0, 0.5], got 0.8"),
+        (["oracle", "--samples", "4", "--cfl", "nan"], "--cfl must lie in (0, 0.5], got nan"),
     ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
             "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
-            "validate-seed-minus-1"])
+            "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan"])
     def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
         cfg = write_cfg(tmp_path, n_max=6)
         out = tmp_path / "o"
@@ -285,20 +288,11 @@ class TestBadInputExitsTwo:
             "cfl-1e-320", "cfl-5e-324", "cfl-1e-300", "cfl-1e-304", "times-0", "times-minus-3"])
     def test_past_float_range(self, tmp_path, capsys, argv, message):
         # sizes whose float arithmetic overflows, and a sweep of no times,
-        # are refused by name; the panel density is that of
-        # configs/sine_v03.json
-        cfg = write_cfg(tmp_path, n_max=6, ppu=256)
+        # are refused by name
+        cfg = write_cfg(tmp_path, n_max=6)
         rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
-
-    def test_panel_density_past_float_range(self, tmp_path, capsys):
-        # panels_per_unit sizes the tables of data that declare no rate
-        cfg = write_raw_cfg(tmp_path, "quadrature.panels_per_unit", "1" + "0" * 400,
-                            preset=BUMP)
-        rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "needs inf nodes, more than the 10000000 allowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, text, message", [
         ("quadrature.panels_per_unit", "null", "'quadrature.panels_per_unit' must be an integer"),
@@ -601,8 +595,7 @@ class TestImportPath:
             "from moving_string import InitialDataSpec, StringConfig, solve",
             "x = np.linspace(0.0, np.pi, 41)",
             "spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.05 * np.sin(2 * x))",
-            "sol = solve(StringConfig(L=np.pi, v=0.3, initial=spec, n_max=8,",
-            "                         panels_per_unit=64))",
+            "sol = solve(StringConfig(L=np.pi, v=0.3, initial=spec, n_max=8))",
             "assert 'scipy.interpolate' in sys.modules",
             "assert np.all(np.isfinite(sol.c)) and np.any(sol.c != 0)",
         ])
@@ -623,9 +616,8 @@ class TestImportPath:
             "assert not scipy_modules(), scipy_modules()",
             "from moving_string import (InitialDataSpec, StringConfig, cross_validate,",
             "                           solve)",
-            "cfg = StringConfig(L=math.pi, v=0.3, n_max=16,",
-            "                   initial=InitialDataSpec.preset('sine_mode', amplitude=0.1, mode=1),",
-            "                   panels_per_unit=64)",
+            "spec = InitialDataSpec.preset('sine_mode', amplitude=0.1, mode=1)",
+            "cfg = StringConfig(L=math.pi, v=0.3, n_max=16, initial=spec)",
             "res = cross_validate(solve(cfg), sample_count=20, nx=64, methods=('fd',))",
             "assert 0.0 < res.max_fd < 1e-2, res",
             "assert not scipy_modules(), scipy_modules()",
@@ -846,7 +838,7 @@ class TestZeroConfig:
 
 class TestValidateCmd:
     def test_full_suite_passes(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, n_max=24, ppu=256)
+        cfg = write_cfg(tmp_path, n_max=24)
         out = tmp_path / "out"
         rc = main(["validate", "--config", cfg, "--out", str(out)])
         captured = capsys.readouterr().out
@@ -884,7 +876,6 @@ class TestValidateCmd:
         (tmp_path / "cfg.json").write_text(json.dumps({
             "L": math.pi, "v": 0.4, "n_max": 16,
             "initial": {"table": "data.csv"},
-            "quadrature": {"panels_per_unit": 128},
         }))
         out = tmp_path / "out"
         rc = main(["validate", "--config", str(tmp_path / "cfg.json"),

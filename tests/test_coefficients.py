@@ -163,7 +163,7 @@ class TestSolutionContainer:
         assert np.all(np.diff(n) >= 1)
 
     def test_solve_is_deterministic(self):
-        cfg = make_config(0.3, n_max=8, ppu=32)
+        cfg = make_config(0.3, n_max=8)
         a = solve(cfg)
         b = solve(cfg)
         np.testing.assert_array_equal(a.c, b.c)
@@ -173,26 +173,30 @@ class TestTableAgainstHighPrecision:
     """The blocked table against a 40-digit sum over the table's own
     layout (``_formula``): at v = 0.99, where the right-extended axis
     reaches L2 ~ 628 on Gauss-Legendre panels sized to the band, and on a
-    narrow bump whose knots cut both axes into short Simpson segments (3 to
-    633 nodes, shorter and longer than a block).  A coarse Simpson density
-    keeps the bump's reference cheap; the summation error does not depend
-    on it."""
+    narrow bump whose knots cut both axes into short Simpson segments (11
+    to 5,055 nodes, shorter and longer than a block)."""
 
     @staticmethod
-    def _reference(mp, cfg, n_max, ppu, side):
+    def _reference(mp, cfg, n_max, side):
         consts, data = derive_constants(cfg.L, cfg.v), initial_data(cfg)
         L, v = consts.L, consts.v
         omega = -(1 - mp.mpf(v)) if side == "plus" else 1 + mp.mpf(v)
-        p, integrand, _ = _formula(data, consts, ppu, side, n_max)
+        p, integrand, _ = _formula(data, consts, side, n_max)
         nodes = np.concatenate([s.nodes for s in p.segments])
         wg = np.concatenate([s.weights * integrand(s.nodes, (s.lo, s.hi))
                              for s in p.segments])
         with mp.workdps(40):
-            pos = []
-            for n in range(1, n_max + 1):
-                k = omega * mp.pi * n / mp.mpf(L)
-                total = mp.fsum(mp.mpf(w) * mp.expj(k * mp.mpf(x)) for x, w in zip(nodes, wg))
-                pos.append(complex(total / (4 * n * mp.pi * 1j)))
+            # the kernel of mode n at node x is z^n, z = e^{i omega pi x / L};
+            # n products in 40 digits leave far below a double's rounding
+            unit = omega * mp.pi / mp.mpf(L)
+            sums = [mp.mpc(0)] * n_max
+            for x, w in zip(nodes.tolist(), wg.tolist()):
+                z, term = mp.expj(unit * x), mp.mpf(w)
+                for n in range(n_max):
+                    term *= z
+                    sums[n] += term
+            pos = [complex(total / (4 * n * mp.pi * 1j))
+                   for n, total in enumerate(sums, start=1)]
         # real integrand: c_{-n} is exactly conj(c_n)
         return np.concatenate([np.conj(pos[::-1]), pos])
 
@@ -200,16 +204,16 @@ class TestTableAgainstHighPrecision:
     def test_table(self, side):
         mp = pytest.importorskip("mpmath")
         cfg = make_config(0.99)
-        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, 1, side)
-        ref = self._reference(mp, cfg, 24, 1, side)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, side)
+        ref = self._reference(mp, cfg, 24, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_bump_table(self, side):
         mp = pytest.importorskip("mpmath")
         cfg = make_config(0.7, preset="bump", center=1.2, width=0.4, amplitude=0.1)
-        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, 32, side)
-        ref = self._reference(mp, cfg, 24, 32, side)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, side)
+        ref = self._reference(mp, cfg, 24, side)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-12
 
 
@@ -265,8 +269,7 @@ class TestTableAgainstExactIntegral:
     def test_table(self, v, preset, params, side):
         mp = pytest.importorskip("mpmath")
         cfg = make_config(v, preset=preset, **params)
-        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24,
-                     cfg.panels_per_unit, side)
+        got = _table(initial_data(cfg), derive_constants(cfg.L, cfg.v), 24, side)
         ref = _mp_exact_table(mp, cfg, 24, side)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -277,8 +280,7 @@ class TestTableLayout:
     def test_near_critical_layout_is_small(self, side, n_max):
         # Simpson at 256 panels per unit took 321,704 nodes on the plus axis
         cfg = make_config(0.99)
-        p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v),
-                           cfg.panels_per_unit, side, n_max)
+        p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v), side, n_max)
         assert p.rule == "gauss-legendre"
         assert p.node_count <= 5000
 
@@ -291,13 +293,12 @@ class TestTableLayout:
         else:
             x = np.linspace(0.0, math.pi, 41)
             spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.0 * x)
-        cfg = StringConfig(L=math.pi, v=0.7, initial=spec, n_max=24, panels_per_unit=48)
+        cfg = StringConfig(L=math.pi, v=0.7, initial=spec, n_max=24)
         data, consts = initial_data(cfg), derive_constants(cfg.L, cfg.v)
-        p, _, _ = _formula(data, consts, cfg.panels_per_unit, side, n_max)
+        p, _, _ = _formula(data, consts, side, n_max)
         a, b, cut = (0.0, consts.L2, consts.L) if side == "plus" else (-consts.L1, consts.L, 0.0)
-        simpson = Panelization(a, b, breakpoints=(cut, *_mapped_knots(data, consts, side)),
-                               panels_per_unit=48)
-        assert p.rule == "simpson" and p.band is None and p.panels_per_unit == 48
+        simpson = Panelization(a, b, breakpoints=(cut, *_mapped_knots(data, consts, side)))
+        assert p.rule == "simpson" and p.band is None
         assert len(p.segments) == len(simpson.segments)
         for got, want in zip(p.segments, simpson.segments):
             np.testing.assert_array_equal(got.nodes, want.nodes)
@@ -307,7 +308,6 @@ class TestTableLayout:
         # the squares of rate-0 data have band 0; the layout floors it
         cfg = make_config(0.3, preset="zero")
         for side in ("plus", "minus"):
-            p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v),
-                               cfg.panels_per_unit, side, None)
+            p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v), side, None)
             assert p.rule == "gauss-legendre"
             assert p.node_count == 8 * len(p.segments)

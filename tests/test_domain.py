@@ -161,10 +161,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             make_config(0.3, n_max=0)
 
-    def test_quadrature_floor(self):
-        with pytest.raises(ConfigurationError):
-            make_config(0.3, ppu=4)
-
 
 class TestPresets:
     def test_sine_mode_values(self):
@@ -279,7 +275,10 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.v == 0.3
         assert cfg.n_max == 12
-        assert cfg.panels_per_unit == 64
+        # the quadrature key is accepted and has no effect
+        del doc["quadrature"]
+        path.write_text(json.dumps(doc))
+        assert load_config(path) == cfg
 
     def test_table_config(self, tmp_path):
         x = np.linspace(0, 2.0, 21)

@@ -100,7 +100,7 @@ class TestTwoEndpointIdentity:
 
 def _bump(v, n_max):
     """The benchmark's bump, which fills every mode of the table."""
-    return get_solution(v, preset="bump", n_max=n_max, ppu=32,
+    return get_solution(v, preset="bump", n_max=n_max,
                         center=1.2, width=1.0, amplitude=0.1)
 
 

@@ -12,15 +12,18 @@ from hypothesis import given, strategies as st
 from moving_string import NumericError, Panelization, integrate
 from moving_string.domain import InitialData
 from moving_string.quadrature import (
+    _BLOCK,
     _DATA_RAD_PER_PANEL,
     _GAUSS_NODES,
     _GAUSS_W,
     _GAUSS_X,
     _MAX_NODES,
     _RAD_PER_PANEL,
+    _SIMPSON_PANELS_PER_UNIT,
     Segment,
     UniformPhasors,
     _gauss_segment,
+    _simpson_segment,
     _sum_rows,
     data_layout,
 )
@@ -33,24 +36,24 @@ def plain(fn):
 
 class TestKnownIntegrals:
     def test_sine_half_period(self):
-        p = Panelization(0.0, math.pi, panels_per_unit=64)
+        p = Panelization(0.0, math.pi)
         assert integrate(plain(np.sin), p) == pytest.approx(2.0, abs=1e-10)
 
     def test_full_period_complex_exponential(self):
-        p = Panelization(0.0, 2 * math.pi, panels_per_unit=64)
+        p = Panelization(0.0, 2 * math.pi)
         val = integrate(plain(lambda x: np.exp(1j * x)), p)
         assert abs(val) < 1e-10
 
     def test_cos_squared_over_period(self):
         # the one-endpoint observation integrand of the fixed-string sine case
-        p = Panelization(0.0, 2 * math.pi, panels_per_unit=64)
+        p = Panelization(0.0, 2 * math.pi)
         val = integrate(plain(lambda x: np.cos(x) ** 2 / 100), p)
         assert val == pytest.approx(math.pi / 100, abs=1e-10)
 
 
 class TestPanelLayout:
     def test_breakpoints_become_panel_boundaries(self):
-        p = Panelization(0.0, 2.0, breakpoints=(0.7,), panels_per_unit=16)
+        p = Panelization(0.0, 2.0, breakpoints=(0.7,))
         assert p.breakpoints == (0.7,)
         assert [s.lo for s in p.segments] == [0.0, 0.7]
         assert [s.hi for s in p.segments] == [0.7, 2.0]
@@ -58,13 +61,13 @@ class TestPanelLayout:
             assert seg.nodes[0] == seg.lo and seg.nodes[-1] == seg.hi
 
     def test_subinterval_counts_even_and_at_least_two(self):
-        p = Panelization(0.0, 1.0, breakpoints=(1e-4,), panels_per_unit=8)
+        p = Panelization(0.0, 1.0, breakpoints=(1e-4,))
         for seg in p.segments:
             m = len(seg.nodes) - 1
             assert m >= 2 and m % 2 == 0
 
     def test_exterior_breakpoints_ignored(self):
-        p = Panelization(0.0, 1.0, breakpoints=(-1.0, 0.5, 2.0), panels_per_unit=8)
+        p = Panelization(0.0, 1.0, breakpoints=(-1.0, 0.5, 2.0))
         assert p.breakpoints == (0.5,)
 
     def test_degenerate_interval_rejected(self):
@@ -72,18 +75,21 @@ class TestPanelLayout:
             Panelization(1.0, 1.0)
 
     def test_weights_sum_to_length(self):
-        p = Panelization(0.0, 3.0, breakpoints=(1.1, 2.2), panels_per_unit=16)
+        p = Panelization(0.0, 3.0, breakpoints=(1.1, 2.2))
         total = sum(math.fsum(s.weights.tolist()) for s in p.segments)
         assert total == pytest.approx(3.0, rel=1e-14)
 
 
 class TestAccuracy:
-    def test_fourth_order_convergence_on_sine(self):
-        # halving the panel width cuts the error by ~16
+    def test_fourth_order_convergence_on_cosine(self):
+        # halving the panel width cuts the error by ~16; the panel floor
+        # sets the count above the fixed density's 256 over (0, 1)
         errs = []
-        for ppu in (16, 32):
-            p = Panelization(0.0, math.pi, panels_per_unit=ppu)
-            errs.append(abs(integrate(plain(np.sin), p) - 2.0))
+        for panels in (512, 1024):
+            p = Panelization(0.0, 1.0, min_panels_per_segment=panels)
+            assert len(p.segments[0].nodes) == 2 * panels + 1
+            errs.append(abs(integrate(plain(lambda x: np.cos(50.0 * x)), p)
+                            - math.sin(50.0) / 50.0))
         ratio = errs[0] / errs[1]
         assert 12.0 <= ratio <= 20.0
 
@@ -93,7 +99,7 @@ class TestAccuracy:
             mid = 0.5 * (seg[0] + seg[1])
             return np.full_like(x, 1.0 if mid < 1.0 else 3.0)
 
-        p = Panelization(0.0, 2.0, breakpoints=(1.0,), panels_per_unit=8)
+        p = Panelization(0.0, 2.0, breakpoints=(1.0,))
         assert integrate(f, p) == pytest.approx(4.0, rel=1e-15)
 
 
@@ -128,7 +134,7 @@ class TestGaussLegendreLayout:
         # node r of block q is lo + q stride + offsets[r]
         seg = _gauss_segment(-1.5, 7.0, panels)
         width = 8.5 / panels
-        assert seg.step is None and len(seg.offsets) == _GAUSS_NODES * group
+        assert len(seg.offsets) == _GAUSS_NODES * group
         assert seg.stride == pytest.approx(group * width, rel=1e-15)
         blocks = -(-panels // group)
         starts = -1.5 + seg.stride * np.arange(blocks)
@@ -147,11 +153,6 @@ class TestGaussLegendreLayout:
         with pytest.raises(ValueError, match="band must be finite and positive"):
             Panelization(0.0, 1.0, band=band)
 
-    def test_panels_per_unit_not_read(self):
-        a = Panelization(0.0, 2.0, band=30.0, panels_per_unit=8)
-        b = Panelization(0.0, 2.0, band=30.0, panels_per_unit=4096)
-        assert np.array_equal(a.segments[0].nodes, b.segments[0].nodes)
-
 
 class TestDataLayout:
     """Raw-data integrals of data that declare their rate: Gauss-Legendre
@@ -163,7 +164,7 @@ class TestDataLayout:
         return InitialData("test", np.sin, np.cos, np.sin, rate=rate)
 
     def test_declared_rate_sizes_gauss_panels(self):
-        p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), 64, lambda rate: 10.0 * rate)
+        p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), lambda rate: 10.0 * rate)
         assert p.rule == "gauss-legendre"
         assert [len(s.nodes) for s in p.segments] == [
             _GAUSS_NODES * math.ceil(20.0 * 0.7 / _DATA_RAD_PER_PANEL),
@@ -171,7 +172,7 @@ class TestDataLayout:
 
     def test_zero_band_floored_to_one_panel(self):
         # rate 0 squared is band 0, which Panelization refuses
-        p = data_layout(self._data(0.0), 0.0, 2.0, (0.7,), 64, lambda rate: 2.0 * rate)
+        p = data_layout(self._data(0.0), 0.0, 2.0, (0.7,), lambda rate: 2.0 * rate)
         assert p.rule == "gauss-legendre"
         assert [len(s.nodes) for s in p.segments] == [_GAUSS_NODES, _GAUSS_NODES]
         assert integrate(lambda x, seg: np.full_like(x, 3.0), p) == pytest.approx(6.0, rel=1e-15)
@@ -215,7 +216,7 @@ class TestGaussLegendreAccuracy:
 class TestProperties:
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
     def test_linearity(self, a, b):
-        p = Panelization(0.0, 1.5, breakpoints=(0.4,), panels_per_unit=16)
+        p = Panelization(0.0, 1.5, breakpoints=(0.4,))
         f = plain(np.sin)
         g = plain(np.cos)
         combo = integrate(lambda x, s: a * np.sin(x) + b * np.cos(x), p)
@@ -226,7 +227,7 @@ class TestProperties:
         assert stacked[0] == integrate(f, p) and stacked[1] == integrate(g, p)
 
     def test_determinism(self):
-        p = Panelization(0.0, math.pi, breakpoints=(1.0,), panels_per_unit=32)
+        p = Panelization(0.0, math.pi, breakpoints=(1.0,))
         vals = {integrate(plain(np.sin), p) for _ in range(5)}
         assert len(vals) == 1
 
@@ -237,7 +238,7 @@ class TestProperties:
             return out
 
         # force a node at exactly 0.5
-        p = Panelization(0.0, 1.0, breakpoints=(0.5,), panels_per_unit=8)
+        p = Panelization(0.0, 1.0, breakpoints=(0.5,))
         with pytest.raises(NumericError, match="0.5"):
             integrate(f, p)
         # NaN in the second row only: the named node must still be x = 0.5
@@ -249,8 +250,11 @@ class TestNodeBound:
     def test_oversized_layouts_refused_before_allocation(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"needs {_MAX_NODES + 1} nodes"):
-                Panelization(0.0, _MAX_NODES / 2, panels_per_unit=1)
+            # one node past the bound: 5,000,000 panels of two sub-intervals
+            with pytest.raises(ValueError, match=f"needs {_MAX_NODES + 1} nodes, more than "
+                                                 f"the {_MAX_NODES} allowed; shorten the "
+                                                 f"interval$"):
+                Panelization(0.0, _MAX_NODES / (2 * _SIMPSON_PANELS_PER_UNIT))
             with pytest.raises(ValueError, match="needs 5120000001 nodes"):
                 Panelization(0.0, 1e7)
             with pytest.raises(ValueError, match="nodes, more than"):
@@ -380,7 +384,7 @@ class TestRowSum:
         assert empty.shape == (2, 3) and not np.any(empty)
 
     def test_overflowing_sum_raises(self):
-        p = Panelization(0.0, 4.0, panels_per_unit=1)
+        p = Panelization(0.0, 4.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="overflow"):
                 integrate(plain(lambda x: np.full_like(x, 1e308)), p)
@@ -388,22 +392,31 @@ class TestRowSum:
 
 def uniform_segment(lo, hi, count):
     """``count`` uniform nodes on [lo, hi] in the block layout of a Simpson
-    segment, at any count (a Simpson segment's is odd)."""
+    segment, at any count (a Simpson segment's is odd): blocks of
+    round(sqrt(count)) nodes, at most 256."""
     h = (hi - lo) / (count - 1)
-    b = min(256, count)
-    return Segment(lo, hi, lo + h * np.arange(count), np.ones(count), b * h,
-                   h * np.arange(b), h)
+    b = min(256, round(math.sqrt(count)))
+    return Segment(lo, hi, lo + h * np.arange(count), np.ones(count), b * h, h * np.arange(b))
 
 
-# uniform counts: a segment shorter than a block, exactly one block, one
-# node past it, a short last block and several chunks of blocks;
-# Gauss-Legendre panel counts (G panels to a block, 32 blocks to a chunk):
-# one panel, blocks of one panel, a short last block, exactly two chunks,
-# a block of one panel past them, and several chunks of 32-panel blocks
+# uniform counts, blocks of about sqrt(count) nodes (32 blocks to a chunk):
+# two blocks, the second short; whole blocks; a short last block; exactly
+# one chunk; a few chunks; and blocks at the 256-node cap.
+# Gauss-Legendre panel counts (G panels to a block): one panel, blocks of
+# one panel, a short last block, exactly two chunks, a block of one panel
+# past them, and several chunks of 32-panel blocks
 GAUSS_PANELS = (1, 7, 31, 512, 513, 10000)
+# Simpson sub-interval counts, whose segments hold one node more
+SIMPSON_INTERVALS = (2, 100, 256, 1000, 20000)
 PHASOR_SEGMENTS = [
     *[pytest.param(uniform_segment(-1.5, 7.0, count), id=f"uniform-{count}")
-      for count in (3, 100, 256, 257, 1001, 20001)],
+      for count in (3, 100, 257, 1024, 20001, 70001)],
+    *[pytest.param(_gauss_segment(-1.5, 7.0, panels), id=f"gauss-{panels}")
+      for panels in GAUSS_PANELS],
+]
+KERNEL_SEGMENTS = [
+    *[pytest.param(_simpson_segment(-1.5, 7.0, m), id=f"simpson-{m}")
+      for m in SIMPSON_INTERVALS],
     *[pytest.param(_gauss_segment(-1.5, 7.0, panels), id=f"gauss-{panels}")
       for panels in GAUSS_PANELS],
 ]
@@ -439,13 +452,11 @@ class TestUniformPhasors:
         assert got.shape == (24,)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(values).sum()
 
-    @pytest.mark.parametrize("panels", GAUSS_PANELS)
-    def test_gauss_kernel_at_every_node(self, panels):
-        # each kernel alone, real and imaginary part, at every node of every
-        # panel on both sides of the block and chunk edges, against a direct
-        # exp
-        # exp: both sides round phases of up to |omega t| = 143 rad
-        seg = _gauss_segment(-1.5, 7.0, panels)
+    @pytest.mark.parametrize("seg", KERNEL_SEGMENTS)
+    def test_kernel_at_every_node(self, seg):
+        # each kernel alone, real and imaginary part, at every node on both
+        # sides of the block and chunk edges, against a direct exp: both
+        # sides round phases of up to |omega t| = 143 rad
         phasors, dense, _ = self.case(seg)
         bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.outer(seg.nodes, self.OMEGA))))
         for n, unit in enumerate(np.eye(len(self.OMEGA))):
@@ -454,8 +465,15 @@ class TestUniformPhasors:
 
     def test_simpson_segments_keep_their_layout(self):
         # a Panelization's Simpson segment carries the uniform block layout
-        seg = Panelization(-1.5, 7.0, panels_per_unit=64).segments[0]
+        seg = Panelization(-1.5, 7.0).segments[0]
         ref = uniform_segment(-1.5, 7.0, len(seg.nodes))
         assert np.array_equal(seg.nodes, ref.nodes)
-        assert (seg.stride, seg.step) == (ref.stride, ref.step)
+        assert seg.stride == ref.stride
         assert np.array_equal(seg.offsets, ref.offsets)
+
+    @pytest.mark.parametrize("m", [*SIMPSON_INTERVALS, 200_000])
+    def test_simpson_blocks_hold_sqrt_nodes(self, m):
+        # one exp per offset and one per block: fewest at sqrt(nodes) nodes
+        # to a block, which holds at most _BLOCK
+        seg = _simpson_segment(-1.5, 7.0, m)
+        assert len(seg.offsets) == min(_BLOCK, round(math.sqrt(m + 1)))

@@ -297,7 +297,7 @@ class TestAgainstHighPrecision:
 
     @pytest.mark.parametrize("v", [0.3, 0.99])
     def test_field_components(self, v):
-        sol = get_solution(v, n_max=160, ppu=32)
+        sol = get_solution(v, n_max=160)
         x, t = self._points(sol)
         got = field_components(sol, x, t)
         ref = list(zip(*(_mp_field(sol, xi, ti) for xi, ti in zip(x, t))))
@@ -307,7 +307,7 @@ class TestAgainstHighPrecision:
     @pytest.mark.parametrize("v", [0.3, 0.99])
     def test_moving_grid(self, v):
         # the grid's diagonal holds the points (t_i, s_i) of the scattered test
-        sol = get_solution(v, n_max=160, ppu=32)
+        sol = get_solution(v, n_max=160)
         x, t = self._points(sol)
         s = np.clip(x - sol.consts.v * t, 0.0, sol.consts.L)
         got = field_on_moving_grid(sol, t, s)
@@ -334,7 +334,7 @@ class TestAgainstHighPrecision:
     @pytest.mark.parametrize("v", [0.3, 0.99])
     @pytest.mark.parametrize("endpoint", ["left", "right"])
     def test_trace_values(self, v, endpoint):
-        sol = get_solution(v, n_max=160, ppu=32)
+        sol = get_solution(v, n_max=160)
         t = np.linspace(0.0, 3 * sol.consts.T_v, 13)
         got = _trace_values(sol, endpoint, t)
         assert _rel_dev(got, [_mp_trace(sol, endpoint, ti) for ti in t]) <= 1e-12
@@ -417,7 +417,7 @@ class TestBlockedTraces:
     def test_peak_memory_within_horner_integrand(self, n_max, periods):
         # a long horizon at v = 0.99: 804,248 nodes in 99 chunks of
         # 32-panel blocks
-        sol = get_solution(0.99, n_max=n_max, ppu=32)
+        sol = get_solution(0.99, n_max=n_max)
         c = sol.consts
         seg = _trace_segment(sol, periods * c.T_v)
         t = seg.nodes

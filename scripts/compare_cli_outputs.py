@@ -7,10 +7,14 @@ config, runs once per config all the same), once with OLD_ROOT/src and once
 with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
 every written file byte for byte.  Two runs go at once, each child with
 one BLAS thread.  Only the manifest's ``duration_seconds`` and
-``out_dir`` are ignored.  For each differing file it prints how many
-lines differ, the first differing line and, over all differing lines whose
-fields parse as numbers pair by pair, the largest absolute difference and
-the line and field where it occurs.  For ``validate.json`` it also names
+``out_dir`` are ignored.  For each differing file it aligns the two
+versions line by line (``difflib.SequenceMatcher``), so a line added or
+removed does not shift the comparison of the lines after it.  It prints
+how many aligned lines differ and the first of them, how many lines were
+removed and added and the first of each and, over all differing aligned
+lines whose fields parse as numbers pair by pair, the largest absolute
+difference and the line and field where it occurs.  Line numbers are
+those of the new file.  For ``validate.json`` it also names
 the checks whose ``passed`` flipped, or says there is no pass/fail change;
 the summary line counts the flips.
 
@@ -22,6 +26,7 @@ Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
 import re
@@ -78,11 +83,26 @@ def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes
 
 def describe_difference(a: bytes, b: bytes) -> str:
     la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
-    pairs = [(i, x, y) for i, (x, y) in enumerate(zip(la, lb), 1) if x != y]
+    # aligned pairs (new line number, old line, new line); replace blocks of
+    # equal length pair line by line, all other changes are removals and
+    # additions
+    pairs, removed, added = [], [], []
+    matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "replace" and i2 - i1 == j2 - j1:
+            pairs += [(j1 + k + 1, la[i1 + k], lb[j1 + k]) for k in range(i2 - i1)]
+        elif tag != "equal":
+            removed += la[i1:i2]
+            added += [(j + 1, lb[j]) for j in range(j1, j2)]
     parts = []
     if pairs:
         i, x, y = pairs[0]
         parts.append(f"{len(pairs)} lines differ, first line {i}: {x.strip()!r} -> {y.strip()!r}")
+    if removed:
+        parts.append(f"{len(removed)} lines removed, first {removed[0].strip()!r}")
+    if added:
+        i, y = added[0]
+        parts.append(f"{len(added)} lines added, first line {i}: {y.strip()!r}")
     if len(la) != len(lb):
         parts.append(f"{len(la)} lines -> {len(lb)} lines")
     worst, opaque = None, 0

@@ -256,9 +256,16 @@ def _check_t_final(t_final) -> None:
         raise ConfigurationError(f"--t-final must be finite and nonnegative, got {t_final}")
 
 
+def _check_grid(args) -> None:
+    for flag, value in (("--nx", args.nx), ("--nt", args.nt)):
+        if value < 2:
+            raise ConfigurationError(f"{flag} must be at least 2, got {value}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     _check_t_final(args.t_final)
+    _check_grid(args)
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
     man = Manifest("simulate", args.config, Path(args.out))
@@ -307,6 +314,10 @@ def cmd_observe(args) -> int:
     if args.periods is not None and args.horizon is not None:
         raise ConfigurationError("give --periods or --horizon, not both")
     cfg = _load(args)
+    if args.periods is not None and args.periods < 1:
+        raise ConfigurationError(f"--periods must be at least 1, got {args.periods}")
+    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ConfigurationError(f"--horizon must be positive and finite, got {args.horizon}")
     sol = solve(cfg)
     if args.endpoint == "both":
         rep = observe_both_endpoints(sol, tol=args.tol)
@@ -368,6 +379,7 @@ def cmd_figures(args) -> int:
         initial=InitialDataSpec.preset("sine_mode", amplitude=0.1, mode=1),
         n_max=40,
     )
+    _check_grid(args)
     sol = solve(cfg)
     man = Manifest("figures", None, Path(args.out))
     man.doc["parameters"] = {"figure": args.figure, "v": cfg.v, "T_v": sol.consts.T_v,

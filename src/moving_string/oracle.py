@@ -38,14 +38,17 @@ u^n + d^{n+1} (Delta the second difference, lam2 = (1 - v^2)
 (dtau / deta)^2).  Marching (u^k, u^{k-1}) instead rounds like n_steps^2
 eps, because the two-level recurrence is nearly a Jordan block; carrying
 the increment (Henrici's summed form) keeps the growth linear.  One matrix
-product advances the state ``_LEVELS`` = 10 levels (``_Propagator``).  The
-step rule keeps beta <= cfl v (1 - v) / 2 <= cfl / 8 <= 1/16, so M is
-diagonally dominant with no check, and the entries of M^-1 fall off like
-beta^d at d nodes from the diagonal, so every level of a block of
-``_BAND`` = 16 nodes reads only the ``_REACH`` = 2 blocks on either side:
-a row drops at most 3.6e-28 of its mass over the admissible (v, cfl).  The weights are cut once per run from the exact level
-maps of a small copy of the system (``numpy.linalg.solve``), and a run whose
-dropped tail exceeds ``_TAIL_BOUND`` (eps / 1024 per row) is refused.
+product advances the state ``_LEVELS`` = 18 levels (``_Propagator``, a
+matrix-powers kernel in the sense of Demmel, Hoemmen, Mohiyuddin and
+Yelick, IPDPS 2008).  The step rule keeps beta <= cfl v (1 - v) / 2 <=
+cfl / 8 <= 1/16, so M is diagonally dominant with no check, and the
+entries of M^-1 fall off like beta^d at d nodes from the diagonal, so every
+level of a block of ``_BAND`` = 12 nodes reads only the ``_REACH`` = 3
+blocks (36 nodes) on either side: a row drops at most 2.0e-25 of its mass
+over the admissible (v, cfl).  The weights are cut once per run, level by
+level, from the exact level maps of a small copy of the system
+(``numpy.linalg.solve``), and a run whose dropped tail exceeds
+``_TAIL_BOUND`` (eps / 1024 per row) is refused.
 
 One generator, ``_march``, hands out the levels the propagator holds: 0,
 then 1, 1 + K, 1 + 2 K, ...; the levels between are read from the one
@@ -91,9 +94,9 @@ MAX_REFLECTIONS = 64
 _ANTIDERIV_CELLS = 4096
 _ENERGY_BLOCK = 256   # time levels per energy_series block
 _MAX_NODE_STEPS = 10**10   # _sample work bound, n_steps * (nx + 1)
-_LEVELS = 10          # time levels one FD product advances
-_BAND = 16            # nodes per block of the FD propagator
-_REACH = 2            # neighbour blocks on each side that a block's window reads
+_LEVELS = 18          # time levels one FD product advances
+_BAND = 12            # nodes per block of the FD propagator
+_REACH = 3            # neighbour blocks on each side that a block's window reads
 _TAIL_BOUND = 2.0 ** -62   # largest row mass the propagator may drop (eps / 1024)
 
 
@@ -370,12 +373,15 @@ class _Propagator:
     maps a window to [u^{k+K} - u^k, d^{k+K}] of its block, so one product
     over all windows advances the state K levels; ``rows[c, r - 1]`` (band
     x window) maps it to u^{k+r} - u^k for 0 < r < K, read only where a
-    caller asks.  The weights are cut once from the exact increment maps of
-    a copy of the system with 2 ``_REACH`` + 2 blocks and the same padding,
-    or of the whole system when it has no more blocks than that.  A block
-    whose window reaches past a support or into the partial last block
-    takes the weights of the copy's block at the same place (``_layout``);
-    all others share those of copy block ``_REACH``.  Raises
+    caller asks.  The weights are cut from the exact increment maps of a
+    copy of the system with 2 ``_REACH`` + 2 blocks and the same padding, or
+    of the whole system when it has no more blocks than that, one level at
+    a time: one gather takes every copy block's window of the level map
+    into the tables, and the mass each row drops is summed over the
+    columns outside its window.  A block whose window reaches past a
+    support or into the partial last block takes the weights of the copy's
+    block at the same place (``_layout``); all others share those of copy
+    block ``_REACH``.  Raises
     ConfigurationError when the mass a row drops outside its window exceeds
     ``_TAIL_BOUND``; ``tail`` is the largest such mass.
     """
@@ -391,7 +397,16 @@ class _Propagator:
         del eye
         rows = np.zeros((copy, K - 1, band, span, 2, band))        # [.., out, block, w|d, in]
         weights = np.zeros((copy, span, 2, band, 2, band))         # [.., block, w|d, in, u|d, out]
-        dropped = np.zeros((copy, K + 1, band))   # per row: u^{k+1} .. u^{k+K}, then d^{k+K}
+        # a level map with zero rows below the last node and zero columns
+        # past either support; copy block c's window of it is the band x
+        # (span band) block of ``frame`` at row c band, column c band
+        frame = np.zeros((copy * band, (copy + 2 * reach) * band))
+        inner = frame[:size, reach * band:reach * band + size]
+        out = np.arange(copy * band)
+        at = (out * frame.shape[1] + out // band * band)[:, None] + np.arange(span * band)
+        node_block = np.arange(size) // band
+        outside = (np.abs(node_block[:, None] - node_block) > reach).astype(float)
+        dropped = np.zeros((K + 1, size))   # per row: u^{k+1} .. u^{k+K}, then d^{k+K}
         E, D, Y, Z = (np.empty((size, size)) for _ in range(4))
         for part in range(2):
             # u^{k+r} - u^k (E) and d^{k+r} (D) as maps of w, then of d^k,
@@ -413,22 +428,15 @@ class _Propagator:
                 np.matmul(Minv, Y, out=Z)
                 np.subtract(Z, D, out=D)
                 E += D
-                for c in range(copy):
-                    out = slice(c * band, min((c + 1) * band, size))
-                    first = (c - reach) * band      # node of the window's first column
-                    lo, hi = max(first, 0), min(first + span * band, size)
-                    for i, op in enumerate((E, D) if r == K else (E,)):
-                        cols = op[out]
-                        dropped[c, r - 1 + i, :len(cols)] += (np.abs(cols[:, :lo]).sum(axis=1)
-                                                              + np.abs(cols[:, hi:]).sum(axis=1))
-                        win = np.zeros((band, span * band))
-                        win[:len(cols), lo - first:hi - first] = cols[:, lo:hi]
-                        win = win.reshape(band, span, band)
-                        if r < K:
-                            rows[c, r - 1, :, :, part] = win
-                        else:
-                            weights[c, :, part, :, i] = win.transpose(1, 2, 0)
-        del Minv, E, D, Y, Z
+                for i, op in enumerate((E, D) if r == K else (E,)):
+                    dropped[r - 1 + i] += np.vecdot(np.abs(op), outside)
+                    inner[:] = op
+                    win = frame.take(at).reshape(copy, band, span, band)
+                    if r < K:
+                        rows[:, r - 1, :, :, part] = win
+                    else:
+                        weights[:, :, part, :, i] = win.transpose(0, 2, 3, 1)
+        del Minv, E, D, Y, Z, frame, inner, at, outside
         self.rows = rows.reshape(copy, K - 1, band, width)
         self.weights = weights.reshape(copy, width, 2 * band)
         self.tail = float(dropped.max())
@@ -568,7 +576,7 @@ def _sample(s: _Scheme, x, t):
         raise ConfigurationError(
             f"FD oracle needs {s.n_steps:.3g} time steps x {s.nx + 1} nodes = {work:.3g} "
             f"node-steps, above the bound of {_MAX_NODE_STEPS:.3g}; "
-            f"lower nx or use --method characteristics")
+            f"lower nx, raise --cfl or use --method characteristics")
     eta = s.eta()
     k, j, wt, we = _cells(x, t, s.v, s.L, eta, s.t_final, s.n_steps)
     shape = k.shape

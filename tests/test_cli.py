@@ -156,13 +156,23 @@ class TestBadInputExitsTwo:
         (["oracle", "--samples", "4", "--nx", "16"], "--nx must be >= 32, got 16"),
         (["oracle", "--samples", "4", "--cfl", "0.8"], "--cfl must lie in (0, 0.5], got 0.8"),
         (["oracle", "--samples", "4", "--cfl", "nan"], "--cfl must lie in (0, 0.5], got nan"),
+        (["simulate", "--nx", "1"], "--nx must be at least 2, got 1"),
+        (["simulate", "--nt", "0"], "--nt must be at least 2, got 0"),
+        (["figures", "--figure", "6", "--nt", "1"], "--nt must be at least 2, got 1"),
+        (["observe", "--endpoint", "left", "--periods", "0"],
+         "--periods must be at least 1, got 0"),
+        (["observe", "--endpoint", "left", "--horizon", "-1"],
+         "--horizon must be positive and finite, got -1.0"),
     ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
             "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
-            "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan"])
+            "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan",
+            "simulate-nx-1", "simulate-nt-0", "figures-nt-1", "observe-periods-0",
+            "observe-horizon-minus-1"])
     def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
+        # refused before any work: no --out directory is made
         cfg = write_cfg(tmp_path, n_max=6)
         out = tmp_path / "o"
-        rc = main([*argv, "--config", cfg, "--out", str(out)])
+        rc = main([*with_config(argv, cfg), "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -279,7 +289,8 @@ class TestBadInputExitsTwo:
         (["oracle", "--samples", "4", "--method", "fd", "--cfl", "5e-324"],
          "cfl=5e-324 is too small"),
         (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-300"],
-         "needs 1.61e+303 time steps x 513 nodes = 8.25e+305 node-steps, above the bound"),
+         "needs 1.61e+303 time steps x 513 nodes = 8.25e+305 node-steps, above the bound "
+         "of 1e+10; lower nx, raise --cfl or use --method characteristics"),
         (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-304"],
          "needs 1.61e+307 time steps x 513 nodes = inf node-steps, above the bound"),
         (["energy", "--times", "0"], "--times must be at least 1, got 0"),

@@ -467,7 +467,7 @@ class TestPropagator:
         # every level 1 .. K of every kind of block; per row, level r lies
         # within 4 r eps of the row's largest entry and d^{k+K} (levels K
         # minus K - 1) within 4 (K + 1) eps.  Measured: 1.2 eps at r = 1,
-        # 19 eps at r = 9, 21 eps at r = K = 10 and 30 eps for d^{k+K},
+        # 34 eps at r = 17, 42 eps at r = K = 18 and 68 eps for d^{k+K},
         # about the rounding of the powers of P and Q themselves
         m = nx - 1
         band, K = oracle._BAND, oracle._LEVELS
@@ -494,7 +494,7 @@ class TestPropagator:
             start += n
         # every node of every block: levels 1 .. K + 1 read from a random
         # state against the two-level march of it, within 4 (K + 1) eps of
-        # max|u| (measured: at most 19 eps, at nx = 100)
+        # max|u| (measured: at most 29 eps, at nx = 33)
         rng = np.random.default_rng(nx)
         u, d = rng.uniform(-1.0, 1.0, (2, m))
         prop.start(u, d)
@@ -514,11 +514,11 @@ class TestPropagator:
 
     def test_dropped_tail_below_bound_on_admissible_box(self):
         # the step rule dtau <= cfl (1 - v) deta, cfl <= 1/2, at its largest
-        # step: no run it admits is refused (worst measured 3.6e-28, at
-        # m = 99, v = 0.45, cfl = 0.5; 24 levels per product would be
-        # refused at cfl = 0.5)
+        # step: no run it admits is refused (worst measured 1.9e-25, at
+        # m = 64, v = 0.4, cfl = 0.5; v in steps of 0.01 puts 2.0e-25 at
+        # v = 0.41; 27 levels per product would be refused at cfl = 0.5)
         worst = 0.0
-        for m in (31, 32, 99, 1023):
+        for m in (31, 32, 64, 65, 99, 1023):
             for v in [0.05 * i for i in range(20)] + [0.99, 0.999]:
                 for cfl in (0.1, 0.25, 0.4, 0.5):
                     ratio = cfl * (1.0 - v)

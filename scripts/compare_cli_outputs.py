@@ -7,9 +7,10 @@ config, runs once per config all the same), once with OLD_ROOT/src and once
 with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
 every written file byte for byte.  Two runs go at once, each child with
 one BLAS thread.  Only the manifest's ``duration_seconds`` and
-``out_dir`` are ignored.  For each differing file it aligns the two
-versions line by line (``difflib.SequenceMatcher``), so a line added or
-removed does not shift the comparison of the lines after it.  It prints
+``out_dir`` are ignored.  Two versions of a file with equal line counts
+pair line by line by index; otherwise they are aligned
+(``difflib.SequenceMatcher``), so a line added or removed does not shift
+the comparison of the lines after it.  For each differing file it prints
 how many aligned lines differ and the first of them, how many lines were
 removed and added and the first of each and, over all differing aligned
 lines whose fields parse as numbers pair by pair, the largest absolute
@@ -87,13 +88,16 @@ def describe_difference(a: bytes, b: bytes) -> str:
     # equal length pair line by line, all other changes are removals and
     # additions
     pairs, removed, added = [], [], []
-    matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "replace" and i2 - i1 == j2 - j1:
-            pairs += [(j1 + k + 1, la[i1 + k], lb[j1 + k]) for k in range(i2 - i1)]
-        elif tag != "equal":
-            removed += la[i1:i2]
-            added += [(j + 1, lb[j]) for j in range(j1, j2)]
+    if len(la) == len(lb):  # no line added or removed: pair by index
+        pairs = [(i, x, y) for i, (x, y) in enumerate(zip(la, lb), 1) if x != y]
+    else:
+        matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag == "replace" and i2 - i1 == j2 - j1:
+                pairs += [(j1 + k + 1, la[i1 + k], lb[j1 + k]) for k in range(i2 - i1)]
+            elif tag != "equal":
+                removed += la[i1:i2]
+                added += [(j + 1, lb[j]) for j in range(j1, j2)]
     parts = []
     if pairs:
         i, x, y = pairs[0]

@@ -260,6 +260,8 @@ def _check_grid(args) -> None:
     for flag, value in (("--nx", args.nx), ("--nt", args.nt)):
         if value < 2:
             raise ConfigurationError(f"{flag} must be at least 2, got {value}")
+    check_memory(5 * 8 * args.nx * args.nt, f"five fields on the {args.nx} x {args.nt} grid",
+                 "; lower --nx or --nt")
 
 
 def cmd_simulate(args) -> int:

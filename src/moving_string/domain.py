@@ -8,7 +8,8 @@ extension interval bounds -L1 and L2, the solution period T_v and the
 two-endpoint observation time T_tilde_v.
 
 Initial data are supplied either as a named preset or as a tabulated
-(x, phi0, phi1) sample set interpolated by natural cubic splines.  Only
+(x, phi0, phi1) sample set.  Each column of a table is interpolated by its
+natural cubic spline, whose pieces are the sample intervals.  Only
 piecewise-C1 data are supported; rougher finite-energy data fall outside
 what pointwise evaluation can certify.
 """
@@ -110,7 +111,10 @@ class InitialData:
     ``phi1`` hold on [0, L], when the data are band-limited and declare it
     (k pi / L for the sine presets, 0 for ``zero``); the integrals of the
     raw data then size Gauss-Legendre panels to it.  None (the bump and
-    tabulated data) leaves them on composite Simpson.
+    tabulated data) leaves them on composite Simpson.  Tabulated ``phi0``
+    and ``phi1`` are natural cubic splines whose pieces are the sample
+    intervals, and ``phi0_x`` is the derivative of ``phi0``'s spline; they
+    declare no knots.
     """
 
     label: str
@@ -298,12 +302,55 @@ _PRESETS = {
 }
 
 
+class _NaturalSpline:
+    """Natural cubic spline through the samples (x, y) (de Boor, *A Practical
+    Guide to Splines*, ch. IV): one cubic per sample interval, C^2 at every
+    interior sample, second derivative zero at both ends.  Points outside
+    [x[0], x[-1]] take the end pieces."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        h = np.diff(x)
+        s = np.diff(y) / h
+        # Thomas algorithm on the interior rows h[k] m[k] + 2 (h[k] + h[k+1]) m[k+1]
+        # + h[k+1] m[k+2] = 6 (s[k+1] - s[k]) for the knot curvatures m; the
+        # recurrence is serial, so it runs on Python floats
+        hs, diag, rhs = h.tolist(), (2.0 * (h[:-1] + h[1:])).tolist(), (6.0 * np.diff(s)).tolist()
+        for k in range(1, len(diag)):
+            w = hs[k] / diag[k - 1]
+            diag[k] -= w * hs[k]
+            rhs[k] -= w * rhs[k - 1]
+        m = [0.0] * len(x)
+        for k in range(len(diag) - 1, -1, -1):
+            m[k + 1] = (rhs[k] - hs[k + 1] * m[k + 2]) / diag[k]
+        m = np.array(m)
+        self.x = x
+        # on piece k, y(x) = sum_j coef[j, k] t^(3 - j) with t = x - x[k]
+        self.coef = np.array([np.diff(m) / (6.0 * h), 0.5 * m[:-1],
+                              s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+
+    def _piece(self, xq):
+        xq = np.asarray(xq, dtype=float)
+        k = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, len(self.x) - 2)
+        return xq - self.x[k], self.coef[:, k]
+
+    def __call__(self, xq):
+        t, (d, c, b, a) = self._piece(xq)
+        return ((d * t + c) * t + b) * t + a
+
+    def slope(self, xq):
+        t, (d, c, b, _) = self._piece(xq)
+        return (3.0 * d * t + 2.0 * c) * t + b
+
+
 def _build_tabulated(table, L: float) -> InitialData:
     x, p0, p1 = (np.asarray(a, dtype=float) for a in table)
     if x.ndim != 1 or x.shape != p0.shape or x.shape != p1.shape:
         raise ConfigurationError("table columns x, phi0, phi1 must be 1-D and equal length")
     if len(x) < 4:
         raise ConfigurationError("tabulated data needs at least 4 samples")
+    for name, column in (("x", x), ("phi0", p0), ("phi1", p1)):
+        if not np.all(np.isfinite(column)):
+            raise ConfigurationError(f"table column {name} holds a non-finite value")
     if np.any(np.diff(x) <= 0):
         raise ConfigurationError("table x column must be strictly increasing")
     if x[0] != 0.0 or x[-1] != L:
@@ -315,12 +362,8 @@ def _build_tabulated(table, L: float) -> InitialData:
         raise ConfigurationError(
             "tabulated phi0 must vanish at both supports (pinned-end compatibility)"
         )
-    from scipy.interpolate import CubicSpline  # only tabulated data need it
-
-    s0 = CubicSpline(x, p0, bc_type="natural")
-    s1 = CubicSpline(x, p1, bc_type="natural")
-    d0 = s0.derivative()
-    return InitialData("table", s0, d0, s1)
+    s0 = _NaturalSpline(x, p0)
+    return InitialData("table", s0, s0.slope, _NaturalSpline(x, p1))
 
 
 def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:

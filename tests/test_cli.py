@@ -159,6 +159,8 @@ class TestBadInputExitsTwo:
         (["simulate", "--nx", "1"], "--nx must be at least 2, got 1"),
         (["simulate", "--nt", "0"], "--nt must be at least 2, got 0"),
         (["figures", "--figure", "6", "--nt", "1"], "--nt must be at least 2, got 1"),
+        (["simulate", "--nx", "10000000", "--nt", "10000000"],
+         "physical memory; lower --nx or --nt"),
         (["observe", "--endpoint", "left", "--periods", "0"],
          "--periods must be at least 1, got 0"),
         (["observe", "--endpoint", "left", "--horizon", "-1"],
@@ -166,7 +168,8 @@ class TestBadInputExitsTwo:
     ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
             "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
             "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan",
-            "simulate-nx-1", "simulate-nt-0", "figures-nt-1", "observe-periods-0",
+            "simulate-nx-1", "simulate-nt-0", "figures-nt-1", "simulate-grid-too-large",
+            "observe-periods-0",
             "observe-horizon-minus-1"])
     def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
         # refused before any work: no --out directory is made
@@ -595,20 +598,22 @@ class TestCsvKernel:
 
 
 class TestImportPath:
-    def test_cli_import_leaves_out_scipy_interpolate(self):
-        # only tabulated data need scipy.interpolate; they import it when
-        # they are built, and still solve
+    def test_cli_import_and_tabulated_solve_leave_out_scipy(self):
+        # tables are the package's own natural splines, so neither the import
+        # nor building and solving tabulated data loads any scipy module
         code = "\n".join([
             "import sys",
             "import numpy as np",
             "import moving_string.cli",
-            "assert 'scipy.interpolate' not in sys.modules, 'imported eagerly'",
+            "def scipy_modules():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert not scipy_modules(), scipy_modules()",
             "from moving_string import InitialDataSpec, StringConfig, solve",
             "x = np.linspace(0.0, np.pi, 41)",
             "spec = InitialDataSpec.tabulated(x, 0.1 * np.sin(x), 0.05 * np.sin(2 * x))",
             "sol = solve(StringConfig(L=np.pi, v=0.3, initial=spec, n_max=8))",
-            "assert 'scipy.interpolate' in sys.modules",
             "assert np.all(np.isfinite(sol.c)) and np.any(sol.c != 0)",
+            "assert not scipy_modules(), scipy_modules()",
         ])
         src = str(Path(moving_string.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -872,6 +877,20 @@ class TestValidateCmd:
         doc = json.loads((out / "validate.json").read_text())
         assert any(c["vacuous"] for c in doc["checks"])
         assert doc["checks"] == certify_records(cfg)
+
+    def test_non_finite_table_sample_usage_error(self, tmp_path, capsys):
+        x = np.linspace(0, math.pi, 21)
+        rows = [f"{a!r},{0.1 * math.sin(a)!r},0.0" for a in x.tolist()]
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "data.csv").write_text("x,phi0,phi1\n" + "\n".join(rows) + "\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "L": math.pi, "v": 0.4, "n_max": 8, "initial": {"table": "data.csv"}}))
+        out = tmp_path / "out"
+        # coeffs builds the data before it makes --out
+        rc = main(["coeffs", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert rc == 2
+        assert "table column phi1 holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tabulated_data_with_velocity_full_suite(self, tmp_path, capsys):
         # CSV -> natural splines -> extensions with phi1 != 0 ->

@@ -1,7 +1,10 @@
 """``scripts/compare_cli_outputs.py``: the report on one differing file."""
 
+import difflib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_cli_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_cli_outputs", SCRIPT)
@@ -38,3 +41,19 @@ def test_same_line_count_reads_as_before():
         "3 lines differ, first line 2: '1,0.5,0.25' -> '1,0.5,0.2500000001'; "
         "largest abs diff 0.001 at line 3 field 2 ('2,0.126,-1'); "
         "1 differing lines not numeric field by field")
+
+
+def test_same_line_count_pairs_without_alignment(monkeypatch):
+    # equal-length files pair by index; the alignment, quadratic on long
+    # files with many changed lines, is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("aligned an equal-length pair")
+
+    monkeypatch.setattr(difflib, "SequenceMatcher", refuse)
+    old = b"".join(b"%d,1.0\n" % k for k in range(30))
+    new = b"".join(b"%d,%s\n" % (k, b"1.5" if k % 3 == 0 else b"1.0") for k in range(30))
+    assert describe_difference(old, new) == (
+        "10 lines differ, first line 1: '0,1.0' -> '0,1.5'; "
+        "largest abs diff 0.5 at line 1 field 2 ('0,1.5')")
+    with pytest.raises(AssertionError, match="aligned"):
+        describe_difference(old, new + b"extra\n")

@@ -20,7 +20,7 @@ from moving_string import (
     load_config,
     oracle,
 )
-from moving_string.domain import check_moving_interval, edge_slack
+from moving_string.domain import _NaturalSpline, check_moving_interval, edge_slack
 
 from conftest import get_solution, make_config
 
@@ -258,6 +258,101 @@ class TestTabulatedData:
         p0 = p0 + 0.05
         with pytest.raises(ConfigurationError):
             build_initial_data(InitialDataSpec.tabulated(x, p0, p1), math.pi)
+
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "phi0", "phi1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_refuses_non_finite_sample_naming_column(self, column, bad):
+        table = [a.copy() for a in self._table()]
+        table[column][17] = bad
+        name = ("x", "phi0", "phi1")[column]
+        with pytest.raises(ConfigurationError, match=f"table column {name} holds a non-finite"):
+            build_initial_data(InitialDataSpec.tabulated(*table), math.pi)
+
+
+EPS = np.finfo(float).eps
+
+
+def _spline_samples(n, spacing):
+    """A smooth profile whose curvature does not vanish at the ends, on
+    ``n`` uniform or random (seeded) samples of [0, 3]."""
+    if spacing == "uniform":
+        x = np.linspace(0.0, 3.0, n)
+    else:
+        inner = np.random.default_rng(n).uniform(0.0, 3.0, n - 2)
+        x = np.concatenate([[0.0], np.sort(inner), [3.0]])
+    return x, 0.1 * np.sin(x) * (3.0 - x) + 0.02 * np.cos(5.0 * x)
+
+
+SPLINE_CASES = pytest.mark.parametrize("n", [4, 201, 2001, 10001])
+SPACINGS = pytest.mark.parametrize("spacing", ["uniform", "random"])
+
+
+class TestNaturalSpline:
+    """The table spline by its defining properties.  Each residual is bounded
+    by a stated multiple of eps times its column's scale: max|y| for values,
+    max|y'| over the knots for slopes and max|y''| over the knots for
+    curvatures."""
+
+    @staticmethod
+    def _ends(x, y):
+        """Spline, knot slopes and curvatures from the right-hand pieces, and
+        the left-hand pieces' value, slope and curvature at their right ends."""
+        s = _NaturalSpline(x, y)
+        d, c, b, a = s.coef
+        h = np.diff(x)
+        left = (((d * h + c) * h + b) * h + a, (3.0 * d * h + 2.0 * c) * h + b,
+                6.0 * d * h + 2.0 * c)
+        slopes, curvatures = np.append(b, left[1][-1]), np.append(2.0 * c, left[2][-1])
+        return s, slopes, curvatures, left
+
+    @SPLINE_CASES
+    @SPACINGS
+    def test_interpolates_every_sample(self, n, spacing):
+        x, y = _spline_samples(n, spacing)
+        s = _NaturalSpline(x, y)
+        assert np.max(np.abs(s(x) - y)) <= 4 * EPS * np.max(np.abs(y))
+
+    @SPLINE_CASES
+    @SPACINGS
+    def test_c2_at_every_interior_knot(self, n, spacing):
+        x, y = _spline_samples(n, spacing)
+        _, slopes, curvatures, (value, slope, curvature) = self._ends(x, y)
+        assert np.max(np.abs(value - y[1:])) <= 4 * EPS * np.max(np.abs(y))
+        assert np.max(np.abs(slope[:-1] - slopes[1:-1])) <= 4 * EPS * np.max(np.abs(slopes))
+        assert (np.max(np.abs(curvature[:-1] - curvatures[1:-1]))
+                <= 4 * EPS * np.max(np.abs(curvatures)))
+
+    @SPLINE_CASES
+    @SPACINGS
+    def test_second_derivative_vanishes_at_both_ends(self, n, spacing):
+        x, y = _spline_samples(n, spacing)
+        _, _, curvatures, _ = self._ends(x, y)
+        assert curvatures[0] == 0.0
+        assert abs(curvatures[-1]) <= 4 * EPS * np.max(np.abs(curvatures))
+
+    def test_outside_the_samples_takes_the_end_pieces(self):
+        x, y = _spline_samples(201, "random")
+        s = _NaturalSpline(x, y)
+        d, c, b, a = s.coef
+        for xq, k, start in ((-0.05, 0, x[0]), (3.05, -1, x[-2])):
+            t = xq - start
+            assert s(xq) == ((d[k] * t + c[k]) * t + b[k]) * t + a[k]
+            assert s.slope(xq) == (3.0 * d[k] * t + 2.0 * c[k]) * t + b[k]
+
+    @SPLINE_CASES
+    @SPACINGS
+    def test_matches_scipy_natural_cubic_spline(self, n, spacing):
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        x, y = _spline_samples(n, spacing)
+        s, ref = _NaturalSpline(x, y), CubicSpline(x, y, bc_type="natural")
+        # half an end interval outside: the end pieces' extrapolation
+        outside = [x[0] - (x[1] - x[0]) / 2, x[-1] + (x[-1] - x[-2]) / 2]
+        xq = np.concatenate([np.linspace(0.0, 3.0, 20001), x, outside])
+        slope = ref.derivative()(xq)
+        assert np.max(np.abs(s(xq) - ref(xq))) <= 4 * EPS * np.max(np.abs(y))
+        # the slope gap is scipy's: on random 10,001 samples its knot slopes
+        # differ from a long-double solve by 84 eps max|y'|, these by < 1 eps
+        assert np.max(np.abs(s.slope(xq) - slope)) <= 128 * EPS * np.max(np.abs(slope))
 
 
 class TestConfigFile:

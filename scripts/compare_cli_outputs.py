@@ -3,9 +3,9 @@
 
 Runs every subcommand below on every ``configs/*.json`` and
 ``perfbench/configs/*.json`` of NEW_ROOT (``figures``, which reads no
-config, runs once per config all the same), once with OLD_ROOT/src and once
-with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
-every written file byte for byte.  Two runs go at once, each child with
+config, runs once), once with OLD_ROOT/src and once with NEW_ROOT/src on
+PYTHONPATH, and compares the exit codes, stdout and every written file
+byte for byte.  Two runs go at once, each child with
 one BLAS thread.  Only the manifest's ``duration_seconds`` and
 ``out_dir`` are ignored.  Two versions of a file with equal line counts
 pair line by line by index; otherwise they are aligned
@@ -19,8 +19,8 @@ those of the new file.  For ``validate.json`` it also names
 the checks whose ``passed`` flipped, or says there is no pass/fail change;
 the summary line counts the flips.
 
-Exit status: 1 if any output from ``configs/`` differs, else 0 (differences
-on ``perfbench/configs`` are reported only).
+Exit status: 1 if any output from ``configs/`` or from ``figures``
+differs, else 0 (differences on ``perfbench/configs`` are reported only).
 
 Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -64,11 +64,17 @@ _THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THR
 _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 
 
-def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes]:
+def jobs(configs: list[Path]) -> list[tuple[Path | None, str]]:
+    """(config, subcommand) pairs: every subcommand on every config, except
+    ``figures``, which draws its own fixed problems and takes no --config:
+    it runs once, with config None."""
+    return [(c, s) for c in configs for s in SUBCOMMANDS if s != "figures"] + [(None, "figures")]
+
+
+def run(root: Path, config: Path | None, args: list[str], out: Path) -> dict[str, bytes]:
     """Outputs of one CLI run, keyed by file name (plus exit code and stdout)."""
     env = {**os.environ, **_THREAD_ENV, "PYTHONPATH": str(root / "src")}
-    # figures draws its own fixed problems and takes no --config
-    config_args = [] if args[0] == "figures" else ["--config", str(config)]
+    config_args = [] if config is None else ["--config", str(config)]
     proc = subprocess.run(
         [sys.executable, "-m", "moving_string.cli", *args, *config_args, "--out", str(out)],
         capture_output=True, env=env,
@@ -150,11 +156,11 @@ def pass_flips(a: bytes, b: bytes) -> list[str]:
     return sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
 
 
-def compare(old: Path, new: Path, config: Path, name: str,
+def compare(old: Path, new: Path, config: Path | None, name: str,
             scratch: Path) -> tuple[list[str], int]:
     """(one line per differing output, number of pass/fail flips)."""
     args = SUBCOMMANDS[name]
-    tag = config.relative_to(new).with_suffix("").as_posix()
+    tag = "no-config" if config is None else config.relative_to(new).with_suffix("").as_posix()
     out = scratch / f"{tag.replace('/', '-')}-{name}"
     a, b = run(old, config, args, out / "old"), run(new, config, args, out / "new")
     lines, flips = [], 0
@@ -181,17 +187,17 @@ def main(argv: list[str]) -> int:
     old, new = (Path(p).resolve() for p in argv)
     configs = sorted((new / "configs").glob("*.json")) + sorted(
         (new / "perfbench" / "configs").glob("*.json"))
-    jobs = [(c, s) for c in configs for s in SUBCOMMANDS]
+    todo = jobs(configs)
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
-        results = list(pool.map(lambda job: compare(old, new, *job, Path(tmp)), jobs))
+        results = list(pool.map(lambda job: compare(old, new, *job, Path(tmp)), todo))
     gating = 0
-    for (config, name), (diffs, _) in zip(jobs, results):
+    for (config, name), (diffs, _) in zip(todo, results):
         for line in diffs:
             print("DIFF", line)
-        gating += bool(diffs) and config.parent == new / "configs"
+        gating += bool(diffs) and (config is None or config.parent == new / "configs")
     differing = sum(bool(d) for d, _ in results)
     flips = sum(f for _, f in results)
-    print(f"{len(jobs)} runs on {len(configs)} configs: {len(jobs) - differing} identical, "
+    print(f"{len(todo)} runs on {len(configs)} configs: {len(todo) - differing} identical, "
           f"{differing} differing ({gating} of them on configs/), "
           f"{flips} pass/fail flips")
     return 1 if gating else 0

@@ -395,8 +395,8 @@ def cmd_figures(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    man = Manifest("validate", args.config, Path(args.out))
     sol = solve(cfg)
+    man = Manifest("validate", args.config, Path(args.out))
     checks = certify(sol, args.tol, args.seed)
     for check in checks:
         man.add_check(check)

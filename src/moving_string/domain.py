@@ -88,7 +88,7 @@ class InitialDataSpec:
     table: tuple | None = None  # (x, phi0, phi1) arrays for kind == "table"
 
     @staticmethod
-    def preset(name: str, **params) -> "InitialDataSpec":
+    def preset(name: str, /, **params) -> "InitialDataSpec":
         return InitialDataSpec(kind="preset", name=name, params=dict(params))
 
     @staticmethod
@@ -418,13 +418,18 @@ def load_table_csv(path: str | Path):
             raise ConfigurationError(
                 f"{path}: expected header 'x,phi0,phi1', got {header}"
             )
-        rows = [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):     # blank lines are skipped
+            if len(row) != 3:
+                raise ConfigurationError(f"{path}: line {reader.line_num} has {len(row)} "
+                                         f"fields; every row needs exactly 3 columns")
+            rows.append(row)
     try:
         data = np.array([[float(c) for c in row] for row in rows], dtype=float)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: non-numeric table entry ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigurationError(f"{path}: every row needs exactly 3 columns")
+    if not rows:
+        raise ConfigurationError(f"{path}: the table has no rows below its header")
     return data[:, 0], data[:, 1], data[:, 2]
 
 

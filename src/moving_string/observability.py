@@ -255,35 +255,29 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
                                    amplitude=amplitude), cfg.L
         )
 
-    # normalize to unit conserved energy; the narrow kernel needs the
-    # per-segment panel floor to integrate to full order
+    # normalize to unit conserved energy.  Between its knots the bump is a
+    # cubic, so the density and both squared traces below are quartics
+    # between their cuts: band 0, one Gauss-Legendre panel per piece, is
+    # exact on them
     data = unit_energy_bump(1.0)
     v = consts.v
-    p0 = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots), min_panels_per_segment=64)
+    p0 = Panelization(0.0, cfg.L, breakpoints=tuple(data.knots), band=0.0)
     calE0 = integrate(
         lambda x, seg: densities(v, np.asarray(data.phi0_x(x)), np.asarray(data.phi1(x)))[0],
         p0)
     data = unit_energy_bump(1.0 / math.sqrt(calE0))
     cs = CharacteristicSolver(data, consts)
 
-    def trace_sq(endpoint):
-        xb = 0.0 if endpoint == "left" else consts.L
+    # trace kinks sit at knot preimages under s = (1+v) t and
+    # s = L - (1-v) t; both traces take them all as panel boundaries
+    cuts = tuple(c for k in data.knots for c in (k / (1.0 + v), (consts.L - k) / (1.0 - v)))
+    p = Panelization(0.0, T, breakpoints=cuts, band=0.0)
 
-        def f(t, seg):
-            return cs.slope(xb + v * t, t) ** 2
+    def trace_sq(xb):
+        return integrate(lambda t, seg: cs.slope(xb + v * t, t) ** 2, p)
 
-        # trace kinks sit at knot preimages under s = (1+v) t and
-        # s = L - (1-v) t; register both as panel boundaries
-        cuts = []
-        for k in data.knots:
-            cuts.append(k / (1.0 + v))
-            cuts.append((consts.L - k) / (1.0 - v))
-        p = Panelization(0.0, T, breakpoints=tuple(c for c in cuts if 0 < c < T),
-                         min_panels_per_segment=64)
-        return integrate(f, p)
-
-    left = trace_sq("left")
-    right = trace_sq("right")
+    left = trace_sq(0.0)
+    right = trace_sq(consts.L)
     total = left + right
     factor = (1.0 - v ** 2) ** 2 / 4.0
     return SharpnessReport(

@@ -9,12 +9,13 @@ lays out one of two rules:
 * composite Simpson at ``_SIMPSON_PANELS_PER_UNIT`` panels per unit
   length, each panel spanning two equal sub-intervals; every segment
   between breakpoints gets at least one panel, i.e. an even sub-interval
-  count >= 2.  It serves the integrals of raw initial data that declare
-  no rate (bump and tabulated data): the coefficient tables, the Parseval
-  forms, the initial energies and the t = 0 L2 gap.
+  count >= 2.  It is reached only through ``data_layout``, for the
+  integrals of raw initial data that declare no rate (bump and tabulated
+  data): the coefficient tables, the Parseval forms, the initial
+  energies and the t = 0 L2 gap.
 * Gauss-Legendre panels of ``_GAUSS_NODES`` nodes sized to a ``band`` the
-  caller passes in: a segment of length l gets ceil(band l /
-  ``_RAD_PER_PANEL``) panels, so no panel spans more than
+  caller passes in: a segment of length l gets max(1, ceil(band l /
+  ``_RAD_PER_PANEL``)) panels, so no panel spans more than
   ``_RAD_PER_PANEL`` radians of the highest frequency present.  It serves
   integrands whose band is known: the squared boundary traces and the
   energy densities of the truncated series, which are trigonometric
@@ -24,6 +25,10 @@ lays out one of two rules:
   quadrature better than Clenshaw-Curtis?", SIAM Review 50, 2008.  Each
   panel is exact to polynomial degree 2 ``_GAUSS_NODES`` - 1, and the
   error falls geometrically as the panels shrink against the band.
+  Band 0 means no oscillation between breakpoints: one panel per segment,
+  the exact rule for a piecewise polynomial of degree <= 15 whose pieces
+  are the segments (the sharpness probe's B-spline traces, and the
+  squares of data of rate 0).
 
 An integrand may stack k functions on the same nodes, returning an array
 of shape (k, nodes); ``integrate`` then returns the k integrals as an
@@ -154,10 +159,10 @@ class Panelization:
     """Node/weight layout for (a, b) split at interior breakpoints.
 
     Without ``band`` the rule is composite Simpson at
-    ``_SIMPSON_PANELS_PER_UNIT``; with it, Gauss-Legendre panels sized to
-    that band in radians per unit length (see the module docstring).
-    ``min_panels_per_segment`` forces short segments (e.g. around narrow
-    bump knots) to still carry enough panels for full-order accuracy.  A
+    ``_SIMPSON_PANELS_PER_UNIT`` (only ``data_layout`` asks for it); with
+    it, Gauss-Legendre panels sized to that band in radians per unit
+    length (see the module docstring).  Band 0 gives one panel per
+    segment, exact for a polynomial of degree <= 15 on each segment.  A
     layout of more than ``_MAX_NODES`` nodes is refused before any node is
     allocated.
     """
@@ -165,30 +170,26 @@ class Panelization:
     a: float
     b: float
     breakpoints: tuple = ()
-    min_panels_per_segment: int = 1
     band: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.a < self.b):
             raise ValueError(f"need a < b, got ({self.a}, {self.b})")
-        if self.min_panels_per_segment < 1:
-            raise ValueError("min_panels_per_segment must be >= 1")
-        if self.band is not None and not (math.isfinite(self.band) and self.band > 0.0):
-            raise ValueError(f"band must be finite and positive, got {self.band}")
+        if self.band is not None and not (math.isfinite(self.band) and self.band >= 0.0):
+            raise ValueError(f"band must be finite and non-negative, got {self.band}")
         if not math.isfinite(self.b - self.a):
             raise ValueError(f"need a finite interval, got ({self.a}, {self.b})")
         cuts = sorted({float(c) for c in self.breakpoints if self.a < c < self.b})
         object.__setattr__(self, "breakpoints", tuple(cuts))
         edges = [self.a, *cuts, self.b]
         spans = list(zip(edges[:-1], edges[1:]))
-        floor = self.min_panels_per_segment
         try:
             if self.band is None:     # Simpson sub-intervals per segment
-                counts = [2 * max(floor, math.ceil(_SIMPSON_PANELS_PER_UNIT * (hi - lo)))
+                counts = [2 * math.ceil(_SIMPSON_PANELS_PER_UNIT * (hi - lo))
                           for lo, hi in spans]
                 total = sum(counts) + len(counts)
             else:                     # Gauss-Legendre panels per segment
-                counts = [max(floor, math.ceil(self.band * (hi - lo) / _RAD_PER_PANEL))
+                counts = [max(1, math.ceil(self.band * (hi - lo) / _RAD_PER_PANEL))
                           for lo, hi in spans]
                 total = _GAUSS_NODES * sum(counts)
         except OverflowError:   # a panel count past float range
@@ -218,15 +219,14 @@ def data_layout(data: InitialData, a: float, b: float, breakpoints: tuple,
 
     Data that declare their rate get Gauss-Legendre panels sized to
     ``band(data.rate)``, the integrand's band in radians per unit length,
-    at most ``_DATA_RAD_PER_PANEL`` radians of it per panel.  The band is
-    floored at one panel over (a, b), so that data of rate 0, whose squares
-    have band 0, still get a layout.  Data that declare no rate get
-    composite Simpson.
+    at most ``_DATA_RAD_PER_PANEL`` radians of it per panel; a band of 0
+    (the squares of data of rate 0) is one panel per segment.  Data that
+    declare no rate get composite Simpson.
     """
     if data.rate is None:
         return Panelization(a, b, breakpoints)
-    widened = band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL)
-    return Panelization(a, b, breakpoints, band=max(widened, _RAD_PER_PANEL / (b - a)))
+    return Panelization(a, b, breakpoints,
+                        band=band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL))
 
 
 def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:

@@ -320,8 +320,12 @@ class TestBadInputExitsTwo:
         ("L", "1" + "0" * 400, "'L' is too large for a float"),
         ("initial", '{"table": 5}', "'initial.table' must be a path string"),
         ("initial", '{"table": "missing.csv"}', "cannot read initial.table"),
+        # a param called "name" reaches the builder, not the spec's own name
+        ("initial", '{"preset": {"name": "bump", "params": '
+                    '{"center": 1.0, "width": 0.5, "name": "x"}}}',
+         "bad parameters for preset 'bump'"),
     ], ids=["ppu-null", "ppu-list", "ppu-1e400", "ppu-fraction", "ppu-string", "L-10^400",
-            "table-number", "table-missing"])
+            "table-number", "table-missing", "preset-param-name"])
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, text, message):
         cfg = write_raw_cfg(tmp_path, key, text)
         rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -827,7 +831,7 @@ class TestManifest:
 
 class TestZeroConfig:
     """configs/zero.json declares rate 0: its squared integrands have band
-    0, which the layout floors."""
+    0, one Gauss-Legendre panel per segment."""
 
     def test_coeffs_are_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -878,7 +882,8 @@ class TestValidateCmd:
         assert any(c["vacuous"] for c in doc["checks"])
         assert doc["checks"] == certify_records(cfg)
 
-    def test_non_finite_table_sample_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", ["coeffs", "validate"])
+    def test_non_finite_table_sample_usage_error(self, tmp_path, capsys, subcommand):
         x = np.linspace(0, math.pi, 21)
         rows = [f"{a!r},{0.1 * math.sin(a)!r},0.0" for a in x.tolist()]
         rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
@@ -886,8 +891,8 @@ class TestValidateCmd:
         (tmp_path / "cfg.json").write_text(json.dumps({
             "L": math.pi, "v": 0.4, "n_max": 8, "initial": {"table": "data.csv"}}))
         out = tmp_path / "out"
-        # coeffs builds the data before it makes --out
-        rc = main(["coeffs", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        # the data are built before --out is made
+        rc = main([subcommand, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
         assert rc == 2
         assert "table column phi1 holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()

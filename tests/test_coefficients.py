@@ -305,7 +305,7 @@ class TestTableLayout:
             np.testing.assert_array_equal(got.weights, want.weights)
 
     def test_zero_rate_gets_one_panel_per_segment(self):
-        # the squares of rate-0 data have band 0; the layout floors it
+        # the squares of rate-0 data have band 0: one panel per segment
         cfg = make_config(0.3, preset="zero")
         for side in ("plus", "minus"):
             p, _, _ = _formula(initial_data(cfg), derive_constants(cfg.L, cfg.v), side, None)

@@ -57,3 +57,13 @@ def test_same_line_count_pairs_without_alignment(monkeypatch):
         "largest abs diff 0.5 at line 1 field 2 ('0,1.5')")
     with pytest.raises(AssertionError, match="aligned"):
         describe_difference(old, new + b"extra\n")
+
+
+def test_figures_runs_once():
+    # figures reads no config, so it runs once per tree, not once per config
+    configs = [Path(f"configs/c{k}.json") for k in range(7)]
+    jobs = compare_cli_outputs.jobs(configs)
+    assert [job for job in jobs if job[1] == "figures"] == [(None, "figures")]
+    per_config = [s for s in compare_cli_outputs.SUBCOMMANDS if s != "figures"]
+    assert jobs[:-1] == [(c, s) for c in configs for s in per_config]
+    assert len(jobs) == 7 * 14 + 1 == 99

@@ -385,6 +385,35 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.initial.kind == "table"
 
+    @pytest.mark.parametrize("fields, rows_bad", [(2, [3]), (4, [3]), (2, range(21))],
+                             ids=["ragged-2", "ragged-4", "all-2"])
+    def test_table_row_width_names_line(self, tmp_path, fields, rows_bad):
+        # a row of the wrong width is named by its line (the header is
+        # line 1), whether or not the other rows are right
+        x = np.linspace(0, 2.0, 21)
+        rows = [[f"{xi}", f"{0.2 * xi * (2.0 - xi)}", "0.0"] for xi in x]
+        for k in rows_bad:
+            rows[k] = (rows[k] + ["0.0"])[:fields]
+        (tmp_path / "data.csv").write_text(
+            "x,phi0,phi1\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"L": 2.0, "v": 0.5, "n_max": 8, "initial": {"table": "data.csv"}}))
+        line = rows_bad[0] + 2
+        with pytest.raises(ConfigurationError, match=f"data.csv: line {line} has {fields} "
+                                                     f"fields; every row needs exactly 3 "
+                                                     f"columns$"):
+            load_config(path)
+
+    def test_table_without_rows_refused(self, tmp_path):
+        (tmp_path / "data.csv").write_text("x,phi0,phi1\n\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"L": 2.0, "v": 0.5, "n_max": 8, "initial": {"table": "data.csv"}}))
+        with pytest.raises(ConfigurationError, match="data.csv: the table has no rows below "
+                                                     "its header"):
+            load_config(path)
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"L": 1.0,,}')

@@ -243,6 +243,21 @@ class TestSharpnessProbe:
             (1 + g) ** 2 / (2 * (1 + 0.3)), rel=1e-6
         )
 
+    @pytest.mark.parametrize("L", [1.0, math.pi])
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.7, 0.9, 0.99])
+    def test_left_integral_exact_on_band_zero(self, v, L):
+        # the squared traces are quartics between the knot-arrival cuts,
+        # and one Gauss-Legendre panel per piece is exact on them: the left
+        # integral sits within 1e-13 of (1+gamma)^2/(2(1+v)) (measured at
+        # most 1.14e-14, at v = 0.99, L = 1: the characteristics solver's
+        # rounding), and the right trace is zero at every node
+        cfg = make_config(v, L=L)
+        c = derive_constants(cfg.L, cfg.v)
+        rep = sharpness_probe(cfg, 0.5 * c.T_tilde_v)
+        exact = (1 + c.gamma_v) ** 2 / (2 * (1 + v))
+        assert abs(rep.left_integral - exact) <= 1e-13 * exact
+        assert rep.right_integral == 0.0
+
     def test_centered_bump_silent_until_waves_arrive(self):
         # v=0: bump of width L/8 at the center; both traces stay zero for
         # t < L/2 - L/16

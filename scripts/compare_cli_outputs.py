@@ -56,6 +56,10 @@ SUBCOMMANDS = {
     "oracle-bench-seed7": ["oracle", "--method", "both", "--samples", "4000", "--nx", "1024",
                            "--seed", "7"],
     "validate-seed7": ["validate", "--seed", "7"],
+    # 2^64 + 1: a three-word seed, so the seeding's multi-word mixing is compared too
+    "oracle-seed-2p64": ["oracle", "--samples", "50", "--nx", "256",
+                         "--seed", "18446744073709551617"],
+    "validate-seed-2p64": ["validate", "--seed", "18446744073709551617"],
     "figures": ["figures", "--figure", "6"],
 }
 # Both sides run at once; one BLAS thread each keeps them from

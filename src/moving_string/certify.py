@@ -6,7 +6,10 @@ coefficient formulas and Parseval sums, the Dirichlet traces, energy
 conservation and bounds, the boundary-observability identities, shift
 periodicity and agreement with the characteristics oracle.  The support
 checks read the grid evaluator at s = 0 and s = L of x = v t + s, so no
-support point is rounded.  A check is vacuous when zero initial data
+support point is rounded.  The seeded checks read 64 points (t, x) of the
+slab t in [0, T_v]: 128 draws of ``_seeds.uniforms``, which are numpy's
+``default_rng(seed).random`` stream bit for bit, taken as 64 times T_v u
+and 64 fractions of L.  A check is vacuous when zero initial data
 leave its energy normalization undefined; a vacuous check counts as passed.
 """
 
@@ -16,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng   # numpy loads it lazily; load it with the program
 
+from ._seeds import uniforms
 from .coefficients import SpectralSolution, parseval_sum
 from .domain import DEFAULT_TOL, check_tolerance
 from .energy import energy_report, spectral_energy
@@ -28,7 +31,7 @@ from .observability import (
 )
 from .oracle import CharacteristicSolver
 from .quadrature import data_layout, integrate
-from .series import check_periodicity, field_components, field_on_moving_grid
+from .series import _field_value, check_periodicity, field_components, field_on_moving_grid
 
 __all__ = ["Check", "certify"]
 
@@ -91,9 +94,9 @@ def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> l
                         vacuous=zero_data,
                         note="sup |phi_t + v phi_x| at the supports, energy-normalized"))
 
-    rng = default_rng(seed)
-    ts = rng.uniform(0.0, c.T_v, 64)
-    xs = c.v * ts + rng.uniform(0.0, 1.0, 64) * c.L
+    u = uniforms(seed, 128)
+    ts = c.T_v * u[:64]
+    xs = c.v * ts + u[64:] * c.L
     phi_pts, _, _, imag_resid = field_components(sol, xs, ts)
     checks.append(Check("field_reality", imag_resid < tol, imag_resid, tol))
 
@@ -143,7 +146,7 @@ def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> l
 
     # t = 0 data reproduction in L^2, truncation/Gibbs limited
     def squares(x, seg):
-        phi, _, _, _ = field_components(sol, x, 0.0)
+        phi = _field_value(sol, x, 0.0)
         p0 = np.asarray(sol.data.phi0(x), float)
         return [(phi - p0) ** 2, p0 ** 2]
 

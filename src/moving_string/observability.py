@@ -274,7 +274,7 @@ def sharpness_probe(cfg: StringConfig, T: float, width: float | None = None,
     p = Panelization(0.0, T, breakpoints=cuts, band=0.0)
 
     def trace_sq(xb):
-        return integrate(lambda t, seg: cs.slope(xb + v * t, t) ** 2, p)
+        return integrate(lambda t, seg: cs._support_slope(xb, t) ** 2, p)
 
     left = trace_sq(0.0)
     right = trace_sq(consts.L)

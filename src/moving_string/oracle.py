@@ -63,6 +63,10 @@ sampled values equal ``fd_solve(...).eval`` bit for bit.
 Both oracles evaluate whole arrays of sample points in one call: the
 reflection reduction runs elementwise with per-point reflection counts, and
 the FD values come from vectorized bilinear interpolation.
+``cross_validate`` draws its 2 ``sample_count`` uniforms from
+``_seeds.uniforms``, numpy's ``default_rng(seed).random`` stream bit for bit
+(times T_v u first, then fractions of L), and compares the oracles with the
+series' phi alone.
 """
 
 from __future__ import annotations
@@ -71,13 +75,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng   # numpy loads it lazily; load it with the program
 
+from ._seeds import uniforms
 from .coefficients import SpectralSolution
 from .domain import (DerivedConstants, InitialData, StringConfig, check_memory,
                      check_moving_interval, derive_constants, edge_slack, initial_data)
 from .errors import ConfigurationError
-from .series import field_components
+from .series import _field_value
+
+# Unused here: the benchmark's span tracer (perfbench/spans.py) wraps this
+# name in this module, so it stays bound until it traces the phi-only sum.
+from .series import field_components  # noqa: F401
 
 __all__ = [
     "CharacteristicSolver",
@@ -176,8 +184,13 @@ class CharacteristicSolver:
         c = self.consts
         x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
         check_moving_interval(c.L, c.v, x, t)
-        n = x.size
-        args = np.concatenate([(x + t).ravel(), (x - t).ravel()])
+        return self._profiles(x + t, x - t, derivative)
+
+    def _profiles(self, fwd: np.ndarray, bwd: np.ndarray, derivative: bool):
+        """Forward and backward profile terms at the arguments ``fwd`` = x + t
+        and ``bwd`` = x - t, which share one shape."""
+        n = fwd.size
+        args = np.concatenate([fwd.ravel(), bwd.ravel()])
         s, forward, sign, dscale = self._reduce(args, np.arange(2 * n) < n)
         d = self.data
         if derivative:
@@ -186,7 +199,7 @@ class CharacteristicSolver:
         else:
             psi = self._psi(s)
             prof = sign * (0.5 * (np.asarray(d.phi0(s), float) + np.where(forward, psi, -psi)))
-        return prof[:n].reshape(x.shape), prof[n:].reshape(x.shape)
+        return prof[:n].reshape(fwd.shape), prof[n:].reshape(fwd.shape)
 
     def value(self, x, t):
         """phi at points (x, t) inside the moving interval, t >= 0; a float
@@ -197,6 +210,16 @@ class CharacteristicSolver:
     def slope(self, x, t):
         f, b = self._waves(x, t, derivative=True)
         return _as_output(f + b)
+
+    def _support_slope(self, xb: float, t) -> np.ndarray:
+        """phi_x along the support x = xb + v t, from the arguments formed in
+        frame coordinates, xb + (1+v) t and xb - (1-v) t.  Through x = xb + v t
+        and x - t the backward argument at xb = 0 would cancel, turning the
+        rounding of v t into a relative error of eps v / (1 - v)."""
+        v = self.consts.v
+        t = np.asarray(t, float)
+        f, b = self._profiles(xb + (1.0 + v) * t, xb - (1.0 - v) * t, derivative=True)
+        return f + b
 
 
 def _as_output(a: np.ndarray):
@@ -634,10 +657,10 @@ def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
         raise ConfigurationError(f"unknown oracle methods {sorted(unknown)}")
     check_memory(3 * 8 * sample_count, f"x, t and the series at {sample_count} samples")
     consts = sol.consts
-    rng = default_rng(seed)
-    t = rng.uniform(0.0, consts.T_v, sample_count)
-    x = consts.v * t + rng.uniform(0.0, 1.0, sample_count) * consts.L
-    phi, _, _, _ = field_components(sol, x, t)
+    u = uniforms(seed, 2 * sample_count)
+    t = consts.T_v * u[:sample_count]
+    x = consts.v * t + u[sample_count:] * consts.L
+    phi = _field_value(sol, x, t)
 
     max_char = max_fd = fd_steps = tail = None
     if "characteristics" in methods:

@@ -31,9 +31,11 @@ x: the energy sweep, the ``simulate`` grid and the supports s = 0, L that
 Fourier series in t (``slope_trace_rows``, ``velocity_trace_rows``), which
 the observability integrals sum on Gauss-Legendre nodes as blocked
 products (``quadrature.UniformPhasors``).  Horner's rule serves scattered points
-only: ``field_components`` (``check_periodicity``, ``cross_validate``,
-``certify``'s seeded checks and its ``initial_data_reproduction``, which
-sums on the nodes of its raw-data layout at t = 0, where x = s exactly).
+only: ``field_components`` (``certify``'s ``field_reality`` and
+``check_periodicity``) and, where phi alone is read, ``_field_value``, which
+runs the c_n sums without the n c_n ones (``cross_validate`` and
+``certify``'s ``initial_data_reproduction``, which sums on the nodes of its
+raw-data layout at t = 0, where x = s exactly).
 """
 
 from __future__ import annotations
@@ -86,18 +88,25 @@ def _power_sum(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phases(sol: SpectralSolution, x, t):
+    """The broadcast shape of x, t and the two families' phases there, shape
+    (2, points): pi (1-v)(t+x)/L and pi (1+v)(t-x)/L."""
+    c = sol.consts
+    L, v = c.L, c.v
+    check_moving_interval(L, v, x, t)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    return x.shape, np.stack([(math.pi * (1.0 - v) / L) * (t + x).ravel(),
+                              (math.pi * (1.0 + v) / L) * (t - x).ravel()])
+
+
 def field_components(sol: SpectralSolution, x, t):
     """Vectorized (phi, phi_x, phi_t, imag_residual) at broadcastable x, t.
 
     Returns real arrays; ``imag_residual`` is the max |Im| over the three
     sums, a free consistency diagnostic for real initial data.
     """
-    c = sol.consts
-    L, v = c.L, c.v
-    check_moving_interval(L, v, x, t)
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    theta = np.stack([(math.pi * (1.0 - v) / L) * (t + x).ravel(),
-                      (math.pi * (1.0 + v) / L) * (t - x).ravel()])
+    L, v = sol.consts.L, sol.consts.v
+    shape, theta = _phases(sol, x, t)
     n = sol.n.astype(float)
     coef = _halves(np.column_stack([np.ones_like(n), n]) * sol.c[:, None])  # P: c_n, Q: n c_n
     (p1, p2), (q1, q2) = _power_sum(coef, theta)
@@ -110,8 +119,15 @@ def field_components(sol: SpectralSolution, x, t):
         float(np.max(np.abs(phx.imag))),
         float(np.max(np.abs(pht.imag))),
     ) if phi.size else 0.0
-    shape = x.shape
     return phi.real.reshape(shape), phx.real.reshape(shape), pht.real.reshape(shape), resid
+
+
+def _field_value(sol: SpectralSolution, x, t) -> np.ndarray:
+    """phi alone at broadcastable x, t: the c_n sums of ``field_components``
+    without the n c_n ones, so its phi bit for bit."""
+    shape, theta = _phases(sol, x, t)
+    (p1, p2), = _power_sum(_halves(sol.c[:, None]), theta)
+    return (p1 - p2).real.reshape(shape)
 
 
 def _mode_powers(z: np.ndarray, m: int) -> np.ndarray:
@@ -212,6 +228,8 @@ def check_periodicity(sol: SpectralSolution, samples) -> float:
     """max |phi(x + v T_v, t + T_v) - phi(x, t)| over (x, t) sample pairs."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 2)
     x, t = pts[:, 0], pts[:, 1]
+    # the full sums, not _field_value's: the benchmark's span tracer
+    # (perfbench/spans.py) counts these calls in a validate run
     p0, _, _, _ = field_components(sol, x, t)
     p1, _, _, _ = field_components(
         sol, x + sol.consts.v * sol.consts.T_v, t + sol.consts.T_v

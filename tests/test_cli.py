@@ -647,6 +647,35 @@ class TestImportPath:
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_seeded_runs_leave_out_numpy_random_and_openssl(self, tmp_path):
+        # the sample points come from the package's own PCG64 stream, so the
+        # import, a validate run and both oracles load neither numpy.random
+        # nor, through its secrets import, hashlib's OpenSSL binding
+        root = Path(moving_string.__file__).resolve().parents[2]
+        code = "\n".join([
+            "import sys",
+            "import math",
+            "def loaded():",
+            "    return sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules))",
+            "import moving_string.cli",
+            "assert not loaded(), loaded()",
+            f"rc = moving_string.cli.main(['validate', '--config', "
+            f"{str(root / 'configs' / 'sine_v03.json')!r}, '--out', {str(tmp_path)!r}])",
+            "assert rc == 0, rc",
+            "assert not loaded(), loaded()",
+            "from moving_string import (InitialDataSpec, StringConfig, cross_validate,",
+            "                           solve)",
+            "spec = InitialDataSpec.preset('sine_mode', amplitude=0.1, mode=1)",
+            "cfg = StringConfig(L=math.pi, v=0.3, n_max=16, initial=spec)",
+            "res = cross_validate(solve(cfg), sample_count=20, nx=64,",
+            "                     methods=('characteristics', 'fd'))",
+            "assert res.max_characteristics < 1e-2 and res.max_fd < 1e-2, res",
+            "assert not loaded(), loaded()",
+        ])
+        src = str(root / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_builds_no_formatter_table(self):
         # the CSV kernel is loaded by the first write and builds its tables

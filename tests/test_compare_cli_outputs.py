@@ -66,4 +66,4 @@ def test_figures_runs_once():
     assert [job for job in jobs if job[1] == "figures"] == [(None, "figures")]
     per_config = [s for s in compare_cli_outputs.SUBCOMMANDS if s != "figures"]
     assert jobs[:-1] == [(c, s) for c in configs for s in per_config]
-    assert len(jobs) == 7 * 14 + 1 == 99
+    assert len(jobs) == 7 * 16 + 1 == 113

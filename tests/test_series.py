@@ -11,6 +11,7 @@ from moving_string import check_periodicity, field_components
 from moving_string.observability import _support_trace, _trace_band
 from moving_string.quadrature import Panelization, _gauss_segment
 from moving_string.series import (
+    _field_value,
     _trace_values,
     field_on_moving_grid,
     sample_moving_grid,
@@ -49,6 +50,28 @@ class TestZeroData:
         phx = field_on_moving_grid(sol, [0.0, 1.0], [0.0, sol.consts.L])[1]
         assert np.all(phx == 0.0)
         assert check_periodicity(sol, [(1.0, 0.5)]) == 0.0
+
+
+class TestFieldValue:
+    """The phi-only sum the oracles and the t = 0 L2 check read."""
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.99])
+    def test_bitwise_the_field_components_phi(self, v):
+        sol = get_solution(v)
+        c = sol.consts
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0, 2 * c.T_v, 3000)
+        x = c.v * t + rng.uniform(0, 1, 3000) * c.L
+        assert np.array_equal(_field_value(sol, x, t), field_components(sol, x, t)[0])
+        xs = np.linspace(0.0, c.L, 9).reshape(3, 3)
+        phi = _field_value(sol, xs, 0.0)
+        assert phi.shape == (3, 3) and np.array_equal(phi, field_components(sol, xs, 0.0)[0])
+
+    def test_same_interval_check(self, sine_v03):
+        with pytest.raises(ValueError, match="moving interval"):
+            _field_value(sine_v03, 0.05, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _field_value(sine_v03, 0.5, -1.0)
 
 
 class TestDomainValidation:

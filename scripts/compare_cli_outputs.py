@@ -2,10 +2,9 @@
 """Byte-compare the CLI outputs of two source trees.
 
 Runs every subcommand below on every ``configs/*.json`` and
-``perfbench/configs/*.json`` of NEW_ROOT (``figures``, which reads no
-config, runs once), once with OLD_ROOT/src and once with NEW_ROOT/src on
-PYTHONPATH, and compares the exit codes, stdout and every written file
-byte for byte.  Two runs go at once, each child with
+``perfbench/configs/*.json`` of NEW_ROOT, once with OLD_ROOT/src and once
+with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
+every written file byte for byte.  Two runs go at once, each child with
 one BLAS thread.  Only the manifest's ``duration_seconds`` and
 ``out_dir`` are ignored.  Two versions of a file with equal line counts
 pair line by line by index; otherwise they are aligned
@@ -19,8 +18,8 @@ those of the new file.  For ``validate.json`` it also names
 the checks whose ``passed`` flipped, or says there is no pass/fail change;
 the summary line counts the flips.
 
-Exit status: 1 if any output from ``configs/`` or from ``figures``
-differs, else 0 (differences on ``perfbench/configs`` are reported only).
+Exit status: 1 if any output from ``configs/`` differs, else 0
+(differences on ``perfbench/configs`` are reported only).
 
 Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -60,7 +59,6 @@ SUBCOMMANDS = {
     "oracle-seed-2p64": ["oracle", "--samples", "50", "--nx", "256",
                          "--seed", "18446744073709551617"],
     "validate-seed-2p64": ["validate", "--seed", "18446744073709551617"],
-    "figures": ["figures", "--figure", "6"],
 }
 # Both sides run at once; one BLAS thread each keeps them from
 # oversubscribing the cores, as perfbench's children do.
@@ -68,19 +66,17 @@ _THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THR
 _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 
 
-def jobs(configs: list[Path]) -> list[tuple[Path | None, str]]:
-    """(config, subcommand) pairs: every subcommand on every config, except
-    ``figures``, which draws its own fixed problems and takes no --config:
-    it runs once, with config None."""
-    return [(c, s) for c in configs for s in SUBCOMMANDS if s != "figures"] + [(None, "figures")]
+def jobs(configs: list[Path]) -> list[tuple[Path, str]]:
+    """(config, subcommand) pairs: every subcommand on every config."""
+    return [(c, s) for c in configs for s in SUBCOMMANDS]
 
 
-def run(root: Path, config: Path | None, args: list[str], out: Path) -> dict[str, bytes]:
+def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes]:
     """Outputs of one CLI run, keyed by file name (plus exit code and stdout)."""
     env = {**os.environ, **_THREAD_ENV, "PYTHONPATH": str(root / "src")}
-    config_args = [] if config is None else ["--config", str(config)]
     proc = subprocess.run(
-        [sys.executable, "-m", "moving_string.cli", *args, *config_args, "--out", str(out)],
+        [sys.executable, "-m", "moving_string.cli", *args, "--config", str(config),
+         "--out", str(out)],
         capture_output=True, env=env,
     )
     files = {"<exit code>": str(proc.returncode).encode(), "<stdout>": proc.stdout}
@@ -160,11 +156,11 @@ def pass_flips(a: bytes, b: bytes) -> list[str]:
     return sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
 
 
-def compare(old: Path, new: Path, config: Path | None, name: str,
+def compare(old: Path, new: Path, config: Path, name: str,
             scratch: Path) -> tuple[list[str], int]:
     """(one line per differing output, number of pass/fail flips)."""
     args = SUBCOMMANDS[name]
-    tag = "no-config" if config is None else config.relative_to(new).with_suffix("").as_posix()
+    tag = config.relative_to(new).with_suffix("").as_posix()
     out = scratch / f"{tag.replace('/', '-')}-{name}"
     a, b = run(old, config, args, out / "old"), run(new, config, args, out / "new")
     lines, flips = [], 0
@@ -198,7 +194,7 @@ def main(argv: list[str]) -> int:
     for (config, name), (diffs, _) in zip(todo, results):
         for line in diffs:
             print("DIFF", line)
-        gating += bool(diffs) and (config is None or config.parent == new / "configs")
+        gating += bool(diffs) and config.parent == new / "configs"
     differing = sum(bool(d) for d, _ in results)
     flips = sum(f for _, f in results)
     print(f"{len(todo)} runs on {len(configs)} configs: {len(todo) - differing} identical, "

@@ -2,10 +2,12 @@
 """Reproduce the three demo surfaces (v = 0.3, 0.7, 0.9) and run the
 identity suite on the v = 0.3 configuration.
 
-Writes figN_field.csv + figN_field.gp under out/figures/figN/ for
-N in {4, 5, 6}; render the PNGs afterwards with gnuplot, e.g.
+Each paper figure is ``simulate`` over one period T_v on a shipped config
+(``FIGURES``: the sine data with L = pi and n_max = 40).  Writes
+field.csv + field.gp under out/figures/figN/ for N in {4, 5, 6}; render
+the PNGs afterwards with gnuplot, e.g.
 
-    cd out/figures/fig6 && gnuplot fig6_field.gp
+    cd out/figures/fig6 && gnuplot field.gp
 """
 
 import sys
@@ -15,11 +17,13 @@ from moving_string.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "out" / "figures"
+FIGURES = {4: "sine_v03.json", 5: "sine_v07.json", 6: "sine_v09.json"}
 
 
 def run() -> int:
-    for fig in (4, 5, 6):
-        rc = main(["figures", "--figure", str(fig), "--out", str(OUT / f"fig{fig}")])
+    for fig, config in FIGURES.items():
+        rc = main(["simulate", "--config", str(ROOT / "configs" / config),
+                   "--out", str(OUT / f"fig{fig}")])
         if rc != 0:
             return rc
     return main([

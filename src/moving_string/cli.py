@@ -1,20 +1,19 @@
-"""Command-line surface: configuration ingestion, batch runs, figure data
-and the rendering of the identity suite (``moving_string.certify``).  It
-holds no numerics: every subcommand calls the library and writes what it
-returns.
+"""Command-line surface: configuration ingestion, batch runs and the
+rendering of the identity suite (``moving_string.certify``).  It holds no
+numerics: every subcommand calls the library and writes what it returns.
 
-Subcommands: constants, coeffs, simulate, energy, observe, oracle, figures,
-validate.  Each takes only the options it reads: all but figures (whose
-problems are fixed) take ``--config``, the identity checks of energy,
-observe and validate take ``--tol``, and oracle and validate ``--seed``.
-Every run writes its outputs plus a ``manifest.json`` listing each emitted
-file and any pass/fail checks; the manifest is written last.  Every
-subcommand that solves records under ``parameters.coefficient_tables``
-the rule that laid out the coefficient tables (``gauss-legendre`` for
-data that declare their rate, ``simpson`` for the others) and each
-formula's node count; oracle runs that march the FD scheme record its
-step count and the largest row mass its propagator dropped under
-``parameters.fd``.
+Subcommands: constants, coeffs, simulate, energy, observe, oracle,
+validate.  Each reads the problem from ``--config`` (required) and takes
+only the other options it reads: the identity checks of energy, observe
+and validate take ``--tol``, and oracle and validate ``--seed``.  Every run
+writes its outputs plus a ``manifest.json`` listing each emitted file and
+any pass/fail checks; the manifest is written last.  Every subcommand that
+solves records, last among its ``parameters``, under
+``coefficient_tables`` the rule that laid out the coefficient tables
+(``gauss-legendre`` for data that declare their rate, ``simpson`` for the
+others) and each formula's node count; oracle runs that march the FD
+scheme record its step count and the largest row mass its propagator
+dropped under ``parameters.fd``.
 Numeric output uses 17 significant digits so doubles round-trip exactly.
 CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
 ``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
@@ -45,8 +44,6 @@ from .certify import Check, certify
 from .coefficients import solve
 from .domain import (
     DEFAULT_TOL,
-    InitialDataSpec,
-    StringConfig,
     check_memory,
     check_tolerance,
     derive_constants,
@@ -65,7 +62,6 @@ from .energy import spectral_energy  # noqa: F401
 from .observability import velocity_trace_equivalent  # noqa: F401
 from .series import check_periodicity, field_components  # noqa: F401
 
-FIGURE_SPEEDS = {4: 0.3, 5: 0.7, 6: 0.9}
 _CHUNK_ROWS = 1000
 
 
@@ -149,15 +145,23 @@ def write_csv(path: Path, header: list[str], rows, block_size: int = 0) -> None:
 
 
 class Manifest:
-    def __init__(self, subcommand: str, config: str | None, out_dir: Path):
+    """The run record of one subcommand, opened on its parsed ``args``: the
+    subcommand, ``--config`` and ``--out`` come from there, ``parameters``
+    from the keywords, followed by ``coefficient_tables`` when the run
+    solved (``sol``).  Opening it creates the output directory."""
+
+    def __init__(self, args, sol=None, **parameters):
         self.start = time.perf_counter()
+        out_dir = Path(args.out)
+        if sol is not None:
+            parameters["coefficient_tables"] = sol.table_layout()
         self.doc = {
             "tool": "moving-string",
             "version": __version__,
-            "subcommand": subcommand,
-            "config": config,
+            "subcommand": args.subcommand,
+            "config": args.config,
             "out_dir": str(out_dir),
-            "parameters": {},
+            "parameters": parameters,
             "files": [],
             "checks": [],
         }
@@ -192,16 +196,10 @@ class Manifest:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _load(args) -> StringConfig:
-    if not args.config:
-        raise ConfigurationError("this subcommand requires --config PATH")
-    return load_config(args.config)
-
-
 def cmd_constants(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     c = derive_constants(cfg.L, cfg.v)
-    man = Manifest("constants", args.config, Path(args.out))
+    man = Manifest(args)
     man.emit_json("constants.json", asdict(c))
     man.finish()
     print(f"T_v = {fmt(c.T_v)}  T_tilde_v = {fmt(c.T_tilde_v)}  gamma_v = {fmt(c.gamma_v)}")
@@ -209,16 +207,15 @@ def cmd_constants(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     sol = solve(cfg)
-    man = Manifest("coeffs", args.config, Path(args.out))
+    man = Manifest(args, sol, n_max=cfg.n_max)
     rows = [
         (int(n), cp.real, cp.imag, cm.real, cm.imag, abs(cp - cm))
         for n, cp, cm in zip(sol.n, sol.c, sol.c_minus)
     ]
     man.emit_csv("coeffs.csv",
                  ["n", "re_plus", "im_plus", "re_minus", "im_minus", "abs_diff"], rows)
-    man.doc["parameters"] = {"n_max": cfg.n_max, "coefficient_tables": sol.table_layout()}
     man.finish()
     print(f"wrote {2 * cfg.n_max} coefficients; "
           f"cross-check residual {fmt(sol.cross_check_residual)}")
@@ -227,28 +224,18 @@ def cmd_coeffs(args) -> int:
 
 _GNUPLOT_SURFACE = """\
 # Surface view of the displacement on the moving interval.
-# Run:  gnuplot {name}.gp   (requires gnuplot with pngcairo)
+# Run:  gnuplot field.gp   (requires gnuplot with pngcairo)
 set datafile separator comma
 set terminal pngcairo size 900,700
-set output "{name}.png"
+set output "field.png"
 set xlabel "x"
 set ylabel "t"
 set zlabel "phi"
 set pm3d
 set hidden3d
 unset key
-splot "{csv}" using 1:2:3 with pm3d
+splot "field.csv" using 1:2:3 with pm3d
 """
-
-
-def _emit_field(man: Manifest, sol, nx: int, nt: int, t_final: float, stem: str) -> None:
-    X, T, phi, phx, pht = sample_moving_grid(sol, nx, nt, t_final)
-    if not all(np.all(np.isfinite(a)) for a in (phi, phx, pht)):
-        raise NumericError("non-finite values in computed output")
-    rows = np.stack([X, T, phi, phx, pht], axis=-1).reshape(nx * nt, 5)
-    man.emit_csv(f"{stem}.csv", ["x", "t", "phi", "phi_x", "phi_t"], rows,
-                 block_size=nt)
-    man.emit_text(f"{stem}.gp", _GNUPLOT_SURFACE.format(name=stem, csv=f"{stem}.csv"))
 
 
 def _check_t_final(t_final) -> None:
@@ -256,31 +243,30 @@ def _check_t_final(t_final) -> None:
         raise ConfigurationError(f"--t-final must be finite and nonnegative, got {t_final}")
 
 
-def _check_grid(args) -> None:
+def cmd_simulate(args) -> int:
+    cfg = load_config(args.config)
+    _check_t_final(args.t_final)
     for flag, value in (("--nx", args.nx), ("--nt", args.nt)):
         if value < 2:
             raise ConfigurationError(f"{flag} must be at least 2, got {value}")
     check_memory(5 * 8 * args.nx * args.nt, f"five fields on the {args.nx} x {args.nt} grid",
                  "; lower --nx or --nt")
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    _check_t_final(args.t_final)
-    _check_grid(args)
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
-    man = Manifest("simulate", args.config, Path(args.out))
-    man.doc["parameters"] = {"nx": args.nx, "nt": args.nt, "t_final": t_final,
-                             "coefficient_tables": sol.table_layout()}
-    _emit_field(man, sol, args.nx, args.nt, t_final, "field")
+    man = Manifest(args, sol, nx=args.nx, nt=args.nt, t_final=t_final)
+    X, T, phi, phx, pht = sample_moving_grid(sol, args.nx, args.nt, t_final)
+    if not all(np.all(np.isfinite(a)) for a in (phi, phx, pht)):
+        raise NumericError("non-finite values in computed output")
+    rows = np.stack([X, T, phi, phx, pht], axis=-1).reshape(args.nx * args.nt, 5)
+    man.emit_csv("field.csv", ["x", "t", "phi", "phi_x", "phi_t"], rows, block_size=args.nt)
+    man.emit_text("field.gp", _GNUPLOT_SURFACE)
     man.finish()
     print(f"wrote field.csv ({args.nx} x {args.nt} grid over t in [0, {fmt(t_final)}])")
     return 0
 
 
 def cmd_energy(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     _check_t_final(args.t_final)
     if args.times < 1:
         raise ConfigurationError(f"--times must be at least 1, got {args.times}")
@@ -289,8 +275,7 @@ def cmd_energy(args) -> int:
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v
     times = np.linspace(0.0, t_final, args.times)
     rep = energy_report(sol, times, tol=args.tol)
-    man = Manifest("energy", args.config, Path(args.out))
-    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
+    man = Manifest(args, sol)
     spec = rep.spectral
     rows = [(t, cE, E, spec, abs(cE - spec) / spec if spec > 0 else abs(cE))
             for t, cE, E in zip(rep.times, rep.calE, rep.E)]
@@ -315,7 +300,7 @@ def cmd_observe(args) -> int:
                                  "L/(1+v) and L/(1-v); drop --periods and --horizon")
     if args.periods is not None and args.horizon is not None:
         raise ConfigurationError("give --periods or --horizon, not both")
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if args.periods is not None and args.periods < 1:
         raise ConfigurationError(f"--periods must be at least 1, got {args.periods}")
     if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
@@ -328,8 +313,7 @@ def cmd_observe(args) -> int:
     else:
         periods = 1 if args.periods is None else args.periods
         rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
-    man = Manifest("observe", args.config, Path(args.out))
-    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
+    man = Manifest(args, sol)
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [
         Check("observability_identity", rep.identity_residual <= args.tol,
@@ -343,7 +327,7 @@ def cmd_observe(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     check_fd_grid(args.nx, args.cfl, "--")
@@ -351,8 +335,7 @@ def cmd_oracle(args) -> int:
     methods = ("characteristics", "fd") if args.method == "both" else (args.method,)
     rep = cross_validate(sol, args.samples, seed=args.seed, nx=args.nx, cfl=args.cfl,
                          methods=methods)
-    man = Manifest("oracle", args.config, Path(args.out))
-    man.doc["parameters"] = {"coefficient_tables": sol.table_layout()}
+    man = Manifest(args, sol)
     if rep.max_fd is not None:
         man.doc["parameters"]["fd"] = {"n_steps": rep.fd_steps,
                                        "dropped_tail": rep.fd_dropped_tail}
@@ -374,35 +357,14 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_figures(args) -> int:
-    cfg = StringConfig(
-        L=math.pi,
-        v=FIGURE_SPEEDS[args.figure],
-        initial=InitialDataSpec.preset("sine_mode", amplitude=0.1, mode=1),
-        n_max=40,
-    )
-    _check_grid(args)
-    sol = solve(cfg)
-    man = Manifest("figures", None, Path(args.out))
-    man.doc["parameters"] = {"figure": args.figure, "v": cfg.v, "T_v": sol.consts.T_v,
-                             "grid": [args.nx, args.nt],
-                             "coefficient_tables": sol.table_layout()}
-    _emit_field(man, sol, args.nx, args.nt, sol.consts.T_v, f"fig{args.figure}_field")
-    man.finish()
-    print(f"figure {args.figure}: v = {cfg.v}, one period T_v = {fmt(sol.consts.T_v)}")
-    return 0
-
-
 def cmd_validate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     sol = solve(cfg)
-    man = Manifest("validate", args.config, Path(args.out))
+    man = Manifest(args, sol, tol=args.tol, seed=args.seed, n_max=cfg.n_max)
     checks = certify(sol, args.tol, args.seed)
     for check in checks:
         man.add_check(check)
     failed = [check.name for check in checks if not check.passed]
-    man.doc["parameters"] = {"tol": args.tol, "seed": args.seed, "n_max": cfg.n_max,
-                             "coefficient_tables": sol.table_layout()}
     summary = {"checks_total": len(checks), "checks_failed": len(failed), "failed_names": failed}
     man.emit_json("validate.json", {"summary": summary, "checks": man.doc["checks"]})
     man.finish()
@@ -431,20 +393,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # the shared options; each subcommand takes only those it reads
-    config, out, tol, seed, grid = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    config.add_argument("--config", help="path to a JSON problem description")
+    config, out, tol, seed = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", required=True, help="path to a JSON problem description")
     out.add_argument("--out", default="out", help="output directory (default: ./out)")
     tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="identity tolerance (default %(default)g)")
     seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    grid.add_argument("--nx", type=int, default=200)
-    grid.add_argument("--nt", type=int, default=200)
 
     sub.add_parser("constants", help="derived constants", parents=[config, out])
     sub.add_parser("coeffs", help="coefficient table via both formulas", parents=[config, out])
 
     p = sub.add_parser("simulate", help="field samples on the moving interval",
-                       parents=[config, out, grid])
+                       parents=[config, out])
+    p.add_argument("--nx", type=int, default=200)
+    p.add_argument("--nt", type=int, default=200)
     p.add_argument("--t-final", dest="t_final", type=float, default=None,
                    help="time horizon (default: one period T_v)")
 
@@ -467,10 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=DEFAULT_FD_NX)
     p.add_argument("--cfl", type=float, default=DEFAULT_FD_CFL)
 
-    p = sub.add_parser("figures", help="surface data for the three demo speeds",
-                       parents=[out, grid])
-    p.add_argument("--figure", type=int, choices=[4, 5, 6], required=True)
-
     sub.add_parser("validate", help="run the full identity suite",
                    parents=[config, out, tol, seed])
     return parser
@@ -483,7 +441,6 @@ _COMMANDS = {
     "energy": cmd_energy,
     "observe": cmd_observe,
     "oracle": cmd_oracle,
-    "figures": cmd_figures,
     "validate": cmd_validate,
 }
 

@@ -274,9 +274,12 @@ def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
 
 def _preset_bump(L: float, center: float, width: float,
                  amplitude: float = 1.0) -> InitialData:
-    """C^2 cubic B-spline bump supported on (center - width/2, center + width/2)."""
-    if width <= 0:
-        raise ConfigurationError(f"bump width must be positive, got {width}")
+    """C^2 cubic B-spline bump supported on (center - width/2, center + width/2).
+    The evaluators divide by the knot spacing width/4, so it must be a
+    positive normal float."""
+    if not width / 4.0 >= np.finfo(float).tiny:
+        raise ConfigurationError(
+            f"bump width must be positive with width/4 a normal float, got {width}")
     lo, hi = center - width / 2.0, center + width / 2.0
     if lo < -1e-12 * L or hi > L * (1 + 1e-12):
         raise ConfigurationError(
@@ -444,9 +447,9 @@ def load_config(path: str | Path) -> StringConfig:
 
     Table paths are resolved relative to the config file location.
     ``quadrature`` is optional and has no effect.  Its integer
-    ``panels_per_unit`` is accepted because the shipped and benchmark
-    configs carry it, but the Simpson density of the raw-data integrals is
-    fixed (``quadrature._SIMPSON_PANELS_PER_UNIT``, the 256 they carry).
+    ``panels_per_unit`` is accepted because the benchmark configs carry
+    it, but the Simpson density of the raw-data integrals is fixed
+    (``quadrature._SIMPSON_PANELS_PER_UNIT``, the 256 they carry).
     """
     path = Path(path)
     try:

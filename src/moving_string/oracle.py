@@ -149,7 +149,10 @@ class CharacteristicSolver:
         derivatives, where the value flip and the negative slope of each
         argument map cancel, so derivatives only rescale by gamma_v^{+-1}.
         A reflection lands F arguments above 0 and G arguments below L, so
-        only the incoming arguments can leave the profile domain.
+        only the incoming arguments can leave the profile domain.  An
+        argument reflects as soon as it lies past its support (``s > L``
+        for F, ``s < 0`` for G); the ``edge_slack`` tolerance applies only
+        to refusing incoming arguments and to the final clip into [0, L].
         """
         g = self.consts.gamma_v
         L = self.consts.L
@@ -161,8 +164,8 @@ class CharacteristicSolver:
         s, forward = s.copy(), forward.copy()
         sign, dscale = np.ones_like(s), np.ones_like(s)
         for _ in range(MAX_REFLECTIONS):
-            right = forward & (s > L + slack)   # F past the right support
-            left = ~forward & (s < -slack)      # G past the left support
+            right = forward & (s > L)   # F past the right support
+            left = ~forward & (s < 0.0)  # G past the left support
             flip = right | left
             if not flip.any():
                 break
@@ -177,14 +180,6 @@ class CharacteristicSolver:
                 f"more than {MAX_REFLECTIONS} boundary reflections; time too large"
             )
         return np.clip(s, 0.0, L), forward, sign, dscale
-
-    def _waves(self, x, t, derivative: bool):
-        """Forward (x + t) and backward (x - t) profile terms at the points:
-        values, or their derivatives when ``derivative`` is set."""
-        c = self.consts
-        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        check_moving_interval(c.L, c.v, x, t)
-        return self._profiles(x + t, x - t, derivative)
 
     def _profiles(self, fwd: np.ndarray, bwd: np.ndarray, derivative: bool):
         """Forward and backward profile terms at the arguments ``fwd`` = x + t
@@ -204,11 +199,10 @@ class CharacteristicSolver:
     def value(self, x, t):
         """phi at points (x, t) inside the moving interval, t >= 0; a float
         for scalar input, an array of the broadcast shape otherwise."""
-        f, b = self._waves(x, t, derivative=False)
-        return _as_output(f + b)
-
-    def slope(self, x, t):
-        f, b = self._waves(x, t, derivative=True)
+        c = self.consts
+        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+        check_moving_interval(c.L, c.v, x, t)
+        f, b = self._profiles(x + t, x - t, derivative=False)
         return _as_output(f + b)
 
     def _support_slope(self, xb: float, t) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, manifests, exit codes, determinism."""
 
+import importlib.util
 import inspect
 import json
 import math
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moving_string
-from moving_string import _csvfmt, certify, cross_validate, load_config, oracle, solve
+from moving_string import (InitialDataSpec, _csvfmt, certify, cross_validate, load_config,
+                           oracle, solve)
 from moving_string.cli import _build_parser, fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
@@ -75,7 +77,6 @@ SHORT_RUNS = {
     "coeffs": ["coeffs"],
     "simulate": ["simulate", "--nx", "4", "--nt", "4"],
     "oracle": ["oracle", "--samples", "4", "--nx", "32"],
-    "figures": ["figures", "--figure", "6", "--nx", "4", "--nt", "4"],
 }
 EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", list(SHORT_RUNS.values()),
                                            ids=list(SHORT_RUNS))
@@ -83,11 +84,6 @@ EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", list(SHORT_RUNS.values()),
 TOL_RUNS = ["validate", "energy", "observe", "observe-horizon"]
 TOL_SUBCOMMANDS = pytest.mark.parametrize("argv", [SHORT_RUNS[k] for k in TOL_RUNS],
                                           ids=TOL_RUNS)
-
-
-def with_config(argv, cfg):
-    """``argv`` with ``--config cfg``, except for ``figures``, which takes none."""
-    return argv if argv[0] == "figures" else [*argv, "--config", cfg]
 
 
 class TestConstants:
@@ -100,7 +96,12 @@ class TestConstants:
         assert doc["gamma_v"] == pytest.approx(13 / 7, rel=1e-12)
 
     def test_requires_config(self, tmp_path, capsys):
-        assert main(["constants", "--out", str(tmp_path / "o")]) == 2
+        # a usage error of argparse, like every other flag error
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rejects_ill_posed_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, v=1.2)
@@ -158,7 +159,6 @@ class TestBadInputExitsTwo:
         (["oracle", "--samples", "4", "--cfl", "nan"], "--cfl must lie in (0, 0.5], got nan"),
         (["simulate", "--nx", "1"], "--nx must be at least 2, got 1"),
         (["simulate", "--nt", "0"], "--nt must be at least 2, got 0"),
-        (["figures", "--figure", "6", "--nt", "1"], "--nt must be at least 2, got 1"),
         (["simulate", "--nx", "10000000", "--nt", "10000000"],
          "physical memory; lower --nx or --nt"),
         (["observe", "--endpoint", "left", "--periods", "0"],
@@ -168,14 +168,14 @@ class TestBadInputExitsTwo:
     ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
             "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
             "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan",
-            "simulate-nx-1", "simulate-nt-0", "figures-nt-1", "simulate-grid-too-large",
+            "simulate-nx-1", "simulate-nt-0", "simulate-grid-too-large",
             "observe-periods-0",
             "observe-horizon-minus-1"])
     def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
         # refused before any work: no --out directory is made
         cfg = write_cfg(tmp_path, n_max=6)
         out = tmp_path / "o"
-        rc = main([*with_config(argv, cfg), "--out", str(out)])
+        rc = main([*argv, "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -195,7 +195,7 @@ class TestBadInputExitsTwo:
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
         target = blocker if out == "file" else blocker / "x"
-        rc = main([*with_config(argv, cfg), "--out", str(target)])
+        rc = main([*argv, "--config", cfg, "--out", str(target)])
         assert rc == 2
         assert "error: cannot write to --out" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
@@ -230,22 +230,20 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("argv, n_max, size", [
         (["simulate", "--nx", "1000000", "--nt", "1000000"], 6,
          "five fields on the 1000000 x 1000000 grid"),
-        (["figures", "--figure", "6", "--nx", "1000000", "--nt", "1000000"], 6,
-         "five fields on the 1000000 x 1000000 grid"),
         (["energy", "--times", "1000000000000"], 6, "an energy sweep of 1000000000000 times"),
         (["oracle", "--samples", "1000000000000", "--method", "characteristics"], 6,
          "x, t and the series at 1000000000000 samples"),
         (["coeffs"], 10**10, "a phasor table of 20000000000 modes"),
         # more bytes than a float holds: the message must still be formatted
         (["coeffs"], 10**400, f"a phasor table of {2 * 10**400} modes: inf GiB"),
-    ], ids=["simulate", "figures", "energy", "oracle", "coeffs", "coeffs-10^400"])
+    ], ids=["simulate", "energy", "oracle", "coeffs", "coeffs-10^400"])
     def test_impossible_size(self, tmp_path, capsys, argv, n_max, size):
         # each request is terabytes, refused by the physical-memory guard
         # before its arrays are allocated
         cfg = write_cfg(tmp_path, n_max=n_max)
         tracemalloc.start()
         try:
-            rc = main([*with_config(argv, cfg), "--out", str(tmp_path / "o")])
+            rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,16 +253,14 @@ class TestBadInputExitsTwo:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("run, flag", [
-        *[(run, "--tol") for run in ("constants", "coeffs", "simulate", "oracle", "figures")],
-        *[(run, "--seed") for run in ("constants", "coeffs", "simulate", "energy", "observe",
-                                      "figures")],
-        ("figures", "--config"),
+        *[(run, "--tol") for run in ("constants", "coeffs", "simulate", "oracle")],
+        *[(run, "--seed") for run in ("constants", "coeffs", "simulate", "energy", "observe")],
     ], ids=lambda x: x.lstrip("-"))
     def test_unread_flag_refused(self, tmp_path, capsys, run, flag):
         # a subcommand takes only the options it reads
         cfg = write_cfg(tmp_path, n_max=6)
-        value = {"--tol": "1e-6", "--seed": "0", "--config": cfg}[flag]
-        argv = [*with_config(SHORT_RUNS[run], cfg), "--out", str(tmp_path / "o"), flag, value]
+        value = {"--tol": "1e-6", "--seed": "0"}[flag]
+        argv = [*SHORT_RUNS[run], "--config", cfg, "--out", str(tmp_path / "o"), flag, value]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -344,6 +340,17 @@ class TestBadInputExitsTwo:
         assert f"{preset} mode must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_bump_width_names_width(self, tmp_path, capsys):
+        # width / 4 underflows to 0, which the bump's evaluators divide by
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps({"L": 3.5, "v": 0.3, "n_max": 8, "initial": {"preset": {
+            "name": "bump", "params": {"center": 1.0, "width": 5e-324}}}}))
+        out = tmp_path / "o"
+        rc = main(["observe", "--endpoint", "both", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "bump width must be positive with width/4 a normal float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_energy_horizon(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, n_max=6)
         with warnings.catch_warnings():
@@ -418,6 +425,24 @@ class TestSimulate:
             rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestReproduceFigures:
+    """``scripts/reproduce_figures.py`` maps each paper figure to a shipped
+    config: the sine data on L = pi at n_max = 40, one speed per figure."""
+
+    def test_figures_are_the_shipped_sine_configs(self):
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        speeds = {}
+        for fig, name in script.FIGURES.items():
+            cfg = load_config(ROOT / "configs" / name)
+            assert (cfg.L, cfg.n_max) == (math.pi, 40)
+            assert cfg.initial == InitialDataSpec.preset("sine_mode", amplitude=0.1, mode=1)
+            speeds[fig] = cfg.v
+        assert speeds == {4: 0.3, 5: 0.7, 6: 0.9}
 
 
 class TestWriteCsv:
@@ -802,7 +827,7 @@ class TestOracleCmd:
         assert "fd" not in read_manifest(chars)["parameters"]
 
     def test_fd_defaults_are_the_librarys(self):
-        args = _build_parser().parse_args(["oracle"])
+        args = _build_parser().parse_args(["oracle", "--config", "cfg.json"])
         params = inspect.signature(cross_validate).parameters
         assert (args.nx, args.cfl) == (params["nx"].default, params["cfl"].default)
 
@@ -812,19 +837,6 @@ class TestOracleCmd:
                    "--method", "fd", "--samples", "5", "--nx", "4096"])
         assert rc == 2
         assert "--method characteristics" in capsys.readouterr().err
-
-
-class TestFiguresCmd:
-    def test_demo_surface_data(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["figures", "--figure", "4", "--out", str(out),
-                   "--nx", "16", "--nt", "16"])
-        assert rc == 0
-        man = read_manifest(out)
-        assert man["parameters"]["v"] == 0.3
-        assert man["parameters"]["T_v"] == pytest.approx(6.9052, abs=1e-3)
-        assert (out / "fig4_field.csv").exists()
-        assert (out / "fig4_field.gp").exists()
 
 
 class TestManifest:
@@ -847,15 +859,15 @@ class TestManifest:
     def test_records_table_rule(self, tmp_path, capsys, argv, preset, rule):
         cfg = write_cfg(tmp_path, preset=preset, n_max=8)
         out = tmp_path / "out"
-        main([*argv, "--config", cfg, "--out", str(out)] if argv[0] != "figures"
-             else [*argv, "--out", str(out)])
-        tables = read_manifest(out)["parameters"]["coefficient_tables"]
-        if argv[0] == "figures":    # its own sine problem at n_max = 40
-            assert tables["rule"] == "gauss-legendre"
-        else:
-            assert tables == solve(load_config(cfg)).table_layout()
-            assert tables["rule"] == rule
+        main([*argv, "--config", cfg, "--out", str(out)])
+        parameters = read_manifest(out)["parameters"]
+        tables = parameters["coefficient_tables"]
+        assert tables == solve(load_config(cfg)).table_layout()
+        assert tables["rule"] == rule
         assert tables["nodes"]["plus"] > 0 and tables["nodes"]["minus"] > 0
+        # recorded after the subcommand's own parameters; oracle records
+        # its FD march after them
+        assert list(parameters)[-1] == ("fd" if argv[0] == "oracle" else "coefficient_tables")
 
 
 class TestZeroConfig:

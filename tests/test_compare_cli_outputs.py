@@ -59,11 +59,9 @@ def test_same_line_count_pairs_without_alignment(monkeypatch):
         describe_difference(old, new + b"extra\n")
 
 
-def test_figures_runs_once():
-    # figures reads no config, so it runs once per tree, not once per config
+def test_jobs_are_configs_times_subcommands():
+    # every subcommand reads --config, so each runs once per config
     configs = [Path(f"configs/c{k}.json") for k in range(7)]
     jobs = compare_cli_outputs.jobs(configs)
-    assert [job for job in jobs if job[1] == "figures"] == [(None, "figures")]
-    per_config = [s for s in compare_cli_outputs.SUBCOMMANDS if s != "figures"]
-    assert jobs[:-1] == [(c, s) for c in configs for s in per_config]
-    assert len(jobs) == 7 * 16 + 1 == 113
+    assert jobs == [(c, s) for c in configs for s in compare_cli_outputs.SUBCOMMANDS]
+    assert len(jobs) == 7 * 16 == 112

@@ -200,6 +200,13 @@ class TestPresets:
                 InitialDataSpec.preset("bump", center=0.1, width=1.0), math.pi
             )
 
+    @pytest.mark.parametrize("width", [5e-324, 4e-308, 0.0, -1.0, math.nan])
+    def test_bump_width_quarter_must_be_normal(self, width):
+        # the evaluators divide by width / 4, which underflows to 0 at 5e-324
+        with pytest.raises(ConfigurationError, match="bump width must be positive"):
+            initial_data(StringConfig(L=3.5, v=0.3, n_max=8, initial=InitialDataSpec.preset(
+                "bump", center=1.0, width=width)))
+
     @pytest.mark.parametrize("name", ["sine_mode", "sine_velocity", "traveling_sine"])
     @pytest.mark.parametrize("mode", [1.5, 1.0, math.inf, 0, True])
     def test_sine_mode_must_be_an_integer(self, name, mode):

@@ -22,6 +22,7 @@ from moving_string import (
 )
 
 from moving_string import oracle
+from moving_string.domain import edge_slack
 from moving_string.oracle import _cumulative_simpson
 
 from conftest import get_solution, make_config
@@ -99,9 +100,10 @@ class TestCharacteristicsExactCases:
             )
 
     def test_standing_wave_derivatives(self):
+        # at v = 0 the supports stay at x = 0 and x = L = pi
         cs = char_solver(0.0)
-        for x, t in [(1.1, 0.4), (2.3, 3.0)]:
-            assert cs.slope(x, t) == pytest.approx(
+        for x, t in [(0.0, 0.4), (math.pi, 3.0), (0.0, 7.5)]:
+            assert float(cs._support_slope(x, t)) == pytest.approx(
                 math.cos(x) * math.cos(t) / 10, abs=1e-10
             )
 
@@ -194,6 +196,19 @@ class TestCharacteristicsMovingCase:
         with pytest.raises(ValueError):
             cs.value(0.0, 1.0)  # left support has moved past x=0
 
+    @pytest.mark.parametrize("xb", [0.0, math.pi], ids=["left", "right"])
+    def test_support_slope_reflected_right_after_arrival(self, xb):
+        # within slack / (1 - v) of t = 0 the argument that crosses the
+        # support lies within edge_slack of it; it is already reflected, so
+        # phi_x reads (1 + gamma_v) / 2 phi0_x(0) on the left support and
+        # (1 + 1/gamma_v) / 2 phi0_x(L) on the right (phi1 = 0)
+        cs = char_solver(0.3)
+        c = cs.consts
+        t = 0.5 * edge_slack(c.L) / (1.0 - c.v)
+        gain = c.gamma_v if xb == 0.0 else 1.0 / c.gamma_v
+        expected = 0.5 * (1.0 + gain) * float(cs.data.phi0_x(xb))
+        assert float(cs._support_slope(xb, t)) == pytest.approx(expected, rel=1e-15)
+
     def test_reflection_depth_guard(self):
         cs = char_solver(0.3)
         c = derive_constants(L=math.pi, v=0.3)
@@ -241,7 +256,7 @@ class TestCharacteristicsOnArrays:
         assert {0, 1} <= set(counts)
         assert max(counts) >= 2
 
-    @pytest.mark.parametrize("method", ["value", "slope"])
+    @pytest.mark.parametrize("method", ["value"])
     def test_array_equals_pointwise(self, cs, mixed_points, method):
         x, t = mixed_points
         fn = getattr(cs, method)
@@ -268,9 +283,16 @@ class TestCharacteristicsOnArrays:
         x, t = x.copy(), t.copy()
         t[23] = 300 * c.T_v
         x[23] = c.v * t[23] + 1.0
-        for fn in (cs.value, cs.slope):
-            with pytest.raises(RecursionError):
-                fn(x, t)
+        with pytest.raises(RecursionError):
+            cs.value(x, t)
+        with pytest.raises(RecursionError):
+            cs._support_slope(0.0, t)
+
+    @pytest.mark.parametrize("xb", [0.0, math.pi], ids=["left", "right"])
+    def test_support_slope_array_equals_pointwise(self, cs, mixed_points, xb):
+        _, t = mixed_points
+        pointwise = [float(cs._support_slope(xb, ti)) for ti in t]
+        np.testing.assert_array_equal(cs._support_slope(xb, t), pointwise)
 
 
 class TestFrozenFrameFD:

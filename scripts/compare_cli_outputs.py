@@ -2,11 +2,13 @@
 """Byte-compare the CLI outputs of two source trees.
 
 Runs every subcommand below on every ``configs/*.json`` and
-``perfbench/configs/*.json`` of NEW_ROOT, once with OLD_ROOT/src and once
-with NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout and
-every written file byte for byte.  Two runs go at once, each child with
-one BLAS thread.  Only the manifest's ``duration_seconds`` and
-``out_dir`` are ignored.  Two versions of a file with equal line counts
+``perfbench/configs/*.json`` of NEW_ROOT, and every refused command line
+below on ``configs/sine_v03.json``, once with OLD_ROOT/src and once with
+NEW_ROOT/src on PYTHONPATH, and compares the exit codes, stdout, stderr
+and every written file byte for byte.  Two runs go at once, each child
+with one BLAS thread.  Only the manifest's ``duration_seconds`` and
+``out_dir`` are ignored, and stderr reads each tree's root as ``<root>``
+and each run's output directory as ``<out>``.  Two versions of a file with equal line counts
 pair line by line by index; otherwise they are aligned
 (``difflib.SequenceMatcher``), so a line added or removed does not shift
 the comparison of the lines after it.  For each differing file it prints
@@ -60,6 +62,53 @@ SUBCOMMANDS = {
                          "--seed", "18446744073709551617"],
     "validate-seed-2p64": ["validate", "--seed", "18446744073709551617"],
 }
+# Refused command lines, each run on configs/sine_v03.json: the argv of
+# tests/test_cli.py::TestBadInputExitsTwo that need no config of their own.
+_TOL_RUNS = {"validate": ["validate"], "energy": ["energy", "--times", "4"],
+             "observe": ["observe", "--endpoint", "both"],
+             "observe-horizon": ["observe", "--endpoint", "right", "--horizon", "1.5"]}
+_SHORT_RUNS = {"constants": ["constants"], "coeffs": ["coeffs"],
+               "simulate": ["simulate", "--nx", "4", "--nt", "4"],
+               "energy": ["energy", "--times", "4"], "observe": ["observe", "--endpoint", "both"],
+               "oracle": ["oracle", "--samples", "4", "--nx", "32"]}
+_REFUSED = [
+    *(["observe", "--endpoint", "left", "--horizon", h] for h in ("inf", "nan")),
+    *(["simulate", "--nx", "4", "--nt", "4", "--t-final", t] for t in ("nan", "inf", "-1")),
+    ["energy", "--times", "4", "--t-final", "-1"],
+    ["energy", "--times", "4", "--t-final", "inf"],
+    ["oracle", "--samples", "0"], ["oracle", "--samples", "-5"],
+    ["oracle", "--samples", "4", "--seed", "-1"], ["validate", "--seed", "-1"],
+    ["oracle", "--samples", "4", "--nx", "16"],
+    *(["oracle", "--samples", "4", "--cfl", c] for c in ("0.8", "nan")),
+    ["simulate", "--nx", "1"], ["simulate", "--nt", "0"],
+    ["simulate", "--nx", "10000000", "--nt", "10000000"],
+    ["simulate", "--nx", "1000000", "--nt", "1000000"],
+    ["energy", "--times", "1000000000000"],
+    ["oracle", "--samples", "1000000000000", "--method", "characteristics"],
+    ["observe", "--endpoint", "left", "--periods", "0"],
+    ["observe", "--endpoint", "left", "--horizon", "-1"],
+    *([*argv, "--tol", tol] for argv in _TOL_RUNS.values() for tol in ("nan", "-1", "0", "inf")),
+    ["observe", "--endpoint", "both", "--periods", "2"],
+    ["observe", "--endpoint", "both", "--horizon", "3"],
+    ["observe", "--endpoint", "left", "--periods", "3", "--horizon", "2"],
+    *(["observe", "--endpoint", "left", *f] for f in (
+        ["--horizon", "1e300"], ["--horizon", "1e7"], ["--periods", "1000000"])),
+    *([*_SHORT_RUNS[run], "--tol", "1e-6"] for run in ("constants", "coeffs", "simulate",
+                                                        "oracle")),
+    *([*_SHORT_RUNS[run], "--seed", "0"] for run in ("constants", "coeffs", "simulate",
+                                                      "energy", "observe")),
+    ["observe", "--endpoint", "left", "--periods", str(10**400)],
+    ["observe", "--endpoint", "right", "--periods", str(10**306)],
+    ["observe", "--endpoint", "right", "--horizon", "1e306"],
+    *(["oracle", "--samples", "4", "--nx", str(n)] for n in (10**400, 10**200)),
+    *(["oracle", "--samples", "4", "--method", "fd", "--cfl", c]
+      for c in ("1e-320", "5e-324", "1e-300", "1e-304")),
+    ["energy", "--times", "0"], ["energy", "--times", "-3"],
+]
+REFUSALS = {f"refused-{i:02d}-" + "_".join(argv)[:60]: argv for i, argv in enumerate(_REFUSED)}
+REFUSAL_CONFIG = Path("configs") / "sine_v03.json"
+RUNS = {**SUBCOMMANDS, **REFUSALS}
+
 # Both sides run at once; one BLAS thread each keeps them from
 # oversubscribing the cores, as perfbench's children do.
 _THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -67,19 +116,25 @@ _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 
 
 def jobs(configs: list[Path]) -> list[tuple[Path, str]]:
-    """(config, subcommand) pairs: every subcommand on every config."""
-    return [(c, s) for c in configs for s in SUBCOMMANDS]
+    """(config, run name) pairs: every subcommand on every config, and every
+    refused command line on ``configs/sine_v03.json``."""
+    return [(c, s) for c in configs for s in SUBCOMMANDS] + [
+        (c, s) for c in configs if c.as_posix().endswith(REFUSAL_CONFIG.as_posix())
+        for s in REFUSALS]
 
 
 def run(root: Path, config: Path, args: list[str], out: Path) -> dict[str, bytes]:
-    """Outputs of one CLI run, keyed by file name (plus exit code and stdout)."""
+    """Outputs of one CLI run, keyed by file name (plus exit code, stdout and
+    stderr)."""
     env = {**os.environ, **_THREAD_ENV, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "moving_string.cli", *args, "--config", str(config),
          "--out", str(out)],
         capture_output=True, env=env,
     )
-    files = {"<exit code>": str(proc.returncode).encode(), "<stdout>": proc.stdout}
+    stderr = proc.stderr.replace(str(root).encode(), b"<root>")
+    files = {"<exit code>": str(proc.returncode).encode(), "<stdout>": proc.stdout,
+             "<stderr>": stderr.replace(str(out).encode(), b"<out>")}
     for path in sorted(out.glob("*")) if out.is_dir() else ():
         data = path.read_bytes()
         if path.name == "manifest.json":
@@ -159,7 +214,7 @@ def pass_flips(a: bytes, b: bytes) -> list[str]:
 def compare(old: Path, new: Path, config: Path, name: str,
             scratch: Path) -> tuple[list[str], int]:
     """(one line per differing output, number of pass/fail flips)."""
-    args = SUBCOMMANDS[name]
+    args = RUNS[name]
     tag = config.relative_to(new).with_suffix("").as_posix()
     out = scratch / f"{tag.replace('/', '-')}-{name}"
     a, b = run(old, config, args, out / "old"), run(new, config, args, out / "new")

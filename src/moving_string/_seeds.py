@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -42,13 +44,18 @@ def _mix(x: int, y: int) -> int:
     return r ^ r >> 16
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that is not an integer (TypeError) or is negative."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be a nonnegative integer, got {seed}")
+
+
 def _seed_words(seed) -> tuple[int, int]:
     """PCG64's (initial state, increment) for ``seed``, as ``SeedSequence`` forms them."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    check_seed(seed)
     seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     words = [seed & _M32]
     while seed := seed >> 32:
         words.append(seed & _M32)

@@ -1,37 +1,26 @@
 """Command-line surface: configuration ingestion, batch runs and the
 rendering of the identity suite (``moving_string.certify``).  It holds no
-numerics: every subcommand calls the library and writes what it returns.
+numerics and no value rules: a subcommand refuses a flag value through the
+library's checker for that value, named by its flag (``check_grid(nx, nt,
+"--")``), then calls the library and writes what it returns.
 
 Subcommands: constants, coeffs, simulate, energy, observe, oracle,
-validate.  Each reads the problem from ``--config`` (required) and takes
-only the other options it reads: the identity checks of energy, observe
-and validate take ``--tol``, and oracle and validate ``--seed``.  Every run
-writes its outputs plus a ``manifest.json`` listing each emitted file and
-any pass/fail checks; the manifest is written last.  Every subcommand that
-solves records, last among its ``parameters``, under
-``coefficient_tables`` the rule that laid out the coefficient tables
-(``gauss-legendre`` for data that declare their rate, ``simpson`` for the
-others) and each formula's node count; oracle runs that march the FD
-scheme record its step count and the largest row mass its propagator
-dropped under ``parameters.fd``.
-Numeric output uses 17 significant digits so doubles round-trip exactly.
-CSV files get exactly the bytes ``fmt`` gives each value (``%.17g``, or
-``%d`` for integer columns), made by a numpy kernel (``_csvfmt``): a
-double-double product with a power-of-ten table yields each value's
-17-digit mantissa, a 4-digit table turns it into ASCII, and layout patterns
-place the characters.  The kernel formats 1,000 rows at a time, and each
-chunk is written as it finishes.  ``fmt`` formats, in place, each value the
-kernel cannot prove (non-finite, outside 1e-190 <= |x| < 1e190, or within a
-safety margin of a rounding tie); that is the only second path.
+validate.  Each reads the problem from ``--config`` and takes only the
+other options it reads.  Every run writes its outputs and then a
+``manifest.json`` that lists them with any pass/fail checks (``Manifest``).
+Numbers are written with 17 significant digits, so doubles round-trip
+(``fmt``, ``write_csv``).
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-failure (non-finite values).
+Exit codes: 0 success; 1 a failed identity check (energy, observe,
+validate); 2 a refused input: an argparse usage error, a
+``ConfigurationError`` or an ``--out`` that cannot be written; 3 numeric
+failure (non-finite values).  Any other exception is a defect in the
+program and surfaces as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -40,20 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._seeds import check_seed
 from .certify import Check, certify
 from .coefficients import solve
-from .domain import (
-    DEFAULT_TOL,
-    check_memory,
-    check_tolerance,
-    derive_constants,
-    load_config,
-)
-from .energy import energy_report
+from .domain import DEFAULT_TOL, check_time, check_tolerance, derive_constants, load_config
+from .energy import check_sweep, energy_report
 from .errors import ConfigurationError, NumericError
-from .observability import observe_both_endpoints, observe_horizon, observe_one_endpoint
-from .oracle import DEFAULT_FD_CFL, DEFAULT_FD_NX, check_fd_grid, cross_validate
-from .series import sample_moving_grid
+from .observability import (check_observation, observe_both_endpoints, observe_horizon,
+                            observe_one_endpoint)
+from .oracle import (DEFAULT_FD_CFL, DEFAULT_FD_NX, check_fd_grid, check_samples,
+                     cross_validate)
+from .series import check_grid, sample_moving_grid
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps these
 # names in this module, so they stay bound until it traces certify instead.
@@ -180,11 +166,12 @@ class Manifest:
         (self.out_dir / name).write_text(text, encoding="utf-8")
         self.doc["files"].append(name)
 
-    def add_check(self, check: Check) -> None:
-        entry = asdict(check)
-        if check.note is None:
-            del entry["note"]
-        self.doc["checks"].append(entry)
+    def add_checks(self, checks) -> None:
+        for check in checks:
+            entry = asdict(check)
+            if check.note is None:
+                del entry["note"]
+            self.doc["checks"].append(entry)
 
     def finish(self) -> None:
         self.doc["files"].append("manifest.json")
@@ -238,19 +225,10 @@ splot "field.csv" using 1:2:3 with pm3d
 """
 
 
-def _check_t_final(t_final) -> None:
-    if t_final is not None and not (math.isfinite(t_final) and t_final >= 0.0):
-        raise ConfigurationError(f"--t-final must be finite and nonnegative, got {t_final}")
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _check_t_final(args.t_final)
-    for flag, value in (("--nx", args.nx), ("--nt", args.nt)):
-        if value < 2:
-            raise ConfigurationError(f"{flag} must be at least 2, got {value}")
-    check_memory(5 * 8 * args.nx * args.nt, f"five fields on the {args.nx} x {args.nt} grid",
-                 "; lower --nx or --nt")
+    check_time(args.t_final, "--t-final")
+    check_grid(args.nx, args.nt, "--")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
     man = Manifest(args, sol, nx=args.nx, nt=args.nt, t_final=t_final)
@@ -267,10 +245,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config)
-    _check_t_final(args.t_final)
-    if args.times < 1:
-        raise ConfigurationError(f"--times must be at least 1, got {args.times}")
-    check_memory(4 * 8 * args.times, f"an energy sweep of {args.times} times")
+    check_time(args.t_final, "--t-final")
+    check_sweep(args.times, "--times")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v
     times = np.linspace(0.0, t_final, args.times)
@@ -286,8 +262,7 @@ def cmd_energy(args) -> int:
         Check("energy_bounds", rep.bound_violations == 0,
               float(rep.bound_violations), 0.0, vacuous=rep.vacuous),
     ]
-    for check in checks:
-        man.add_check(check)
+    man.add_checks(checks)
     man.finish()
     print(f"conservation residual {fmt(rep.residual_conservation)}; "
           f"{rep.bound_violations} bound violations")
@@ -301,25 +276,20 @@ def cmd_observe(args) -> int:
     if args.periods is not None and args.horizon is not None:
         raise ConfigurationError("give --periods or --horizon, not both")
     cfg = load_config(args.config)
-    if args.periods is not None and args.periods < 1:
-        raise ConfigurationError(f"--periods must be at least 1, got {args.periods}")
-    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
-        raise ConfigurationError(f"--horizon must be positive and finite, got {args.horizon}")
+    check_observation(args.periods, args.horizon, "--")
     sol = solve(cfg)
     if args.endpoint == "both":
         rep = observe_both_endpoints(sol, tol=args.tol)
     elif args.horizon is not None:
         rep = observe_horizon(sol, args.endpoint, args.horizon, tol=args.tol)
     else:
-        periods = 1 if args.periods is None else args.periods
-        rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
+        rep = observe_one_endpoint(sol, args.endpoint, args.periods or 1, tol=args.tol)
     man = Manifest(args, sol)
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [
         Check("observability_identity", rep.identity_residual <= args.tol,
               rep.identity_residual, args.tol, vacuous=rep.vacuous)]
-    for check in checks:
-        man.add_check(check)
+    man.add_checks(checks)
     man.finish()
     resid = "n/a" if rep.identity_residual is None else fmt(rep.identity_residual)
     print(f"integral {fmt(rep.integral)}; identity residual {resid}")
@@ -328,8 +298,7 @@ def cmd_observe(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    if args.samples < 1:
-        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
+    check_samples(args.samples, "--samples")
     check_fd_grid(args.nx, args.cfl, "--")
     sol = solve(cfg)
     methods = ("characteristics", "fd") if args.method == "both" else (args.method,)
@@ -362,8 +331,7 @@ def cmd_validate(args) -> int:
     sol = solve(cfg)
     man = Manifest(args, sol, tol=args.tol, seed=args.seed, n_max=cfg.n_max)
     checks = certify(sol, args.tol, args.seed)
-    for check in checks:
-        man.add_check(check)
+    man.add_checks(checks)
     failed = [check.name for check in checks if not check.passed]
     summary = {"checks_total": len(checks), "checks_failed": len(failed), "failed_names": failed}
     man.emit_json("validate.json", {"summary": summary, "checks": man.doc["checks"]})
@@ -451,13 +419,13 @@ def main(argv=None) -> int:
         # reject a bad --tol or --seed before any work, where the subcommand takes it
         if hasattr(args, "tol"):
             check_tolerance(args.tol)
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigurationError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if hasattr(args, "seed"):
+            check_seed(args.seed, "--seed")
         return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, ValueError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

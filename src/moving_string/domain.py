@@ -36,6 +36,7 @@ __all__ = [
     "build_initial_data",
     "check_memory",
     "check_moving_interval",
+    "check_time",
     "check_tolerance",
     "derive_constants",
     "edge_slack",
@@ -52,7 +53,7 @@ DEFAULT_TOL = 1e-6
 
 
 def _check_geometry(L: float, v: float) -> None:
-    """Reject a non-positive or non-finite L and a speed outside the well-posed range."""
+    """Reject an L or v outside the well-posed, float-representable range."""
     if not (L > 0 and math.isfinite(L)):
         raise ConfigurationError(f"support separation L must be positive and finite, got {L}")
     if not (0.0 <= v < 1.0):
@@ -60,12 +61,23 @@ def _check_geometry(L: float, v: float) -> None:
             f"axial speed v={v} violates the well-posedness condition "
             f"{SPEED_CONDITION}; v >= 1 makes the problem ill-posed"
         )
+    if not (math.isfinite(2.0 * L / (1.0 - v)) and math.isfinite(2.0 * math.pi / L)):
+        raise ConfigurationError(f"support separation L = {L} with v = {v} puts the extension "
+                                 f"interval 2L/(1-v) or the wavenumber 2 pi/L past float range")
 
 
 def check_tolerance(tol: float) -> None:
     """Reject an identity tolerance that is not finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+        raise ConfigurationError(f"tolerance must be finite and positive, got {tol}")
+
+
+def check_time(t, name: str) -> None:
+    """Reject a time, or any of an array of times, not finite and >= 0 (None passes)."""
+    t = np.asarray(0.0 if t is None else t, dtype=float)
+    bad = t[~(np.isfinite(t) & (t >= 0.0))]
+    if bad.size:
+        raise ConfigurationError(f"{name} must be finite and nonnegative, got {bad[0]}")
 
 
 def check_memory(nbytes: float, what: str, hint: str = "") -> None:
@@ -93,11 +105,8 @@ class InitialDataSpec:
 
     @staticmethod
     def tabulated(x, phi0, phi1) -> "InitialDataSpec":
-        return InitialDataSpec(
-            kind="table",
-            name="table",
-            table=(np.asarray(x, float), np.asarray(phi0, float), np.asarray(phi1, float)),
-        )
+        return InitialDataSpec(kind="table",
+                               table=tuple(np.asarray(a, float) for a in (x, phi0, phi1)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,6 @@ class InitialData:
     declare no knots.
     """
 
-    label: str
     phi0: Callable[[np.ndarray], np.ndarray]
     phi0_x: Callable[[np.ndarray], np.ndarray]
     phi1: Callable[[np.ndarray], np.ndarray]
@@ -183,14 +191,14 @@ def edge_slack(L: float) -> float:
 
 
 def check_moving_interval(L: float, v: float, x, t) -> None:
-    """Raise ValueError unless t >= 0 and v t <= x <= L + v t at every
-    point, each within ``edge_slack(L)``."""
+    """Raise ConfigurationError unless t >= 0 and v t <= x <= L + v t at
+    every point, each within ``edge_slack(L)``."""
     slack = edge_slack(L)
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     if np.any(t < -slack):
-        raise ValueError("time must be nonnegative")
+        raise ConfigurationError("time must be nonnegative")
     if not np.all((v * t - slack <= x) & (x <= L + v * t + slack)):
-        raise ValueError("x outside the moving interval (v t, L + v t)")
+        raise ConfigurationError("x outside the moving interval (v t, L + v t)")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ def _zeros_like(x):
 
 
 def _preset_zero(L: float) -> InitialData:
-    return InitialData("zero", _zeros_like, _zeros_like, _zeros_like, rate=0.0)
+    return InitialData(_zeros_like, _zeros_like, _zeros_like, rate=0.0)
 
 
 def _mode_number(preset: str, mode) -> int:
@@ -235,41 +243,27 @@ def _mode_number(preset: str, mode) -> int:
 def _preset_sine_mode(L: float, amplitude: float = 0.1, mode: int = 1) -> InitialData:
     k = _mode_number("sine_mode", mode)
     w = k * math.pi / L
-    return InitialData(
-        f"sine_mode(a={amplitude},k={k})",
-        lambda x: amplitude * np.sin(w * np.asarray(x, float)),
-        lambda x: amplitude * w * np.cos(w * np.asarray(x, float)),
-        _zeros_like,
-        rate=w,
-    )
+    return InitialData(lambda x: amplitude * np.sin(w * np.asarray(x, float)),
+                       lambda x: amplitude * w * np.cos(w * np.asarray(x, float)),
+                       _zeros_like, rate=w)
 
 
 def _preset_sine_velocity(L: float, amplitude: float = 1.0, mode: int = 1) -> InitialData:
     k = _mode_number("sine_velocity", mode)
     w = k * math.pi / L
-    return InitialData(
-        f"sine_velocity(a={amplitude},k={k})",
-        _zeros_like,
-        _zeros_like,
-        lambda x: amplitude * np.sin(w * np.asarray(x, float)),
-        rate=w,
-    )
+    return InitialData(_zeros_like, _zeros_like,
+                       lambda x: amplitude * np.sin(w * np.asarray(x, float)), rate=w)
 
 
 def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
                            sign: int = 1) -> InitialData:
     """Sine shape with phi1 = sign * phi0_x (the energy-bound equality case)."""
-    if sign not in (-1, 1):
+    if not isinstance(sign, (int, np.integer)) or sign not in (-1, 1):
         raise ConfigurationError(f"traveling_sine sign must be +1 or -1, got {sign}")
     k = _mode_number("traveling_sine", mode)
     base = _preset_sine_mode(L, amplitude, k)
-    return InitialData(
-        f"traveling_sine(a={amplitude},k={k},s={sign:+d})",
-        base.phi0,
-        base.phi0_x,
-        lambda x, _d=base.phi0_x: sign * _d(x),
-        rate=base.rate,
-    )
+    return InitialData(base.phi0, base.phi0_x, lambda x, _d=base.phi0_x: sign * _d(x),
+                       rate=base.rate)
 
 
 def _preset_bump(L: float, center: float, width: float,
@@ -282,13 +276,11 @@ def _preset_bump(L: float, center: float, width: float,
             f"bump width must be positive with width/4 a normal float, got {width}")
     lo, hi = center - width / 2.0, center + width / 2.0
     if lo < -1e-12 * L or hi > L * (1 + 1e-12):
-        raise ConfigurationError(
-            f"bump support ({lo}, {hi}) must lie inside [0, {L}]"
-        )
+        raise ConfigurationError(f"bump support (center - width/2, center + width/2) = "
+                                 f"({lo}, {hi}) must lie inside [0, L] = [0, {L}]")
     w0 = width / 4.0
     knots = tuple(center + j * w0 for j in (-2, -1, 0, 1, 2))
     return InitialData(
-        f"bump(c={center},w={width},a={amplitude})",
         lambda x: amplitude * _cubic_bspline((np.asarray(x, float) - center) / w0),
         lambda x: amplitude / w0 * _cubic_bspline_d((np.asarray(x, float) - center) / w0),
         _zeros_like,
@@ -366,11 +358,12 @@ def _build_tabulated(table, L: float) -> InitialData:
             "tabulated phi0 must vanish at both supports (pinned-end compatibility)"
         )
     s0 = _NaturalSpline(x, p0)
-    return InitialData("table", s0, s0.slope, _NaturalSpline(x, p1))
+    return InitialData(s0, s0.slope, _NaturalSpline(x, p1))
 
 
 def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
-    """Materialize evaluators from a data spec; validates support compatibility."""
+    """Materialize evaluators from a data spec; presets vanish at both
+    supports by construction, and tables are checked there."""
     if spec.kind == "preset":
         try:
             builder = _PRESETS[spec.name]
@@ -380,6 +373,10 @@ def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
             ) from None
         try:
             data = builder(L, **spec.params)
+            for key, value in spec.params.items():   # those the builder let through
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigurationError(f"preset {spec.name!r} parameter {key!r} "
+                                             f"must be finite, got {value}")
             for f in (data.phi0, data.phi0_x, data.phi1):  # mistyped values fail here
                 np.asarray(f(np.array([0.0, L])), dtype=float)
         except ConfigurationError:
@@ -394,12 +391,6 @@ def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
         data = _build_tabulated(spec.table, L)
     else:
         raise ConfigurationError(f"unknown initial-data kind {spec.kind!r}")
-    for xb in (0.0, L):
-        val = float(np.asarray(data.phi0(xb)))
-        if abs(val) > 1e-10 * max(1.0, L):
-            raise ConfigurationError(
-                f"phi0({xb}) = {val} must vanish at the supports"
-            )
     return data
 
 

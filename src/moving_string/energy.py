@@ -40,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import DEFAULT_TOL, StringConfig, check_tolerance, initial_data
+from .domain import (DEFAULT_TOL, StringConfig, check_memory, check_time, check_tolerance,
+                     initial_data)
+from .errors import ConfigurationError
 from .quadrature import Panelization, data_layout, integrate
 from .series import field_on_moving_grid
 
@@ -127,14 +129,21 @@ class EnergyReport:
     vacuous: bool = False
 
 
+def check_sweep(count: int, name: str = "len(times)") -> None:
+    """Refuse a sweep of no times, or one whose four columns exceed memory."""
+    if count < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {count}")
+    check_memory(4 * 8 * count, f"an energy sweep of {count} times")
+
+
 def energy_report(sol: SpectralSolution, times, tol: float = DEFAULT_TOL) -> EnergyReport:
     """Sweep calE and E over ``times``; count violations of the two-sided
     bounds calE/(1+v) <= E <= calE/(1-v) and E(0)/gamma <= E <= gamma E(0)
     beyond relative slack ``tol``."""
     check_tolerance(tol)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or not np.all(np.isfinite(times) & (times >= 0)):
-        raise ValueError("times must be nonempty, finite and nonnegative")
+    check_sweep(times.size)
+    check_time(times, "times")
     calE, E, cross = _energy_integrals(sol, times)
     spec = spectral_energy(sol)
     c = sol.consts

@@ -2,7 +2,9 @@
 
 
 class ConfigurationError(ValueError):
-    """A configuration value violates a documented precondition."""
+    """A caller's value (config key, preset parameter, table entry, flag or
+    argument) that the program refuses: the CLI's exit 2.  Any other
+    ValueError is a broken internal invariant, and surfaces as a traceback."""
 
 
 class NumericError(RuntimeError):

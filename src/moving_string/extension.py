@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DerivedConstants, InitialData
+from .errors import ConfigurationError
 
 __all__ = ["ExtensionField"]
 
@@ -35,7 +36,7 @@ class ExtensionField:
 
     def __post_init__(self) -> None:
         if self.which not in ("slope", "velocity"):
-            raise ValueError(f"which must be 'slope' or 'velocity', got {self.which!r}")
+            raise ConfigurationError(f"which must be 'slope' or 'velocity', got {self.which!r}")
 
     def _branch(self, x, branch: str):
         c = self.consts

@@ -123,14 +123,24 @@ def _velocity_trace_integral(sol: SpectralSolution, endpoint: str, T: float) -> 
     return _squared_trace_integral(sol, velocity_trace_rows(sol, endpoint), T)
 
 
+def check_observation(periods: int | None = None, horizon: float | None = None,
+                      prefix: str = "") -> None:
+    """Refuse fewer than one whole period, or a horizon (None: not given)
+    that is not positive and finite."""
+    if periods is not None and periods < 1:
+        raise ConfigurationError(f"{prefix}periods must be at least 1, got {periods}")
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigurationError(f"{prefix}horizon must be positive and finite, got {horizon}")
+
+
 def _whole_periods(sol: SpectralSolution, M: int) -> float:
     """The horizon M T_v of M >= 1 whole periods."""
-    if M < 1:
-        raise ValueError(f"period count M must be >= 1, got {M}")
+    check_observation(periods=M)
     try:
         return M * sol.consts.T_v
     except OverflowError:   # an integer M past float range
-        raise ValueError("period count M is too large: M T_v is past float range") from None
+        raise ConfigurationError(
+            "period count M is too large: M T_v is past float range") from None
 
 
 def _report(sol, mode, T, M, integral, rhs, tol):
@@ -183,8 +193,7 @@ def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
     """Fractional-horizon observation: only the direct inequality applies,
     with constant 4 ceil(T/T_v) / (1 - v^2)^2."""
     check_tolerance(tol)
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    check_observation(horizon=T)
     integral = _slope_trace_integral(sol, endpoint, T)
     return _report(sol, endpoint, T, math.ceil(T / sol.consts.T_v), integral, None, tol)
 
@@ -204,7 +213,7 @@ def velocity_trace_equivalent(sol: SpectralSolution, endpoint: str, M: int,
     T = _whole_periods(sol, M)
     v = sol.consts.v
     if v == 0.0:
-        raise ValueError("velocity-trace observation needs v > 0 (divides by v^2)")
+        raise ConfigurationError("velocity-trace observation needs v > 0 (divides by v^2)")
     int_t = _velocity_trace_integral(sol, endpoint, T)
     int_x = _slope_trace_integral(sol, endpoint, T)
     integral = int_t / v ** 4

@@ -91,6 +91,7 @@ __all__ = [
     "CharacteristicSolver",
     "FrozenFrameFD",
     "check_fd_grid",
+    "check_samples",
     "fd_solve",
     "CrossValidation",
     "cross_validate",
@@ -230,14 +231,15 @@ def _cells(x, t, v: float, L: float, eta: np.ndarray, t_final: float, n_steps: i
     """Bilinear cell of each point (x, t) in frozen coordinates e = x - v t:
     the level k and node j below it, and the weights wt, we toward k + 1 and
     j + 1, on the levels ``_level_time(t_final, n_steps, k)``.  Raises
-    ValueError for a point outside the computed slab."""
+    ConfigurationError for a point outside the computed slab."""
     x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     e = x - v * t
     slack = edge_slack(L)
     inside = (-slack <= e) & (e <= L + slack) & (-slack <= t) & (t <= t_final + slack)
     if not np.all(inside):
         i = np.argmin(inside.ravel())
-        raise ValueError(f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
+        raise ConfigurationError(
+            f"point (x={x.flat[i]}, t={t.flat[i]}) outside the computed slab")
     e = np.clip(e, 0.0, L)
     t = np.clip(t, 0.0, t_final)
     k = np.minimum((t / (t_final / n_steps)).astype(int), n_steps - 1)
@@ -639,17 +641,22 @@ class CrossValidation:
     fd_dropped_tail: float | None = None
 
 
+def check_samples(count: int, name: str = "sample_count") -> None:
+    """Refuse fewer than one sample point, or more than memory holds."""
+    if count < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {count}")
+    check_memory(3 * 8 * count, f"x, t and the series at {count} samples")
+
+
 def cross_validate(sol: SpectralSolution, sample_count: int, seed: int = 0,
                    nx: int = DEFAULT_FD_NX, cfl: float = DEFAULT_FD_CFL,
                    methods: tuple = ("characteristics", "fd")) -> CrossValidation:
     """Compare the series against the oracles, on ``sol``'s own problem, at
     seeded points in the space-time slab t in [0, T_v]."""
-    if sample_count < 1:
-        raise ConfigurationError("sample_count must be >= 1")
+    check_samples(sample_count)
     unknown = set(methods) - {"characteristics", "fd"}
     if unknown or not methods:
         raise ConfigurationError(f"unknown oracle methods {sorted(unknown)}")
-    check_memory(3 * 8 * sample_count, f"x, t and the series at {sample_count} samples")
     consts = sol.consts
     u = uniforms(seed, 2 * sample_count)
     t = consts.T_v * u[:sample_count]

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import InitialData, check_memory
-from .errors import NumericError
+from .errors import ConfigurationError, NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
 
@@ -173,12 +173,10 @@ class Panelization:
     band: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.a < self.b):
-            raise ValueError(f"need a < b, got ({self.a}, {self.b})")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ConfigurationError(f"need a finite interval a < b, got ({self.a}, {self.b})")
         if self.band is not None and not (math.isfinite(self.band) and self.band >= 0.0):
-            raise ValueError(f"band must be finite and non-negative, got {self.band}")
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"need a finite interval, got ({self.a}, {self.b})")
+            raise ConfigurationError(f"band must be finite and non-negative, got {self.band}")
         cuts = sorted({float(c) for c in self.breakpoints if self.a < c < self.b})
         object.__setattr__(self, "breakpoints", tuple(cuts))
         edges = [self.a, *cuts, self.b]
@@ -198,8 +196,8 @@ class Panelization:
             from decimal import Decimal   # rounds a count past float range
             shown = f"{Decimal(total):.3g}" if math.inf > total >= 10**15 else total
             hint = "shorten the interval" + ("" if self.band is None else " or lower the band")
-            raise ValueError(f"quadrature over ({self.a}, {self.b}) needs {shown} nodes, "
-                             f"more than the {_MAX_NODES} allowed; {hint}")
+            raise ConfigurationError(f"quadrature over ({self.a}, {self.b}) needs {shown} nodes, "
+                                     f"more than the {_MAX_NODES} allowed; {hint}")
         build = _simpson_segment if self.band is None else _gauss_segment
         segments = tuple(build(lo, hi, m) for (lo, hi), m in zip(spans, counts))
         object.__setattr__(self, "segments", segments)

@@ -45,7 +45,8 @@ import math
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import check_memory, check_moving_interval, edge_slack
+from .domain import check_memory, check_moving_interval, check_time, edge_slack
+from .errors import ConfigurationError
 
 __all__ = [
     "field_components",
@@ -151,11 +152,11 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     slack = edge_slack(L)
     if times.ndim != 1 or s.ndim != 1:
-        raise ValueError("times and s must be one-dimensional")
+        raise ConfigurationError("times and s must be one-dimensional")
     if not np.all(np.isfinite(times) & (times >= -slack)):
-        raise ValueError("time must be finite and nonnegative")
+        raise ConfigurationError("time must be finite and nonnegative")
     if not np.all(np.isfinite(s) & (s >= -slack) & (s <= L + slack)):
-        raise ValueError("s outside the reference interval [0, L]")
+        raise ConfigurationError("s outside the reference interval [0, L]")
     m, k = sol.n_max, times.size
     n = sol.n.astype(float)
     # rows 0..k-1: c_n e^{2 pi i n t/T_v} (phi); rows k..2k-1: the same rows
@@ -182,7 +183,7 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
 
 def _check_endpoint(endpoint: str) -> None:
     if endpoint not in ("left", "right"):
-        raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
+        raise ConfigurationError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
 
 
 def slope_trace_rows(sol: SpectralSolution, endpoint: str) -> np.ndarray:
@@ -237,6 +238,15 @@ def check_periodicity(sol: SpectralSolution, samples) -> float:
     return float(np.max(np.abs(p1 - p0))) if len(pts) else 0.0
 
 
+def check_grid(nx: int, nt: int, prefix: str = "") -> None:
+    """Refuse fewer than 2 abscissae or times, or five fields past memory."""
+    for name, value in (("nx", nx), ("nt", nt)):
+        if value < 2:
+            raise ConfigurationError(f"{prefix}{name} must be at least 2, got {value}")
+    check_memory(5 * 8 * nx * nt, f"five fields on the {nx} x {nt} grid",
+                 f"; lower {prefix}nx or {prefix}nt")
+
+
 def sample_moving_grid(sol: SpectralSolution, nx: int, nt: int, t_final: float):
     """Fields on an (nx x nt) grid of the moving interval.
 
@@ -244,11 +254,8 @@ def sample_moving_grid(sol: SpectralSolution, nx: int, nt: int, t_final: float):
     (i/(nx-1)) L.  Returns (x, t, phi, phi_x, phi_t) arrays of shape
     (nx, nt).
     """
-    if nx < 2 or nt < 2:
-        raise ValueError("grid needs nx >= 2 and nt >= 2")
-    if not math.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final}")
-    check_memory(5 * 8 * nx * nt, f"five fields on the {nx} x {nt} grid")
+    check_time(t_final, "t_final")
+    check_grid(nx, nt)
     c = sol.consts
     tg = np.linspace(0.0, t_final, nt)
     frac = np.linspace(0.0, 1.0, nx)

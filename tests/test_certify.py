@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moving_string import (
+    ConfigurationError,
     certify,
     energy_report,
     load_config,
@@ -50,7 +51,7 @@ def test_twenty_checks_in_fixed_order(sine_v03):
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_invalid_tolerance_rejected(sine_v03, tol):
-    with pytest.raises(ValueError, match="tolerance"):
+    with pytest.raises(ConfigurationError, match="tolerance"):
         certify(sine_v03, tol)
 
 

@@ -161,6 +161,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             make_config(0.3, n_max=0)
 
+    @pytest.mark.parametrize("L, v", [(1e308, 0.3), (9e307, 0.0), (5e-324, 0.3), (1e-308, 0.0)])
+    def test_L_past_float_range_named(self, L, v):
+        # 2L/(1-v), the extension interval, or 2 pi/L overflows; the
+        # quadrature refused it without naming L
+        with pytest.raises(ConfigurationError, match=r"support separation L = .* past float"):
+            derive_constants(L, v)
+        with pytest.raises(ConfigurationError, match="support separation L = "):
+            StringConfig(L=L, v=v, initial=InitialDataSpec.preset("zero"))
+
 
 class TestPresets:
     def test_sine_mode_values(self):
@@ -199,6 +208,40 @@ class TestPresets:
             build_initial_data(
                 InitialDataSpec.preset("bump", center=0.1, width=1.0), math.pi
             )
+
+    def test_bump_support_refusal_names_center_width_and_L(self):
+        with pytest.raises(ConfigurationError, match=r"bump support \(center - width/2, "
+                                                     r"center \+ width/2\) = \(-0\.4, 0\.6\) "
+                                                     r"must lie inside \[0, L\] = \[0, 1\.5\]"):
+            build_initial_data(InitialDataSpec.preset("bump", center=0.1, width=1.0), 1.5)
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("sine_mode", {"amplitude": math.nan}, "amplitude"),
+        ("traveling_sine", {"amplitude": -math.inf}, "amplitude"),
+        ("bump", {"center": math.nan, "width": 1.0}, "center"),
+    ])
+    def test_non_finite_parameter_named(self, name, params, key):
+        # a NaN amplitude or center passed every check and failed the solve
+        # with a numeric error (exit 3)
+        with pytest.raises(ConfigurationError,
+                           match=f"preset '{name}' parameter '{key}' must be finite"):
+            build_initial_data(InitialDataSpec.preset(name, **params), math.pi)
+
+    @pytest.mark.parametrize("amplitude", [1e7, -1e300])
+    def test_large_amplitude_sine_accepted(self, amplitude):
+        # phi0(L) = amplitude sin(pi) rounds to 1.2e-16 amplitude, which an
+        # absolute 1e-10 pinned-end tolerance refused; a preset vanishes at
+        # both supports by construction
+        data = build_initial_data(InitialDataSpec.preset("sine_mode", amplitude=amplitude),
+                                  math.pi)
+        assert abs(float(data.phi0(math.pi))) < 1e-15 * abs(amplitude)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, "1", 0, 2])
+    def test_traveling_sine_sign_must_be_an_integer(self, sign):
+        # a float sign of 1.0 was refused only because a display label
+        # formatted it with :+d
+        with pytest.raises(ConfigurationError, match="traveling_sine sign must be"):
+            build_initial_data(InitialDataSpec.preset("traveling_sine", sign=sign), math.pi)
 
     @pytest.mark.parametrize("width", [5e-324, 4e-308, 0.0, -1.0, math.nan])
     def test_bump_width_quarter_must_be_normal(self, width):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moving_string import (
+    ConfigurationError,
     derive_constants,
     energy_report,
     initial_energies,
@@ -120,7 +121,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_report_requires_valid_tolerance(self, sine_v03, tol):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ConfigurationError, match="tolerance"):
             energy_report(sine_v03, [0.0, 1.0], tol=tol)
 
     def test_zero_data_vacuous(self):

@@ -58,7 +58,7 @@ class TestOneEndpointIdentity:
 
     @pytest.mark.parametrize("observe", [observe_one_endpoint, velocity_trace_equivalent])
     def test_period_count_past_float_range(self, sine_v03, observe):
-        with pytest.raises(ValueError, match="period count M is too large"):
+        with pytest.raises(ConfigurationError, match="period count M is too large"):
             observe(sine_v03, "left", 10**400)
 
 
@@ -71,7 +71,7 @@ class TestOneEndpointIdentity:
     lambda sol, tol: sharpness_probe(sol.cfg, 0.5 * sol.consts.T_tilde_v, tol=tol),
 ], ids=["one_endpoint", "both_endpoints", "horizon", "velocity_trace", "sharpness_probe"])
 def test_invalid_tolerance_rejected(sine_v03, observe, tol):
-    with pytest.raises(ValueError, match="tolerance"):
+    with pytest.raises(ConfigurationError, match="tolerance"):
         observe(sine_v03, tol)
 
 

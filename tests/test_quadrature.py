@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from moving_string import NumericError, Panelization, integrate
+from moving_string import ConfigurationError, NumericError, Panelization, integrate
 from moving_string.domain import InitialData
 from moving_string.quadrature import (
     _BLOCK,
@@ -170,7 +170,7 @@ class TestDataLayout:
 
     @staticmethod
     def _data(rate):
-        return InitialData("test", np.sin, np.cos, np.sin, rate=rate)
+        return InitialData(np.sin, np.cos, np.sin, rate=rate)
 
     def test_declared_rate_sizes_gauss_panels(self):
         p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), lambda rate: 10.0 * rate)
@@ -329,6 +329,12 @@ class TestNodeBound:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("b, band", [(1e7, None), (1e300, 10.0)], ids=["simpson", "gauss"])
+    def test_node_bound_is_a_configuration_error(self, b, band):
+        # a caller's interval or band, refused by name in the CLI (exit 2)
+        with pytest.raises(ConfigurationError, match="nodes, more than the 10000000 allowed"):
+            Panelization(0.0, b, band=band)
 
     def test_largest_gauss_layout_admitted(self):
         p = Panelization(0.0, _MAX_NODES / _GAUSS_NODES, band=_RAD_PER_PANEL)

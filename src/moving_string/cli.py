@@ -32,7 +32,13 @@ from . import __version__
 from ._seeds import check_seed
 from .certify import Check, certify
 from .coefficients import solve
-from .domain import DEFAULT_TOL, check_time, check_tolerance, derive_constants, load_config
+from .domain import (
+    DEFAULT_TOL,
+    check_time,
+    check_tolerance,
+    derive_constants,
+    load_config,
+)
 from .energy import check_sweep, energy_report
 from .errors import ConfigurationError, NumericError
 from .observability import (check_observation, observe_both_endpoints, observe_horizon,
@@ -283,7 +289,8 @@ def cmd_observe(args) -> int:
     elif args.horizon is not None:
         rep = observe_horizon(sol, args.endpoint, args.horizon, tol=args.tol)
     else:
-        rep = observe_one_endpoint(sol, args.endpoint, args.periods or 1, tol=args.tol)
+        periods = 1 if args.periods is None else args.periods
+        rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
     man = Manifest(args, sol)
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [

@@ -72,12 +72,21 @@ def check_tolerance(tol: float) -> None:
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol}")
 
 
-def check_time(t, name: str) -> None:
-    """Reject a time, or any of an array of times, not finite and >= 0 (None passes)."""
+def check_time(t, name: str, slack: float = 0.0) -> None:
+    """Reject a time, or any of an array of times, not finite and >= -slack
+    (None passes)."""
     t = np.asarray(0.0 if t is None else t, dtype=float)
-    bad = t[~(np.isfinite(t) & (t >= 0.0))]
+    bad = t[~(np.isfinite(t) & (t >= -slack))]
     if bad.size:
         raise ConfigurationError(f"{name} must be finite and nonnegative, got {bad[0]}")
+
+
+def _int_text(n) -> str:
+    """The integer ``n`` in decimal, also past the 4,300 digits ``str`` stops at."""
+    if int(n).bit_length() < 14000:   # at most 4,215 digits
+        return str(n)
+    from decimal import Decimal   # loaded only for such a count
+    return str(Decimal(int(n)))
 
 
 def check_memory(nbytes: float, what: str, hint: str = "") -> None:
@@ -105,8 +114,10 @@ class InitialDataSpec:
 
     @staticmethod
     def tabulated(x, phi0, phi1) -> "InitialDataSpec":
-        return InitialDataSpec(kind="table",
-                               table=tuple(np.asarray(a, float) for a in (x, phi0, phi1)))
+        return InitialDataSpec(
+            kind="table",
+            table=(np.asarray(x, float), np.asarray(phi0, float), np.asarray(phi1, float)),
+        )
 
 
 @dataclass(frozen=True)
@@ -195,8 +206,7 @@ def check_moving_interval(L: float, v: float, x, t) -> None:
     every point, each within ``edge_slack(L)``."""
     slack = edge_slack(L)
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    if np.any(t < -slack):
-        raise ConfigurationError("time must be nonnegative")
+    check_time(t, "time", slack)
     if not np.all((v * t - slack <= x) & (x <= L + v * t + slack)):
         raise ConfigurationError("x outside the moving interval (v t, L + v t)")
 
@@ -243,16 +253,23 @@ def _mode_number(preset: str, mode) -> int:
 def _preset_sine_mode(L: float, amplitude: float = 0.1, mode: int = 1) -> InitialData:
     k = _mode_number("sine_mode", mode)
     w = k * math.pi / L
-    return InitialData(lambda x: amplitude * np.sin(w * np.asarray(x, float)),
-                       lambda x: amplitude * w * np.cos(w * np.asarray(x, float)),
-                       _zeros_like, rate=w)
+    return InitialData(
+        lambda x: amplitude * np.sin(w * np.asarray(x, float)),
+        lambda x: amplitude * w * np.cos(w * np.asarray(x, float)),
+        _zeros_like,
+        rate=w,
+    )
 
 
 def _preset_sine_velocity(L: float, amplitude: float = 1.0, mode: int = 1) -> InitialData:
     k = _mode_number("sine_velocity", mode)
     w = k * math.pi / L
-    return InitialData(_zeros_like, _zeros_like,
-                       lambda x: amplitude * np.sin(w * np.asarray(x, float)), rate=w)
+    return InitialData(
+        _zeros_like,
+        _zeros_like,
+        lambda x: amplitude * np.sin(w * np.asarray(x, float)),
+        rate=w,
+    )
 
 
 def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
@@ -262,8 +279,12 @@ def _preset_traveling_sine(L: float, amplitude: float = 0.1, mode: int = 1,
         raise ConfigurationError(f"traveling_sine sign must be +1 or -1, got {sign}")
     k = _mode_number("traveling_sine", mode)
     base = _preset_sine_mode(L, amplitude, k)
-    return InitialData(base.phi0, base.phi0_x, lambda x, _d=base.phi0_x: sign * _d(x),
-                       rate=base.rate)
+    return InitialData(
+        base.phi0,
+        base.phi0_x,
+        lambda x, _d=base.phi0_x: sign * _d(x),
+        rate=base.rate,
+    )
 
 
 def _preset_bump(L: float, center: float, width: float,
@@ -381,7 +402,7 @@ def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
                 np.asarray(f(np.array([0.0, L])), dtype=float)
         except ConfigurationError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(
                 f"bad parameters for preset {spec.name!r} {spec.params}: {exc}"
             ) from None
@@ -403,23 +424,26 @@ def initial_data(cfg: StringConfig) -> InitialData:
 # ---------------------------------------------------------------------------
 
 def load_table_csv(path: str | Path):
-    """Read a `x,phi0,phi1` CSV with strictly increasing x."""
+    """Read a UTF-8 `x,phi0,phi1` CSV with strictly increasing x."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "phi0", "phi1"]:
-            raise ConfigurationError(
-                f"{path}: expected header 'x,phi0,phi1', got {header}"
-            )
-        rows = []
-        for row in filter(None, reader):     # blank lines are skipped
-            if len(row) != 3:
-                raise ConfigurationError(f"{path}: line {reader.line_num} has {len(row)} "
-                                         f"fields; every row needs exactly 3 columns")
-            rows.append(row)
     try:
-        data = np.array([[float(c) for c in row] for row in rows], dtype=float)
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, row) for row in reader]
+    except (ValueError, csv.Error) as exc:   # a NUL in the path, bytes not UTF-8, a huge field
+        raise ConfigurationError(f"{path}: {exc}") from None
+    header = lines[0][1] if lines else None
+    if header is None or [h.strip() for h in header] != ["x", "phi0", "phi1"]:
+        raise ConfigurationError(
+            f"{path}: expected header 'x,phi0,phi1', got {header}"
+        )
+    rows = [(n, row) for n, row in lines[1:] if row]     # blank lines are skipped
+    for n, row in rows:
+        if len(row) != 3:
+            raise ConfigurationError(f"{path}: line {n} has {len(row)} "
+                                     f"fields; every row needs exactly 3 columns")
+    try:
+        data = np.array([[float(c) for c in row] for _, row in rows], dtype=float)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: non-numeric table entry ({exc})") from None
     if not rows:
@@ -453,6 +477,9 @@ def load_config(path: str | Path) -> StringConfig:
         raise ConfigurationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # a NUL in the path, bytes not UTF-8, an integer past int's digit limit, deep nesting
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
 

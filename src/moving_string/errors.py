@@ -4,7 +4,12 @@
 class ConfigurationError(ValueError):
     """A caller's value (config key, preset parameter, table entry, flag or
     argument) that the program refuses: the CLI's exit 2.  Any other
-    ValueError is a broken internal invariant, and surfaces as a traceback."""
+    ValueError is a broken internal invariant, and surfaces as a traceback.
+
+    The point-range checks of the evaluators (``check_moving_interval``,
+    ``field_on_moving_grid``, the FD oracle's slab) refuse a library
+    caller's points.  The CLI passes them only points it builds itself, so
+    there they guard no user input."""
 
 
 class NumericError(RuntimeError):

@@ -78,7 +78,7 @@ import numpy as np
 
 from ._seeds import uniforms
 from .coefficients import SpectralSolution
-from .domain import (DerivedConstants, InitialData, StringConfig, check_memory,
+from .domain import (DerivedConstants, InitialData, StringConfig, _int_text, check_memory,
                      check_moving_interval, derive_constants, edge_slack, initial_data)
 from .errors import ConfigurationError
 from .series import _field_value
@@ -320,7 +320,7 @@ def check_fd_grid(nx: int, cfl: float, prefix: str = "") -> None:
 def _scheme(cfg: StringConfig, nx: int, cfl: float, t_final: float | None) -> _Scheme:
     """Validate the FD parameters and size the grid; allocates no grid arrays."""
     check_fd_grid(nx, cfl)
-    check_memory(8 * (nx + 1), f"one FD level of {nx + 1} nodes", "; lower nx")
+    check_memory(8 * (nx + 1), f"one FD level of {_int_text(nx + 1)} nodes", "; lower nx")
     consts = derive_constants(cfg.L, cfg.v)
     L, v = consts.L, consts.v
     if t_final is None:

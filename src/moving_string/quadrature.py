@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import InitialData, check_memory
+from .domain import InitialData, _int_text, check_memory
 from .errors import ConfigurationError, NumericError
 
 __all__ = ["Panelization", "Segment", "integrate"]
@@ -307,7 +307,7 @@ def _expj(phase: np.ndarray) -> np.ndarray:
 def check_phasor_memory(modes: int) -> None:
     """Refuse a mode count whose ``UniformPhasors`` offset table, up to
     ``_BLOCK`` offsets x modes complex, would exceed physical memory."""
-    check_memory(16 * _BLOCK * modes, f"a phasor table of {modes} modes")
+    check_memory(16 * _BLOCK * modes, f"a phasor table of {_int_text(modes)} modes")
 
 
 class UniformPhasors:

@@ -153,8 +153,7 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
     slack = edge_slack(L)
     if times.ndim != 1 or s.ndim != 1:
         raise ConfigurationError("times and s must be one-dimensional")
-    if not np.all(np.isfinite(times) & (times >= -slack)):
-        raise ConfigurationError("time must be finite and nonnegative")
+    check_time(times, "time", slack)
     if not np.all(np.isfinite(s) & (s >= -slack) & (s <= L + slack)):
         raise ConfigurationError("s outside the reference interval [0, L]")
     m, k = sol.n_max, times.size

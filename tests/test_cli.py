@@ -329,6 +329,32 @@ class TestBadInputExitsTwo:
         err = capsys.readouterr().err
         assert message in err and "--out" not in err
 
+    @pytest.mark.parametrize("config, table, message", [
+        (b"\xff{", None, "cfg.json: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"L": 3, "v": 0.3, "n_max": ' + b"1" * 5000 + b"}", None,
+         "cfg.json: Exceeds the limit (4300 digits)"),
+        (b"[" * 100000 + b"]" * 100000, None, "cfg.json: maximum recursion depth exceeded"),
+        (None, b"x,phi0,phi1\n0,0,0\n1,\xff,0\n2,0,0\n3,0,0\n",
+         "table.csv: 'utf-8' codec can't decode byte 0xff"),
+        (None, b"x,phi0,phi1\n0," + b"1" * 200000 + b",0\n",
+         "table.csv: field larger than field limit"),
+        (None, None, "embedded null byte"),
+    ], ids=["config-not-utf8", "config-5000-digits", "config-nested", "table-not-utf8",
+            "table-huge-field", "table-path-nul"])
+    def test_unreadable_file_names_it(self, tmp_path, capsys, config, table, message):
+        # text the JSON or CSV reader cannot take is a refusal, not a traceback
+        path = tmp_path / "cfg.json"
+        table_name = "table.csv" if table is not None else "a\x00b.csv"
+        doc = {"L": 3.0, "v": 0.3, "n_max": 6, "initial": {"table": table_name}}
+        path.write_bytes(config if config is not None else json.dumps(doc).encode())
+        if table is not None:
+            (tmp_path / "table.csv").write_bytes(table)
+        out = tmp_path / "o"
+        rc = main(["coeffs", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset", ["sine_mode", "sine_velocity", "traveling_sine"])
     @pytest.mark.parametrize("mode", ["1.5", "1e400"])
     def test_preset_mode_not_an_integer(self, tmp_path, capsys, preset, mode):

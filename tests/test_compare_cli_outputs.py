@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from moving_string.cli import main
-
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_cli_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_cli_outputs", SCRIPT)
 compare_cli_outputs = importlib.util.module_from_spec(_spec)
@@ -70,19 +68,3 @@ def test_jobs_are_configs_times_subcommands():
     assert jobs == [(c, s) for c in configs for s in compare_cli_outputs.SUBCOMMANDS] + [
         (configs[-1], s) for s in refusals]
     assert len(jobs) == 7 * 16 + 64 == 176
-    assert all(compare_cli_outputs.RUNS[s] == argv for s, argv in refusals.items())
-
-
-@pytest.mark.parametrize("argv", list(compare_cli_outputs.REFUSALS.values()),
-                         ids=list(compare_cli_outputs.REFUSALS))
-def test_every_refusal_job_is_refused(tmp_path, capsys, argv):
-    # a usage error on the shipped config: exit 2 with an error line, no --out
-    config = Path(__file__).resolve().parents[1] / compare_cli_outputs.REFUSAL_CONFIG
-    out = tmp_path / "out"
-    try:
-        rc = main([*argv, "--config", str(config), "--out", str(out)])
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == 2
-    assert "error: " in capsys.readouterr().err
-    assert not out.exists()

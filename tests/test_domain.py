@@ -108,7 +108,7 @@ class TestMovingInterval:
         self.assert_interval(0.7, t, 0.7 * t, math.pi + 0.7 * t)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="time must be nonnegative"):
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             check_moving_interval(math.pi, 0.3, 0.0, -1.0)
 
 

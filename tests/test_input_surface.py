@@ -37,7 +37,8 @@ INTS = ["-1", "0", "1.5", "x", "", "1e3"]
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "5e-324", "x", ""]
 JSON_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "1.5", "1e308", "-1e308",
                "5e-324", "1e-300", "1e400", '"1"', "null", "true", "[]", "{}"]
-TABLE_CELLS = ["nan", "inf", "-inf", "1e400", "abc", "", "0.5", "-7"]
+# "\udcff" is written as the byte 0xff, which is not UTF-8
+TABLE_CELLS = ["nan", "inf", "-inf", "1e400", "abc", "", "0.5", "-7", "\udcff"]
 
 # each subcommand's flags: a valid value drawn from a random generator ``r``
 # (as text), and the hostile values tried on it; no value asks for a large
@@ -141,10 +142,12 @@ class Case:
         for i, raw in enumerate(raws):
             text = text.replace(f'"@RAW{i}@"', raw)
         path = root / "cfg.json"
-        path.write_text(text if self.config_text is None else self.config_text)
+        path.write_text(text if self.config_text is None else self.config_text,
+                        encoding="utf-8", errors="surrogateescape")
         if self.table is not None:
             (root / "table.csv").write_text(
-                self.header + "\n" + "".join(",".join(row) + "\n" for row in self.table))
+                self.header + "\n" + "".join(",".join(row) + "\n" for row in self.table),
+                encoding="utf-8", errors="surrogateescape")
         return path
 
     def argv(self, config: Path, out: Path) -> list[str]:
@@ -172,7 +175,8 @@ def _perturbations():
     tables += [("ragged", cut) for cut in (True, False)]
     tables += [("header", text) for text in ("x,phi0", "x,phi1,phi0", "t,phi0,phi1", "")]
     tables = [("table", *t) for t in tables]
-    configs = [("config", text) for text in ("", "{", "[]", "null", '"cfg"', "{}")]
+    configs = [("config", text) for text in ("", "{", "[]", "null", '"cfg"', "{}", "\udcff{",
+                                             '{"n_max": ' + "1" * 5000 + "}", "[" * 10**5)]
     drops = [("drop", key) for key in ("L", "v", "n_max", "initial")]
     perturbed = keys + flags + unread + params + tables + configs + drops
     return [("none",)] * (len(perturbed) // 8) + perturbed
@@ -209,7 +213,7 @@ def cases(draw):
     else:
         name = what[0] if kind == "param" else r.choice(sorted(PARAMS))
         doc["initial"] = {"preset": {"name": name, "params": PARAMS[name](r, L)}}
-    case = Case(sub, flags, doc, table, what=" ".join(map(str, [kind, *what])))
+    case = Case(sub, flags, doc, table, what=" ".join(map(str, [kind, *what]))[:80])
     if kind == "key":
         key, value = what
         doc[key] = Raw(value)
@@ -316,7 +320,11 @@ def write_config(root: Path, **doc) -> Path:
     (["oracle", "--samples", "4", "--nx", "1000000000000"], {}, "one FD level of"),
     (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-300"], {},
      "node-steps, above the bound"),
-], ids=["n_max", "mode", "grid", "sweep", "horizon", "periods", "samples", "fd-nx", "fd-steps"])
+    # counts one digit past the 4,300 that str(int) prints
+    (["coeffs"], {"n_max": int("9" * 4300)}, "a phasor table of 1" + "9" * 4299 + "8 modes"),
+    (["oracle", "--samples", "4", "--nx", "9" * 4300], {}, f"one FD level of 1{'0' * 4300} nodes"),
+], ids=["n_max", "mode", "grid", "sweep", "horizon", "periods", "samples", "fd-nx", "fd-steps",
+        "n_max-4300-digits", "fd-nx-4300-digits"])
 def test_size_refused_before_allocation(tmp_path, argv, doc, message):
     out = tmp_path / "out"
     tracemalloc.start()

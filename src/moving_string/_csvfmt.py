@@ -23,17 +23,25 @@ bail-out, "Printing floating-point numbers quickly and accurately", PLDI
    within ``_TIE_MARGIN`` of 1/2.  A mantissa that rounds up to 10**17
    becomes 10**16 and E grows by one, as ``%g`` takes the exponent after
    rounding;
-4. turns the mantissa into ASCII through a 4-digit table, strips trailing
-   zeros, and places the characters by a layout pattern chosen by sign,
-   exponent class and digit count: fixed notation for -4 <= E < 17,
-   otherwise scientific with a 2- or 3-digit exponent, then the value's
-   separator (``,``, ``\\n``, or ``\\n\\n`` before a gnuplot blank line).
+4. writes the field as four 64-bit words, whole words at a time, not byte
+   by byte (as exact table-driven formatters do: Adams, "Ryu revisited:
+   printf floating point conversion", OOPSLA 2019).  The digits d1 .. d16
+   after the lead become two words through a 4-digit ASCII table; the
+   trailing zeros of the mantissa set the digit count nd.  A layout row,
+   chosen by sign, exponent class and nd, puts the point in and cuts the
+   digits to length in three masked word operations (:func:`_layout`):
+   fixed notation for -4 <= E < 17, otherwise scientific.  Word 0 gets the
+   row's prefix (sign, and "0." and its zeros below 1) and the lead digit;
+   word 3 the exponent (``e+dd`` or ``e-ddd``, from a table by E) and the
+   value's separator (``,``, ``\\n``, or ``\\n\\n`` before a gnuplot blank
+   line).  The words hold no NUL inside the text, so the chunk's text is
+   its nonzero bytes, in order.
 
-Zeros are written by the kernel (``0`` and ``-0``).  Handed back are
-non-finite values, values outside 1e-190 <= |x| < 1e190 (subnormals
-included), near-ties (exact ties such as 123456789012345.625 included),
-and integers of magnitude 2**53 or more in integer columns: below 2**53 the
-float path gives the ``%d`` bytes.
+Zeros are written by the kernel (``0`` and ``-0``).  Handed back, with only
+their separator written, are non-finite values, values outside
+1e-190 <= |x| < 1e190 (subnormals included), near-ties (exact ties such as
+123456789012345.625 included), and integers of magnitude 2**53 or more in
+integer columns: below 2**53 the float path gives the ``%d`` bytes.
 
 The tables are built on the first call (:func:`_tables`), not at import.
 """
@@ -41,7 +49,7 @@ The tables are built on the first call (:func:`_tables`), not at import.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,34 +60,17 @@ _POW10 = range(-192, 209)
 _TIE_MARGIN = 2.0 ** -30    # >> 1e-14, the bound on the error of r
 _SPLIT = 134217729.0        # 2**27 + 1: Dekker's splitter
 
-# Columns of a value's 32-byte source row; a layout pattern lists, for
-# each output byte, the column it copies.  The digits d0 .. d16 sit in
-# columns 3 .. 19, so d1 .. d16 fill the 4-byte words 1 .. 4, and the
-# exponent's digits end the 4-byte word 6.
-_MINUS, _ZERO, _DIGITS = 1, 2, 3
-_POINT, _E, _EXP_SIGN, _EXP_DIGITS, _SEP = 20, 21, 22, 25, 28
-_SOURCE_WIDTH = 32
-_WIDTH = 26                 # longest field, "-1.2345678901234567e-100", plus two separators
+# A field is four little-endian 64-bit words, one region each.  NUL bytes
+# are dropped from the chunk's text, so a region need not be full:
+#   word 0      sign, "0." and its zeros (fixed notation below 1); lead digit in byte 7
+#   words 1, 2  the 16 digits after the lead, with the point put in: 17 bytes
+#   word 3      byte 0: the 17th of those bytes; 1-5: exponent; 6-7: separator
 _CLASSES = 23               # exponent classes: fixed -4 .. 16, then 2- and 3-digit scientific
-_FALLBACK = 2 * _CLASSES * 17   # the pattern of a handed-back value: its separators only
-
-
-class _Tables(NamedTuple):
-    hi: np.ndarray          # 10**j rounded to double, j in _POW10
-    hi_hi: np.ndarray       # Dekker split of ``hi``
-    hi_lo: np.ndarray
-    lo: np.ndarray          # 10**j - hi, rounded
-    ceil: np.ndarray        # the least double not below 10**j
-    digits4: np.ndarray     # ASCII of 0000 .. 9999, one uint32 word each
-    zeros4: np.ndarray      # trailing zeros of 0 .. 9999 (4 for 0)
-    pattern: np.ndarray     # exponent j in _POW10 -> pattern of a positive value, less nd
-    layout: np.ndarray      # (patterns, _WIDTH) source columns
-    layout_len: np.ndarray  # bytes before the separators
-    mask: np.ndarray        # (_WIDTH + 1, _WIDTH): the first n output bytes
+_ROW_WORDS = 7              # prefix, then LOW, HIGH and POINT of two words each
 
 
 @functools.cache
-def _tables() -> _Tables:
+def _tables() -> SimpleNamespace:
     # Python integers give 10**j and its residual exactly, and int / int
     # rounds correctly, so hi + lo is 10**j to within 2**-106 relative
     pow10 = []
@@ -93,46 +84,54 @@ def _tables() -> _Tables:
     hi_hi = c - (c - hi)
     d = np.arange(10)
     digits4 = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).reshape(10000, 4)
-    digits4 = (digits4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    digits4 = (digits4 + ord("0")).astype(np.uint8).view(np.uint32).ravel().astype(np.uint64)
     n = np.arange(10000)
     zeros4 = sum(n % 10 ** i == 0 for i in range(1, 5))
     e = np.arange(_POW10.start, _POW10.stop)
     cls = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
-    w = np.arange(_WIDTH + 1)
-    ceil = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
-    return _Tables(hi, hi_hi, hi - hi_hi, lo, ceil, digits4, zeros4, cls * 17 - 1, *_layout(),
-                   w[:, None] > w[None, :-1])
+    exponent = b"".join(b"\0" + (f"e{j:+03d}" if c >= 21 else "").encode().ljust(7, b"\0")
+                        for j, c in zip(_POW10, cls.tolist()))
+    return SimpleNamespace(
+        hi=hi,                      # 10**j rounded to double, j in _POW10
+        hi_hi=hi_hi,                # Dekker split of ``hi``
+        hi_lo=hi - hi_hi,
+        lo=lo,                      # 10**j - hi, rounded
+        ceil=np.where(lo > 0, np.nextafter(hi, np.inf), hi),   # least double >= 10**j
+        digits4=digits4,            # ASCII of 0000 .. 9999 in the low half of a word
+        digits4_hi=digits4 << 32,   # the same in the high half
+        zeros4=zeros4,              # trailing zeros of 0 .. 9999 (4 for 0)
+        row=cls * 17 - 1,           # exponent -> class * 17 - 1: add nd for the layout row
+        exponent=np.frombuffer(exponent, np.uint64),   # exponent -> word 3's "e+dd", or 0
+        layout=_layout())           # (_ROW_WORDS, rows): each word of each layout row
 
 
-def _layout() -> tuple[np.ndarray, np.ndarray]:
-    """Layout patterns, indexed ``(negative * _CLASSES + cls) * 17 + nd - 1``
-    for nd significant digits, plus ``_FALLBACK`` last, and the byte count
-    of each before its separators."""
+def _layout() -> np.ndarray:
+    """The words of layout row ``(negative * _CLASSES + cls) * 17 + nd - 1``
+    for nd significant digits: word 0's prefix, then three 16-byte masks
+    over the digits d1 .. d16 that follow the lead.  The point goes in at
+    index q of those digits, and k bytes of the 17 are kept:
+
+        digits with point = (d & LOW) | POINT | ((d & HIGH) << 8)
+
+    LOW keeps the digits before q, HIGH those that move one byte right to
+    stay within k, and POINT is the "." at q when q < k.
+    """
     cls, nd = (g.reshape(-1, 1) for g in np.meshgrid(
         np.arange(_CLASSES), np.arange(1, 18), indexing="ij"))
     x = cls - 4                             # the exponent, for fixed notation
-    exp_digits = np.where(cls == 22, 3, 2)
-    mant = np.where(nd > 1, nd + 1, 1)      # "d" or "d.ddd"
-    zeros = -x - 1                          # after "0." when x < 0
-    core = np.select([cls >= 21, x >= 0],
-                     [mant + 2 + exp_digits, np.where(nd > x + 1, nd + 1, x + 1)],
-                     2 + zeros + nd)
-    u = np.arange(_WIDTH)
-    sci_col = np.select(
-        [u == 0, u < mant, u == mant, u == mant + 1],
-        [_DIGITS, np.where(u == 1, _POINT, _DIGITS + u - 1), _E, _EXP_SIGN],
-        _EXP_DIGITS + 3 - exp_digits + u - mant - 2)
-    fixed_col = np.where(
-        x >= 0,
-        np.select([u <= x, u == x + 1], [_DIGITS + u, _POINT], _DIGITS + u - 1),
-        np.select([u == 1, u < 2 + zeros], [_POINT, _ZERO], _DIGITS + u - 2 - zeros))
-    col = np.select([u == core, u == core + 1, cls >= 21], [_SEP, _SEP + 1, sci_col], fixed_col)
-    col = np.clip(col, 0, _SOURCE_WIDTH - 1)
-    negative = np.hstack([np.full_like(core, _MINUS), col[:, :-1]])
-    fallback = np.zeros((1, _WIDTH), col.dtype)
-    fallback[0, :2] = _SEP, _SEP + 1
-    layout = np.vstack([col, negative, fallback]).astype(np.int32)
-    return layout, np.concatenate([core.ravel(), core.ravel() + 1, [0]])
+    fixed = cls < 21
+    q = np.where(fixed & (x < 0), 16, np.where(fixed, x, 0))
+    kept = np.maximum(nd - 1, np.where(fixed & (x >= 0), x, 0))
+    k = kept + (q < kept)
+    u = np.arange(16)
+    masks = np.hstack([(u < q) & (u < k), (u >= q) & (u < k - 1)]) * np.uint8(0xFF)
+    point = ((u == q) & (q < k)) * np.uint8(ord("."))
+    # the lead digit's "0" in byte 7, to which the encoder adds the digit
+    prefix = b"".join((b"-" * negative + (b"0." + b"0" * (3 - c) if c < 4 else b""))
+                      .ljust(7, b"\0") + b"0" for negative in (0, 1) for c in range(_CLASSES))
+    prefix = np.repeat(np.frombuffer(prefix, np.uint8).reshape(-1, 8), 17, axis=0)
+    body = np.tile(np.hstack([masks, point]), (2, 1))
+    return np.ascontiguousarray(np.hstack([prefix, body]).astype(np.uint8).view(np.uint64).T)
 
 
 def _divmod(n: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,29 +140,28 @@ def _divmod(n: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return q, n - q * d
 
 
-def _word(text: bytes) -> np.uint32:
-    return np.frombuffer(text, np.uint32)[0]
+def _byte(char: str, position: int) -> np.uint64:
+    return np.uint64(ord(char) << 8 * position)
 
 
 class Encoder:
     """Formats a table chunk by chunk (:meth:`encode`).
 
-    ``int_columns`` marks the columns written as ``%d``.  The byte buffers
-    for ``max_rows`` rows are allocated once and reused by every chunk:
-    fresh arrays of that size cost a page fault per 4 KiB, which doubled
-    the time of a field-bump write.
+    ``int_columns`` marks the columns written as ``%d``.  The buffers for
+    ``max_rows`` rows are allocated once and reused by every chunk: fresh
+    arrays of that size cost a page fault per 4 KiB, which doubled the time
+    of a field-bump write.
     """
 
     def __init__(self, int_columns: np.ndarray, max_rows: int):
         self._int_columns = np.asarray(int_columns, bool)
         cols = self._int_columns.size
         n = max_rows * cols
-        self._src = np.empty((n, _SOURCE_WIDTH), np.uint8)
-        self._source = np.empty((n, _WIDTH), np.int32)
-        self._mask = np.empty((n, _WIDTH), bool)
-        self._bytes = np.empty((n, _WIDTH), np.uint8)
-        self._row_start = (np.arange(n, dtype=np.int32) * _SOURCE_WIDTH)[:, None]
-        self._sep = np.where(np.arange(cols) < cols - 1, _word(b",\n\0\0"), _word(b"\n\n\0\0"))
+        self._digits = np.empty((3, n), np.uint64)
+        self._layout = np.empty((_ROW_WORDS, n), np.uint64)
+        self._words = np.empty((n, 4), np.uint64)
+        self._nonzero = np.empty((n, 32), bool)
+        self._sep = np.where(np.arange(cols) < cols - 1, _byte(",", 7), _byte("\n", 7))
 
     def encode(self, values: np.ndarray, blank_after: np.ndarray):
         """Format a (rows, cols) float64 array, ``rows <= max_rows``, as CSV
@@ -171,8 +169,7 @@ class Encoder:
 
         Returns the uint8 text, the flat indices of the values handed back,
         and the byte offsets where their text goes, ascending: the caller
-        writes ``fmt`` of each there.  The text is a view of a buffer that
-        the next call overwrites.
+        writes ``fmt`` of each there.
         """
         t = _tables()
         rows, cols = values.shape
@@ -209,39 +206,56 @@ class Encoder:
         lead, rest = _divmod(mant, 10 ** 16)
         lead -= zero            # a zero was formatted as 1: mantissa 1 and 16 zeros
         upper, lower = _divmod(rest, 10 ** 8)
-        groups = [*_divmod(upper, 10 ** 4), *_divmod(lower, 10 ** 4)]
-
-        src = self._src[:n]
-        words = src.view(np.uint32)
-        words[:, 0] = _word(b"\0-00")
-        src[:, _DIGITS] += lead.astype(np.uint8)
-        for i, group in enumerate(groups, 1):
-            words[:, i] = t.digits4[group]
-        words[:, 5] = _word(b".e+\0")
-        src[:, _EXP_SIGN] += (e < 0).astype(np.uint8) * (ord("-") - ord("+"))
-        words[:, 6] = t.digits4[np.abs(e)]
-        words.reshape(rows, cols, -1)[:, :, 7] = self._sep
+        g0, g1 = _divmod(upper, 10 ** 4)
+        g2, g3 = _divmod(lower, 10 ** 4)
 
         # significant digits; most mantissas end in a nonzero 4-digit group
-        nd = 17 - t.zeros4[groups[3]]
-        short = np.flatnonzero(groups[3] == 0)
+        nd = 17 - t.zeros4[g3]
+        short = np.flatnonzero(g3 == 0)
         if short.size:
-            g = [group[short] for group in groups]
-            nd[short] = np.select([g[2] > 0, g[1] > 0, g[0] > 0],
-                                  [13 - t.zeros4[g[2]], 9 - t.zeros4[g[1]],
-                                   5 - t.zeros4[g[0]]], 1)
-        pattern = t.pattern[e - _POW10.start] + nd
-        pattern += np.signbit(x) * (_CLASSES * 17)
-        pattern[fallback] = _FALLBACK
+            z0, z1, z2 = (t.zeros4[g[short]] for g in (g0, g1, g2))
+            nd[short] = 13 - z2 - (z2 == 4) * (z1 + (z1 == 4) * z0)
+        e -= _POW10.start
+        row = t.row[e] + nd
+        row += np.signbit(x) * (_CLASSES * 17)
 
-        sep_len = np.ones((rows, cols), np.intp)
-        sep_len[:, -1] += blank_after
-        length = t.layout_len[pattern] + sep_len.ravel()
-        # mode="clip" lets take write straight into out=; "raise" buffers
-        source = np.take(t.layout, pattern, axis=0, out=self._source[:n], mode="clip")
-        source += self._row_start[:n]
-        text = np.take(src.ravel(), source, out=self._bytes[:n], mode="clip")
-        text = text[np.take(t.mask, length, axis=0, out=self._mask[:n], mode="clip")]
+        # d1 .. d16 as two little-endian words, then the point put in at q
+        d_lo, d_hi, scratch = self._digits[:, :n]
+        np.take(t.digits4, g0, out=d_lo, mode="clip")
+        d_lo |= np.take(t.digits4_hi, g1, out=scratch, mode="clip")
+        np.take(t.digits4, g2, out=d_hi, mode="clip")
+        d_hi |= np.take(t.digits4_hi, g3, out=scratch, mode="clip")
+        prefix, low_lo, low_hi, high_lo, high_hi, point_lo, point_hi = np.take(
+            t.layout, row, axis=1, out=self._layout[:, :n], mode="clip")
+        high_lo &= d_lo
+        high_hi &= d_hi
+        low_lo &= d_lo
+        low_lo |= point_lo
+        low_hi &= d_hi
+        low_hi |= point_hi
+        words = self._words[:n]
+        np.right_shift(high_lo, 56, out=words[:, 2])
+        np.right_shift(high_hi, 56, out=words[:, 3])
+        high_lo <<= 8
+        high_hi <<= 8
+        np.bitwise_or(low_lo, high_lo, out=words[:, 1])
+        words[:, 2] |= low_hi
+        words[:, 2] |= high_hi
+        # the exponent and the separator after the 17th byte, the lead before d1
+        words[:, 3] |= np.take(t.exponent, e, out=scratch, mode="clip")
+        last = words[:, 3].reshape(rows, cols)
+        last |= self._sep
+        last[:, -1] |= blank_after * _byte("\n", 6)
+        np.left_shift(lead.view(np.uint64), 56, out=words[:, 0])
+        words[:, 0] |= prefix
         slots = np.flatnonzero(fallback)
-        offsets = (np.cumsum(length) - length)[slots]
-        return text, slots, offsets
+        if slots.size:          # only their separator stays
+            words[slots, :3] = 0
+            words[slots, 3] &= np.uint64(0xFFFF << 48)
+        text = words.view(np.uint8)
+        nonzero = np.not_equal(text, 0, out=self._nonzero[:n])
+        offsets = slots         # empty unless values are handed back
+        if slots.size:
+            length = np.count_nonzero(nonzero, axis=1)
+            offsets = (np.cumsum(length) - length)[slots]
+        return text[nonzero], slots, offsets

@@ -287,10 +287,10 @@ def cmd_observe(args) -> int:
     if args.endpoint == "both":
         rep = observe_both_endpoints(sol, tol=args.tol)
     elif args.horizon is not None:
-        rep = observe_horizon(sol, args.endpoint, args.horizon, tol=args.tol)
+        rep = observe_horizon(sol, args.endpoint, args.horizon, tol=args.tol, prefix="--")
     else:
         periods = 1 if args.periods is None else args.periods
-        rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol)
+        rep = observe_one_endpoint(sol, args.endpoint, periods, tol=args.tol, prefix="--")
     man = Manifest(args, sol)
     man.emit_json("observe.json", asdict(rep))
     checks = [] if rep.identity_residual is None else [
@@ -428,7 +428,10 @@ def main(argv=None) -> int:
             check_tolerance(args.tol)
         if hasattr(args, "seed"):
             check_seed(args.seed, "--seed")
-        return _COMMANDS[args.subcommand](args)
+        # an overflow surfaces as NumericError from the finiteness checks,
+        # so numpy's floating-point warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -102,10 +102,12 @@ def _support_trace(sol: SpectralSolution, rows: np.ndarray, seg: Segment) -> np.
     return UniformPhasors(seg, omega).synthesize(rows)
 
 
-def _squared_trace_integral(sol: SpectralSolution, rows: np.ndarray, T: float) -> float:
+def _squared_trace_integral(sol: SpectralSolution, rows: np.ndarray, T: float,
+                            name: str | None = None) -> float:
     """int_0^T trace(t)^2 dt for the trace with coefficient ``rows``, on
-    Gauss-Legendre panels sized to the squared trace's band."""
-    p = Panelization(0.0, T, band=_trace_band(sol))
+    Gauss-Legendre panels sized to the squared trace's band; a layout
+    past the node bound is refused naming ``name``, the input that set T."""
+    p = Panelization(0.0, T, band=_trace_band(sol), name=name)
     (seg,) = p.segments
 
     def sq(t, bounds):
@@ -115,8 +117,9 @@ def _squared_trace_integral(sol: SpectralSolution, rows: np.ndarray, T: float) -
     return integrate(sq, p)
 
 
-def _slope_trace_integral(sol: SpectralSolution, endpoint: str, T: float) -> float:
-    return _squared_trace_integral(sol, slope_trace_rows(sol, endpoint), T)
+def _slope_trace_integral(sol: SpectralSolution, endpoint: str, T: float,
+                          name: str | None = None) -> float:
+    return _squared_trace_integral(sol, slope_trace_rows(sol, endpoint), T, name)
 
 
 def _velocity_trace_integral(sol: SpectralSolution, endpoint: str, T: float) -> float:
@@ -168,11 +171,13 @@ def _report(sol, mode, T, M, integral, rhs, tol):
 
 
 def observe_one_endpoint(sol: SpectralSolution, endpoint: str, M: int,
-                         tol: float = DEFAULT_TOL) -> ObservabilityReport:
-    """Slope-trace integral over M whole periods at one moving support."""
+                         tol: float = DEFAULT_TOL, prefix: str = "") -> ObservabilityReport:
+    """Slope-trace integral over M whole periods at one moving support.  Too
+    many periods for the quadrature's node bound are refused as
+    ``{prefix}periods``."""
     check_tolerance(tol)
     T = _whole_periods(sol, M)
-    integral = _slope_trace_integral(sol, endpoint, T)
+    integral = _slope_trace_integral(sol, endpoint, T, f"{prefix}periods")
     rhs = 4.0 * M / (1.0 - sol.consts.v ** 2) ** 2 * spectral_energy(sol)
     return _report(sol, endpoint, T, M, integral, rhs, tol)
 
@@ -189,12 +194,13 @@ def observe_both_endpoints(sol: SpectralSolution,
 
 
 def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
-                    tol: float = DEFAULT_TOL) -> ObservabilityReport:
+                    tol: float = DEFAULT_TOL, prefix: str = "") -> ObservabilityReport:
     """Fractional-horizon observation: only the direct inequality applies,
-    with constant 4 ceil(T/T_v) / (1 - v^2)^2."""
+    with constant 4 ceil(T/T_v) / (1 - v^2)^2.  A horizon too long for the
+    quadrature's node bound is refused as ``{prefix}horizon``."""
     check_tolerance(tol)
     check_observation(horizon=T)
-    integral = _slope_trace_integral(sol, endpoint, T)
+    integral = _slope_trace_integral(sol, endpoint, T, f"{prefix}horizon")
     return _report(sol, endpoint, T, math.ceil(T / sol.consts.T_v), integral, None, tol)
 
 

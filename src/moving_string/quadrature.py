@@ -164,13 +164,15 @@ class Panelization:
     length (see the module docstring).  Band 0 gives one panel per
     segment, exact for a polynomial of degree <= 15 on each segment.  A
     layout of more than ``_MAX_NODES`` nodes is refused before any node is
-    allocated.
+    allocated; the refusal asks to lower ``name``, the input that set the
+    interval, when one is given.
     """
 
     a: float
     b: float
     breakpoints: tuple = ()
     band: float | None = None
+    name: str | None = None
 
     def __post_init__(self) -> None:
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
@@ -195,7 +197,8 @@ class Panelization:
         if total > _MAX_NODES:
             from decimal import Decimal   # rounds a count past float range
             shown = f"{Decimal(total):.3g}" if math.inf > total >= 10**15 else total
-            hint = "shorten the interval" + ("" if self.band is None else " or lower the band")
+            hint = (f"lower {self.name}" if self.name else
+                    "shorten the interval" + ("" if self.band is None else " or lower the band"))
             raise ConfigurationError(f"quadrature over ({self.a}, {self.b}) needs {shown} nodes, "
                                      f"more than the {_MAX_NODES} allowed; {hint}")
         build = _simpson_segment if self.band is None else _gauss_segment
@@ -234,7 +237,7 @@ def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:
     if np.any(bad):
         at_node = np.any(bad, axis=tuple(range(bad.ndim - 1)))
         node = np.asarray(nodes)[np.argmax(at_node)]
-        raise NumericError(f"integrand non-finite at node x = {node!r}")
+        raise NumericError(f"integrand non-finite at node x = {float(node)!r}")
 
 
 def _sum_rows(values: np.ndarray, weights=1.0) -> np.ndarray:

@@ -94,9 +94,9 @@ def test_each_trace_integral_taken_once(monkeypatch):
     def count(module, name):
         original = getattr(module, name)
 
-        def counted(sol, endpoint, T):
+        def counted(sol, endpoint, T, *name_of_T):
             calls.append((name, endpoint, T))
-            return original(sol, endpoint, T)
+            return original(sol, endpoint, T, *name_of_T)
 
         monkeypatch.setattr(module, name, counted)
 

@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -220,12 +222,15 @@ class TestBadInputExitsTwo:
         ["--periods", "1000000"],
     ], ids=["horizon-1e300", "horizon-1e7", "periods-1e6"])
     def test_oversized_observation_horizon(self, tmp_path, capsys, flags):
-        # refused by the quadrature layout's node bound, before allocating
+        # refused by the quadrature layout's node bound, before allocating,
+        # naming the flag that set the interval
         cfg = write_cfg(tmp_path, n_max=6)
         rc = main(["observe", "--config", cfg, "--out", str(tmp_path / "o"),
                    "--endpoint", "left", *flags])
         assert rc == 2
-        assert "nodes, more than" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nodes, more than" in err
+        assert err.rstrip().endswith(f"; lower {flags[0]}"), err
 
     @pytest.mark.parametrize("argv, n_max, size", [
         (["simulate", "--nx", "1000000", "--nt", "1000000"], 6,
@@ -453,6 +458,30 @@ class TestSimulate:
         assert "non-finite" in capsys.readouterr().err
 
 
+class TestNumericFailure:
+    """A run that overflows exits 3 with its one ``numeric failure`` line:
+    numpy's floating-point warnings, which carry source lines and read like
+    a traceback, are not printed."""
+
+    @pytest.mark.parametrize("argv, amplitude", [
+        (["validate"], 1e308),
+        (["coeffs"], 1e308),
+        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "1e308"], 0.1),
+        (["energy", "--times", "4", "--t-final", "1e308"], 0.1),
+    ], ids=["validate-amplitude", "coeffs-amplitude", "simulate-t-final", "energy-t-final"])
+    def test_exit_three_prints_one_line(self, tmp_path, argv, amplitude):
+        cfg = write_cfg(tmp_path, preset={"name": "sine_mode",
+                                          "params": {"amplitude": amplitude, "mode": 1}})
+        src = str(Path(moving_string.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "moving_string.cli", *argv, "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numeric failure: "), proc.stderr
+
+
 class TestReproduceFigures:
     """``scripts/reproduce_figures.py`` maps each paper figure to a shipped
     config: the sine data on L = pi at n_max = 40, one speed per figure."""
@@ -568,6 +597,49 @@ def field_bump_rows():
     return np.stack(grid, axis=-1).reshape(300 * 300, 5)
 
 
+# The exponent classes of the kernel's layouts: fixed notation at each E from
+# -4 to 16, and scientific with a 2- or 3-digit exponent of either sign, each
+# of those tried at a few exponents (1e-5, for one, has no 1-digit double)
+LAYOUT_CLASSES = {**{("fixed", e): [e] for e in range(-4, 17)},
+                  ("scientific", "-", 2): [-5, -6, -50, -99],
+                  ("scientific", "+", 2): [17, 18, 50, 99],
+                  ("scientific", "-", 3): [-100, -150, -190],
+                  ("scientific", "+", 3): [100, 150, 189]}
+
+
+def _layout_cell(text):
+    """(exponent class, significant digits, negative) of a ``%.17g`` field."""
+    d = Decimal(text)
+    if not d:
+        return "zero", 0, d.is_signed()
+    if "e" in text:
+        exponent = text.split("e")[1]
+        cls = ("scientific", exponent[0], len(exponent) - 1)
+    else:
+        cls = ("fixed", d.adjusted())
+    return cls, len(d.normalize().as_tuple().digits), d.is_signed()
+
+
+def _layout_values():
+    """For each exponent class and 1 to 17 significant digits, the first of
+    a deterministic run of decimals whose ``fmt`` lands in that cell and
+    that is no exact tie (the kernel hands those back); each also negated,
+    and 0 and -0."""
+    values = [0.0, -0.0]
+    for cls, exponents in LAYOUT_CLASSES.items():
+        for nd in range(1, 18):
+            draw = random.Random(nd)
+            for _ in range(1000):
+                digits = "".join(str(draw.randint(1, 9)) for _ in range(nd))
+                x = float(f"{digits[0]}.{digits[1:]}e{draw.choice(exponents)}")
+                if _layout_cell(fmt(x)) == (cls, nd, False) and not _is_tie(x):
+                    values += [x, -x]
+                    break
+            else:
+                raise AssertionError(f"no value in {cls} with {nd} digits")
+    return values
+
+
 class TestCsvKernel:
     """The numpy ``%.17g`` kernel behind ``write_csv`` gives the bytes of
     ``fmt``, value for value, including the values it hands back."""
@@ -579,6 +651,27 @@ class TestCsvKernel:
               (-0.0, "-0"), (0.0, "0"), (123456789012345.625, "123456789012345.62"),
               (-1.5, "-1.5"), (1e-190, "1e-190"), (1e190, "1.0000000000000001e+190"),
               (1.7976931348623157e308, "1.7976931348623157e+308")]
+
+    def test_every_layout(self, tmp_path):
+        # each value three times in a row, written with a blank line after
+        # every row and without: every layout with each separator (a last
+        # row of zeros, which no blank line follows, closes the table)
+        rows = np.repeat([*_layout_values(), 0.0], 3).reshape(-1, 3)
+        cells = set()
+        for block_size in (0, 1):
+            expected = _fmt_csv(rows.tolist(), block_size)
+            assert _csv(tmp_path / "k.csv", rows, block_size) == expected
+            body = expected.decode().split("\n", 1)[1]
+            cells |= {(_layout_cell(field), sep)
+                      for field, sep in re.findall(r"([^,\n]+)(,|\n\n|\n)", body)}
+        layouts = {(cls, nd, negative) for cls in LAYOUT_CLASSES for nd in range(1, 18)
+                   for negative in (False, True)}
+        layouts |= {("zero", 0, False), ("zero", 0, True)}
+        assert cells == {(cell, sep) for cell in layouts for sep in (",", "\n", "\n\n")}
+        # the kernel wrote every one of them itself: none was handed back
+        _, slots, _ = _csvfmt.Encoder([False] * 3, len(rows)).encode(
+            rows, np.ones(len(rows), bool))
+        assert slots.size == 0
 
     def test_pinned_cases(self, tmp_path):
         values = [v for v, _ in self.PINNED]

@@ -2,6 +2,10 @@
 
 import difflib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,12 +63,40 @@ def test_same_line_count_pairs_without_alignment(monkeypatch):
         describe_difference(old, new + b"extra\n")
 
 
-def test_jobs_are_configs_times_subcommands():
+def test_jobs_are_configs_times_subcommands(tmp_path):
     # every subcommand reads --config, so each runs once per config; the
-    # refused command lines run once, on configs/sine_v03.json
+    # refused command lines run once, on configs/sine_v03.json, and coeffs
+    # and simulate once on each tiny-amplitude copy of it
     configs = [Path(f"configs/c{k}.json") for k in range(6)] + [Path("configs/sine_v03.json")]
-    jobs = compare_cli_outputs.jobs(configs)
+    root = Path(__file__).resolve().parents[1]
+    tiny = compare_cli_outputs.write_tiny_amplitude_configs(root, tmp_path)
+    jobs = compare_cli_outputs.jobs(configs, tiny)
     refusals = compare_cli_outputs.REFUSALS
     assert jobs == [(c, s) for c in configs for s in compare_cli_outputs.SUBCOMMANDS] + [
-        (configs[-1], s) for s in refusals]
-    assert len(jobs) == 7 * 16 + 64 == 176
+        (configs[-1], s) for s in refusals] + [
+        (c, s) for c in tiny for s in ("coeffs", "simulate")]
+    assert len(jobs) == 7 * 16 + 64 + 2 * 2 == 180
+    amplitudes = [json.loads(c.read_text())["initial"]["preset"]["params"]["amplitude"]
+                  for c in tiny]
+    assert amplitudes == [1e-150, 1e-200]
+
+
+def test_tiny_amplitude_csvs_hold_the_rare_layouts(tmp_path):
+    # the tiny-amplitude runs write 3-digit exponents and values below
+    # 1e-190, which the CSV kernel hands back to fmt
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    texts = []
+    for config in compare_cli_outputs.write_tiny_amplitude_configs(root, tmp_path):
+        for run in compare_cli_outputs.TINY_RUNS:
+            out = tmp_path / f"{config.stem}-{run}"
+            args = compare_cli_outputs.SUBCOMMANDS[run]
+            proc = subprocess.run([sys.executable, "-m", "moving_string.cli", *args,
+                                   "--config", str(config), "--out", str(out)],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            texts += [p.read_text() for p in out.glob("*.csv")]
+    values = [float(v) for text in texts for line in text.splitlines()[1:] if line
+              for v in line.split(",")]
+    assert any(0 < abs(v) < 1e-190 for v in values)
+    assert any(1e-190 <= abs(v) < 1e-99 for v in values)

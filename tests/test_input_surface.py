@@ -272,7 +272,7 @@ def names(line: str, token: str) -> bool:
     return re.search(rf"(?<![\w-]){re.escape(token)}(?!\w)", line) is not None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow on hostile values
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # main runs under np.errstate
 @settings(max_examples=1200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cases())

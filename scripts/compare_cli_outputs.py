@@ -123,7 +123,7 @@ _THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THR
 _VOLATILE = re.compile(r'^\s*"(duration_seconds|out_dir)": .*$', re.MULTILINE)
 
 
-def jobs(configs: list[Path], tiny: list[Path] = ()) -> list[tuple[Path, str]]:
+def jobs(configs: list[Path], tiny: list[Path]) -> list[tuple[Path, str]]:
     """(config, run name) pairs: every subcommand on every config, every
     refused command line on ``configs/sine_v03.json``, and ``TINY_RUNS`` on
     each ``tiny`` config."""

@@ -107,13 +107,14 @@ def _tables() -> SimpleNamespace:
 
 def _layout() -> np.ndarray:
     """The words of layout row ``(negative * _CLASSES + cls) * 17 + nd - 1``
-    for nd significant digits: word 0's prefix, then three 16-byte masks
-    over the digits d1 .. d16 that follow the lead.  The point goes in at
-    index q of those digits, and k bytes of the 17 are kept:
+    for nd significant digits: word 0's prefix, then LOW, HIGH and POINT,
+    16 bytes each, over the digits d1 .. d16 that follow the lead.  The
+    point goes in at index q of those digits, and k bytes of the 17 are
+    kept:
 
         digits with point = (d & LOW) | POINT | ((d & HIGH) << 8)
 
-    LOW keeps the digits before q, HIGH those that move one byte right to
+    LOW keeps the digits before q, HIGH those that move one byte right and
     stay within k, and POINT is the "." at q when q < k.
     """
     cls, nd = (g.reshape(-1, 1) for g in np.meshgrid(

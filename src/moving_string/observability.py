@@ -173,7 +173,7 @@ def _report(sol, mode, T, M, integral, rhs, tol):
 def observe_one_endpoint(sol: SpectralSolution, endpoint: str, M: int,
                          tol: float = DEFAULT_TOL, prefix: str = "") -> ObservabilityReport:
     """Slope-trace integral over M whole periods at one moving support.  Too
-    many periods for the quadrature's node bound are refused as
+    many periods for the quadrature's node bound are refused, naming
     ``{prefix}periods``."""
     check_tolerance(tol)
     T = _whole_periods(sol, M)
@@ -197,7 +197,7 @@ def observe_horizon(sol: SpectralSolution, endpoint: str, T: float,
                     tol: float = DEFAULT_TOL, prefix: str = "") -> ObservabilityReport:
     """Fractional-horizon observation: only the direct inequality applies,
     with constant 4 ceil(T/T_v) / (1 - v^2)^2.  A horizon too long for the
-    quadrature's node bound is refused as ``{prefix}horizon``."""
+    quadrature's node bound is refused, naming ``{prefix}horizon``."""
     check_tolerance(tol)
     check_observation(horizon=T)
     integral = _slope_trace_integral(sol, endpoint, T, f"{prefix}horizon")

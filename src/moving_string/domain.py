@@ -101,21 +101,20 @@ def check_memory(nbytes: float, what: str, hint: str = "") -> None:
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    """Initial shape/velocity selection: a named preset or a sample table."""
+    """Initial shape/velocity selection: the sample table ``table`` when it
+    is set, else the preset ``name`` with ``params``."""
 
-    kind: str  # "preset" | "table"
     name: str = ""
     params: dict = field(default_factory=dict)
-    table: tuple | None = None  # (x, phi0, phi1) arrays for kind == "table"
+    table: tuple | None = None  # (x, phi0, phi1) arrays
 
     @staticmethod
     def preset(name: str, /, **params) -> "InitialDataSpec":
-        return InitialDataSpec(kind="preset", name=name, params=dict(params))
+        return InitialDataSpec(name=name, params=dict(params))
 
     @staticmethod
     def tabulated(x, phi0, phi1) -> "InitialDataSpec":
         return InitialDataSpec(
-            kind="table",
             table=(np.asarray(x, float), np.asarray(phi0, float), np.asarray(phi1, float)),
         )
 
@@ -385,33 +384,28 @@ def _build_tabulated(table, L: float) -> InitialData:
 def build_initial_data(spec: InitialDataSpec, L: float) -> InitialData:
     """Materialize evaluators from a data spec; presets vanish at both
     supports by construction, and tables are checked there."""
-    if spec.kind == "preset":
-        try:
-            builder = _PRESETS[spec.name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown preset {spec.name!r}; known: {sorted(_PRESETS)}"
-            ) from None
-        try:
-            data = builder(L, **spec.params)
-            for key, value in spec.params.items():   # those the builder let through
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigurationError(f"preset {spec.name!r} parameter {key!r} "
-                                             f"must be finite, got {value}")
-            for f in (data.phi0, data.phi0_x, data.phi1):  # mistyped values fail here
-                np.asarray(f(np.array([0.0, L])), dtype=float)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(
-                f"bad parameters for preset {spec.name!r} {spec.params}: {exc}"
-            ) from None
-    elif spec.kind == "table":
-        if spec.table is None:
-            raise ConfigurationError("table spec carries no data")
-        data = _build_tabulated(spec.table, L)
-    else:
-        raise ConfigurationError(f"unknown initial-data kind {spec.kind!r}")
+    if spec.table is not None:
+        return _build_tabulated(spec.table, L)
+    try:
+        builder = _PRESETS[spec.name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown preset {spec.name!r}; known: {sorted(_PRESETS)}"
+        ) from None
+    try:
+        data = builder(L, **spec.params)
+        for key, value in spec.params.items():   # those the builder let through
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"preset {spec.name!r} parameter {key!r} "
+                                         f"must be finite, got {value}")
+        for f in (data.phi0, data.phi0_x, data.phi1):  # mistyped values fail here
+            np.asarray(f(np.array([0.0, L])), dtype=float)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"bad parameters for preset {spec.name!r} {spec.params}: {exc}"
+        ) from None
     return data
 
 

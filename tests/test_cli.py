@@ -26,6 +26,8 @@ from moving_string import (InitialDataSpec, _csvfmt, certify, cross_validate, lo
 from moving_string.cli import _build_parser, fmt, main, write_csv
 from moving_string.series import sample_moving_grid
 
+from cli_inputs import REFUSAL_CONFIG, REFUSED, SHORT_RUNS
+
 
 def write_cfg(tmp_path, name="cfg.json", v=0.3, preset=None, n_max=24):
     preset = preset or {"name": "sine_mode", "params": {"amplitude": 0.1, "mode": 1}}
@@ -69,23 +71,44 @@ def certify_records(cfg):
             for c in certify(solve(load_config(cfg)), 1e-6, 0)]
 
 
-# One short run of every subcommand, for the usage-error cases
-SHORT_RUNS = {
-    "validate": ["validate"],
-    "energy": ["energy", "--times", "4"],
-    "observe": ["observe", "--endpoint", "both"],
-    "observe-horizon": ["observe", "--endpoint", "right", "--horizon", "1.5"],
-    "constants": ["constants"],
-    "coeffs": ["coeffs"],
-    "simulate": ["simulate", "--nx", "4", "--nt", "4"],
-    "oracle": ["oracle", "--samples", "4", "--nx", "32"],
-}
 EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", list(SHORT_RUNS.values()),
                                            ids=list(SHORT_RUNS))
-# the runs whose subcommand checks an identity, and so takes --tol
-TOL_RUNS = ["validate", "energy", "observe", "observe-horizon"]
-TOL_SUBCOMMANDS = pytest.mark.parametrize("argv", [SHORT_RUNS[k] for k in TOL_RUNS],
-                                          ids=TOL_RUNS)
+
+
+def refusal_test(group):
+    """A test that runs each (argv, message) of ``cli_inputs.REFUSED[group]``
+    through ``assert_refused``."""
+    cases = REFUSED[group]
+
+    @pytest.mark.parametrize("argv, message", list(cases.values()), ids=list(cases))
+    def test(self, tmp_path, capsys, argv, message):
+        assert_refused(tmp_path, capsys, argv, message)
+    return test
+
+
+def assert_refused(tmp_path, capsys, argv, message, config=None):
+    """Check that ``argv`` on ``config`` (by default the shared
+    ``REFUSAL_CONFIG``) exits 2 with ``message`` on stderr before any work:
+    with no warning, no --out directory and no large allocation.  Returns
+    stderr."""
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rc = main([*argv, "--config", str(config or ROOT / REFUSAL_CONFIG),
+                           "--out", str(out)])
+            except SystemExit as exc:   # argparse's usage errors
+                rc = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2 and message in err, err
+    assert not out.exists()
+    assert peak < 4 * 2**20
+    return err
 
 
 class TestConstants:
@@ -127,68 +150,30 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("horizon", ["inf", "nan"])
-    def test_non_finite_horizon(self, tmp_path, capsys, horizon):
-        cfg = write_cfg(tmp_path, n_max=6)
-        rc = main(["observe", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--endpoint", "left", "--horizon", horizon])
-        assert rc == 2
-        assert "horizon" in capsys.readouterr().err
+    test_non_finite_horizon = refusal_test("non_finite_horizon")
+    test_non_finite_simulate_horizon = refusal_test("non_finite_simulate_horizon")
+    test_bad_horizon_or_sample_count_names_flag = refusal_test(
+        "bad_horizon_or_sample_count_names_flag")
+    test_invalid_tolerance = refusal_test("invalid_tolerance")
+    test_conflicting_observe_flags = refusal_test("conflicting_observe_flags")
+    test_oversized_observation_horizon = refusal_test("oversized_observation_horizon")
+    test_unread_flag_refused = refusal_test("unread_flag_refused")
+    test_past_float_range = refusal_test("past_float_range")
 
-    @pytest.mark.parametrize("t_final", ["nan", "inf"])
-    def test_non_finite_simulate_horizon(self, tmp_path, capsys, t_final):
-        cfg = write_cfg(tmp_path, n_max=6)
-        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--nx", "4", "--nt", "4", "--t-final", t_final])
-        assert rc == 2
-        assert (f"--t-final must be finite and nonnegative, got {t_final}"
-                in capsys.readouterr().err)
+    def test_non_finite_energy_horizon(self, tmp_path, capsys):
+        argv, message = REFUSED["non_finite_energy_horizon"]["energy-t-final-inf"]
+        assert_refused(tmp_path, capsys, argv, message)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["energy", "--times", "4", "--t-final", "-1"],
-         "--t-final must be finite and nonnegative, got -1.0"),
-        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "-1"],
-         "--t-final must be finite and nonnegative, got -1.0"),
-        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "nan"],
-         "--t-final must be finite and nonnegative, got nan"),
-        (["oracle", "--samples", "0"], "--samples must be at least 1, got 0"),
-        (["oracle", "--samples", "-5"], "--samples must be at least 1, got -5"),
-        (["oracle", "--samples", "4", "--seed", "-1"],
-         "--seed must be a nonnegative integer, got -1"),
-        (["validate", "--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
-        (["oracle", "--samples", "4", "--nx", "16"], "--nx must be >= 32, got 16"),
-        (["oracle", "--samples", "4", "--cfl", "0.8"], "--cfl must lie in (0, 0.5], got 0.8"),
-        (["oracle", "--samples", "4", "--cfl", "nan"], "--cfl must lie in (0, 0.5], got nan"),
-        (["simulate", "--nx", "1"], "--nx must be at least 2, got 1"),
-        (["simulate", "--nt", "0"], "--nt must be at least 2, got 0"),
-        (["simulate", "--nx", "10000000", "--nt", "10000000"],
-         "physical memory; lower --nx or --nt"),
-        (["observe", "--endpoint", "left", "--periods", "0"],
-         "--periods must be at least 1, got 0"),
-        (["observe", "--endpoint", "left", "--horizon", "-1"],
-         "--horizon must be positive and finite, got -1.0"),
-    ], ids=["energy-t-final-minus-1", "simulate-t-final-minus-1", "simulate-t-final-nan",
-            "oracle-samples-0", "oracle-samples-minus-5", "oracle-seed-minus-1",
-            "validate-seed-minus-1", "oracle-nx-16", "oracle-cfl-0.8", "oracle-cfl-nan",
-            "simulate-nx-1", "simulate-nt-0", "simulate-grid-too-large",
-            "observe-periods-0",
-            "observe-horizon-minus-1"])
-    def test_bad_horizon_or_sample_count_names_flag(self, tmp_path, capsys, argv, message):
-        # refused before any work: no --out directory is made
-        cfg = write_cfg(tmp_path, n_max=6)
-        out = tmp_path / "o"
-        rc = main([*argv, "--config", cfg, "--out", str(out)])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @TOL_SUBCOMMANDS
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-    def test_invalid_tolerance(self, tmp_path, capsys, argv, tol):
-        cfg = write_cfg(tmp_path, n_max=6)
-        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o"), "--tol", tol])
-        assert rc == 2
-        assert "tolerance must be finite and positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message, n_max", [
+        *((argv, message, None) for argv, message in REFUSED["impossible_size"].values()),
+        (["coeffs"], "a phasor table of 20000000000 modes", 10**10),
+        # more bytes than a float holds: the message must still be formatted
+        (["coeffs"], f"a phasor table of {2 * 10**400} modes: inf GiB", 10**400),
+    ], ids=[*REFUSED["impossible_size"], "coeffs", "coeffs-10^400"])
+    def test_impossible_size(self, tmp_path, capsys, argv, message, n_max):
+        # terabytes, refused by the physical-memory guard
+        config = None if n_max is None else write_cfg(tmp_path, n_max=n_max)
+        assert "GiB of physical memory" in assert_refused(tmp_path, capsys, argv, message, config)
 
     @EVERY_SUBCOMMAND
     @pytest.mark.parametrize("out", ["file", "under-file"])
@@ -202,113 +187,6 @@ class TestBadInputExitsTwo:
         assert "error: cannot write to --out" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
 
-    @pytest.mark.parametrize("flags", [
-        ["--endpoint", "both", "--periods", "2"],
-        ["--endpoint", "both", "--horizon", "3"],
-        ["--endpoint", "left", "--periods", "3", "--horizon", "2"],
-    ], ids=["both-periods", "both-horizon", "periods-horizon"])
-    def test_conflicting_observe_flags(self, tmp_path, capsys, flags):
-        cfg = write_cfg(tmp_path, n_max=6)
-        out = tmp_path / "o"
-        rc = main(["observe", "--config", cfg, "--out", str(out), *flags])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--periods" in err and "--horizon" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [
-        ["--horizon", "1e300"],
-        ["--horizon", "1e7"],
-        ["--periods", "1000000"],
-    ], ids=["horizon-1e300", "horizon-1e7", "periods-1e6"])
-    def test_oversized_observation_horizon(self, tmp_path, capsys, flags):
-        # refused by the quadrature layout's node bound, before allocating,
-        # naming the flag that set the interval
-        cfg = write_cfg(tmp_path, n_max=6)
-        rc = main(["observe", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--endpoint", "left", *flags])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "nodes, more than" in err
-        assert err.rstrip().endswith(f"; lower {flags[0]}"), err
-
-    @pytest.mark.parametrize("argv, n_max, size", [
-        (["simulate", "--nx", "1000000", "--nt", "1000000"], 6,
-         "five fields on the 1000000 x 1000000 grid"),
-        (["energy", "--times", "1000000000000"], 6, "an energy sweep of 1000000000000 times"),
-        (["oracle", "--samples", "1000000000000", "--method", "characteristics"], 6,
-         "x, t and the series at 1000000000000 samples"),
-        (["coeffs"], 10**10, "a phasor table of 20000000000 modes"),
-        # more bytes than a float holds: the message must still be formatted
-        (["coeffs"], 10**400, f"a phasor table of {2 * 10**400} modes: inf GiB"),
-    ], ids=["simulate", "energy", "oracle", "coeffs", "coeffs-10^400"])
-    def test_impossible_size(self, tmp_path, capsys, argv, n_max, size):
-        # each request is terabytes, refused by the physical-memory guard
-        # before its arrays are allocated
-        cfg = write_cfg(tmp_path, n_max=n_max)
-        tracemalloc.start()
-        try:
-            rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert size in err and "GiB of physical memory" in err
-        assert peak < 4 * 2**20
-
-    @pytest.mark.parametrize("run, flag", [
-        *[(run, "--tol") for run in ("constants", "coeffs", "simulate", "oracle")],
-        *[(run, "--seed") for run in ("constants", "coeffs", "simulate", "energy", "observe")],
-    ], ids=lambda x: x.lstrip("-"))
-    def test_unread_flag_refused(self, tmp_path, capsys, run, flag):
-        # a subcommand takes only the options it reads
-        cfg = write_cfg(tmp_path, n_max=6)
-        value = {"--tol": "1e-6", "--seed": "0"}[flag]
-        argv = [*SHORT_RUNS[run], "--config", cfg, "--out", str(tmp_path / "o"), flag, value]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("argv, message", [
-        (["observe", "--endpoint", "left", "--periods", str(10**400)],
-         "period count M is too large"),
-        # the trace integrals' panels follow the band 4 pi n_max / T_v
-        (["observe", "--endpoint", "right", "--periods", str(10**306)],
-         "needs 1.21e+308 nodes, more than the 10000000 allowed"),
-        (["observe", "--endpoint", "right", "--horizon", "1e306"],
-         "needs 1.75e+307 nodes, more than the 10000000 allowed"),
-        (["oracle", "--samples", "4", "--nx", str(10**400)],
-         f"one FD level of {10**400 + 1} nodes: inf GiB"),
-        (["oracle", "--samples", "4", "--nx", str(10**200)],
-         f"one FD level of {10**200 + 1} nodes: 7.45e+191 GiB"),
-        # the FD step count t_final / (cfl (1 - v) deta) overflows, or its
-        # divisor underflows to 0; or it is finite and the work bound
-        # prints it to three digits
-        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-320"],
-         "cfl=1e-320 is too small: the FD step count t_final / (cfl (1 - v) deta) "
-         "is past float range; raise cfl"),
-        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "5e-324"],
-         "cfl=5e-324 is too small"),
-        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-300"],
-         "needs 1.61e+303 time steps x 513 nodes = 8.25e+305 node-steps, above the bound "
-         "of 1e+10; lower nx, raise --cfl or use --method characteristics"),
-        (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-304"],
-         "needs 1.61e+307 time steps x 513 nodes = inf node-steps, above the bound"),
-        (["energy", "--times", "0"], "--times must be at least 1, got 0"),
-        (["energy", "--times", "-3"], "--times must be at least 1, got -3"),
-    ], ids=["periods-10^400", "periods-10^306", "horizon-1e306", "nx-10^400", "nx-10^200",
-            "cfl-1e-320", "cfl-5e-324", "cfl-1e-300", "cfl-1e-304", "times-0", "times-minus-3"])
-    def test_past_float_range(self, tmp_path, capsys, argv, message):
-        # sizes whose float arithmetic overflows, and a sweep of no times,
-        # are refused by name
-        cfg = write_cfg(tmp_path, n_max=6)
-        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("key, text, message", [
         ("quadrature.panels_per_unit", "null", "'quadrature.panels_per_unit' must be an integer"),
         ("quadrature.panels_per_unit", "[]", "'quadrature.panels_per_unit' must be an integer"),
@@ -321,12 +199,13 @@ class TestBadInputExitsTwo:
         ("L", "1" + "0" * 400, "'L' is too large for a float"),
         ("initial", '{"table": 5}', "'initial.table' must be a path string"),
         ("initial", '{"table": "missing.csv"}', "cannot read initial.table"),
+        ("initial", "{}", "initial must contain 'preset' or 'table'"),
         # a param called "name" reaches the builder, not the spec's own name
         ("initial", '{"preset": {"name": "bump", "params": '
                     '{"center": 1.0, "width": 0.5, "name": "x"}}}',
          "bad parameters for preset 'bump'"),
     ], ids=["ppu-null", "ppu-list", "ppu-1e400", "ppu-fraction", "ppu-string", "L-10^400",
-            "table-number", "table-missing", "preset-param-name"])
+            "table-number", "table-missing", "initial-empty", "preset-param-name"])
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, text, message):
         cfg = write_raw_cfg(tmp_path, key, text)
         rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -339,15 +218,17 @@ class TestBadInputExitsTwo:
         (b'{"L": 3, "v": 0.3, "n_max": ' + b"1" * 5000 + b"}", None,
          "cfg.json: Exceeds the limit (4300 digits)"),
         (b"[" * 100000 + b"]" * 100000, None, "cfg.json: maximum recursion depth exceeded"),
+        (b"[1, 2]", None, "cfg.json: top level must be a JSON object"),
         (None, b"x,phi0,phi1\n0,0,0\n1,\xff,0\n2,0,0\n3,0,0\n",
          "table.csv: 'utf-8' codec can't decode byte 0xff"),
         (None, b"x,phi0,phi1\n0," + b"1" * 200000 + b",0\n",
          "table.csv: field larger than field limit"),
         (None, None, "embedded null byte"),
-    ], ids=["config-not-utf8", "config-5000-digits", "config-nested", "table-not-utf8",
-            "table-huge-field", "table-path-nul"])
+    ], ids=["config-not-utf8", "config-5000-digits", "config-nested", "config-array",
+            "table-not-utf8", "table-huge-field", "table-path-nul"])
     def test_unreadable_file_names_it(self, tmp_path, capsys, config, table, message):
-        # text the JSON or CSV reader cannot take is a refusal, not a traceback
+        # a file the config or table reader cannot take is a refusal, not a
+        # traceback
         path = tmp_path / "cfg.json"
         table_name = "table.csv" if table is not None else "a\x00b.csv"
         doc = {"L": 3.0, "v": 0.3, "n_max": 6, "initial": {"table": table_name}}
@@ -381,15 +262,6 @@ class TestBadInputExitsTwo:
         assert rc == 2
         assert "bump width must be positive with width/4 a normal float" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_non_finite_energy_horizon(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, n_max=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # rejected before any arithmetic warns
-            rc = main(["energy", "--config", cfg, "--out", str(tmp_path / "o"),
-                       "--times", "4", "--t-final", "inf"])
-        assert rc == 2
-        assert "finite" in capsys.readouterr().err
 
 
 class TestCoeffs:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from moving_string import load_config
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_cli_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_cli_outputs", SCRIPT)
 compare_cli_outputs = importlib.util.module_from_spec(_spec)
@@ -64,21 +66,36 @@ def test_same_line_count_pairs_without_alignment(monkeypatch):
 
 
 def test_jobs_are_configs_times_subcommands(tmp_path):
-    # every subcommand reads --config, so each runs once per config; the
-    # refused command lines run once, on configs/sine_v03.json, and coeffs
-    # and simulate once on each tiny-amplitude copy of it
-    configs = [Path(f"configs/c{k}.json") for k in range(6)] + [Path("configs/sine_v03.json")]
+    # every subcommand runs once per shipped config, the refused command
+    # lines once, on configs/sine_v03.json, and each generated config its
+    # own runs: coeffs and simulate on the two tiny-amplitude copies, every
+    # subcommand on the other 12 but the default FD oracle runs at v = 0.99
     root = Path(__file__).resolve().parents[1]
-    tiny = compare_cli_outputs.write_tiny_amplitude_configs(root, tmp_path)
-    jobs = compare_cli_outputs.jobs(configs, tiny)
-    refusals = compare_cli_outputs.REFUSALS
-    assert jobs == [(c, s) for c in configs for s in compare_cli_outputs.SUBCOMMANDS] + [
-        (configs[-1], s) for s in refusals] + [
-        (c, s) for c in tiny for s in ("coeffs", "simulate")]
-    assert len(jobs) == 7 * 16 + 64 + 2 * 2 == 180
-    amplitudes = [json.loads(c.read_text())["initial"]["preset"]["params"]["amplitude"]
-                  for c in tiny]
-    assert amplitudes == [1e-150, 1e-200]
+    jobs = compare_cli_outputs.jobs(root, tmp_path)
+    assert jobs[7 * 16:7 * 16 + 64] == [(root / "configs" / "sine_v03.json", s)
+                                       for s in compare_cli_outputs.REFUSALS]
+    assert jobs[7 * 16 + 64:] == [(tmp_path / f"{row.name}.json", s)
+                                  for row in compare_cli_outputs.generated(root) for s in row.runs]
+    assert len(jobs) == 7 * 16 + 64 + 2 * 2 + 6 * 16 + 6 * 14 == 360
+
+
+def test_generated_configs_load(tmp_path):
+    # each generated config loads, so the gate runs it; the table rows
+    # carry a table, so the gate reaches the table path
+    root = Path(__file__).resolve().parents[1]
+    configs = {config for config, _ in compare_cli_outputs.jobs(root, tmp_path)
+               if config.parent == tmp_path}
+    tables = 0
+    for row in compare_cli_outputs.generated(root):
+        config = tmp_path / f"{row.name}.json"
+        assert config in configs
+        spec = load_config(config).initial
+        if "table" in row.doc["initial"]:
+            assert spec.table is not None and len(spec.table[0]) in (201, 2001, 301)
+            tables += 1
+        else:
+            assert spec.table is None and spec.name == row.doc["initial"]["preset"]["name"]
+    assert tables == 6
 
 
 def test_tiny_amplitude_csvs_hold_the_rare_layouts(tmp_path):
@@ -86,10 +103,14 @@ def test_tiny_amplitude_csvs_hold_the_rare_layouts(tmp_path):
     # 1e-190, which the CSV kernel hands back to fmt
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    tiny = [row for row in compare_cli_outputs.generated(root) if "amplitude" in row.name]
+    assert len(tiny) == 2
     texts = []
-    for config in compare_cli_outputs.write_tiny_amplitude_configs(root, tmp_path):
-        for run in compare_cli_outputs.TINY_RUNS:
-            out = tmp_path / f"{config.stem}-{run}"
+    for row in tiny:
+        config = tmp_path / f"{row.name}.json"
+        config.write_text(json.dumps(row.doc))
+        for run in row.runs:
+            out = tmp_path / f"{row.name}-{run}"
             args = compare_cli_outputs.SUBCOMMANDS[run]
             proc = subprocess.run([sys.executable, "-m", "moving_string.cli", *args,
                                    "--config", str(config), "--out", str(out)],

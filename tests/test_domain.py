@@ -309,6 +309,15 @@ class TestTabulatedData:
         with pytest.raises(ConfigurationError):
             build_initial_data(InitialDataSpec.tabulated(x, p0, p1), math.pi)
 
+    @pytest.mark.parametrize("column", [1, 2], ids=["phi0", "phi1"])
+    @pytest.mark.parametrize("shape", ["short", "2-D"])
+    def test_refuses_unequal_columns(self, column, shape):
+        table = list(self._table())
+        table[column] = table[column][:-1] if shape == "short" else table[column][:, None]
+        with pytest.raises(ConfigurationError, match="table columns x, phi0, phi1 must be "
+                                                     "1-D and equal length"):
+            build_initial_data(InitialDataSpec.tabulated(*table), math.pi)
+
     @pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "phi0", "phi1"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_refuses_non_finite_sample_naming_column(self, column, bad):
@@ -432,8 +441,9 @@ class TestConfigFile:
         doc = {"L": 2.0, "v": 0.5, "n_max": 8, "initial": {"table": "data.csv"}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        cfg = load_config(path)
-        assert cfg.initial.kind == "table"
+        spec = load_config(path).initial
+        assert spec.name == "" and spec.params == {}
+        np.testing.assert_array_equal(spec.table[0], x)
 
     @pytest.mark.parametrize("fields, rows_bad", [(2, [3]), (4, [3]), (2, range(21))],
                              ids=["ragged-2", "ragged-4", "all-2"])

@@ -23,7 +23,7 @@ import numpy as np
 from ._seeds import uniforms
 from .coefficients import SpectralSolution, parseval_sum
 from .domain import DEFAULT_TOL, check_tolerance
-from .energy import energy_report, spectral_energy
+from .energy import energy_report, initial_energies, spectral_energy
 from .observability import (
     _velocity_trace_integral,
     observe_both_endpoints,
@@ -152,11 +152,19 @@ def certify(sol: SpectralSolution, tol: float = DEFAULT_TOL, seed: int = 0) -> l
 
     # the series at t = 0 holds frequencies up to n_max pi (1 + v) / L
     p = data_layout(sol.data, 0.0, c.L, sol.data.knots,
-                    lambda rate: 2.0 * (sol.n_max * math.pi * (1.0 + c.v) / c.L + rate))
+                    lambda rate: 2.0 * (sol.n_max * math.pi * (1.0 + c.v) / c.L + rate),
+                    "n_max or the preset's mode")
     l2, ref = np.sqrt(integrate(squares, p)).tolist()
     if ref > 0:
         checks.append(Check("initial_data_reproduction", l2 / ref < 5e-2, l2 / ref, 5e-2,
                             note="relative L2 gap at t = 0; truncation/Gibbs limited"))
+    elif (calE0 := initial_energies(sol.cfg)[0]) > 0:
+        # phi0 = 0 with energy: relative to the displacement the data's
+        # energy bounds, ||phi||_L2 <= (L/pi) sqrt(2 calE/(1 - v^2)) (Poincare)
+        gap = l2 / (c.L / math.pi * math.sqrt(2.0 * calE0 / (1.0 - c.v ** 2)))
+        checks.append(Check("initial_data_reproduction", gap < 5e-2, gap, 5e-2,
+                            note="L2 gap at t = 0 relative to (L/pi) sqrt(2 calE/(1 - v^2)), "
+                                 "as phi0 = 0; truncation/Gibbs limited"))
     else:
         checks.append(Check("initial_data_reproduction", l2 < 1e-10, l2, 1e-10,
                             vacuous=zero_data))

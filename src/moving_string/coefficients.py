@@ -92,9 +92,10 @@ def _formula(data: InitialData, consts: DerivedConstants, side: str,
     velocity = ExtensionField("velocity", data, consts)
     cuts = (cut, *_mapped_knots(data, consts, side))
     if n_max is None:
-        p = data_layout(data, a, b, cuts, lambda rate: 2.0 * scale * rate)
+        p = data_layout(data, a, b, cuts, lambda rate: 2.0 * scale * rate, "the preset's mode")
     else:
-        p = data_layout(data, a, b, cuts, lambda rate: abs(omega_unit) * n_max + scale * rate)
+        p = data_layout(data, a, b, cuts, lambda rate: abs(omega_unit) * n_max + scale * rate,
+                        "n_max or the preset's mode")
 
     def integrand(x, seg):
         return slope.on_segment(x, seg) + sign_vel * velocity.on_segment(x, seg)

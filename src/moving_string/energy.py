@@ -106,7 +106,7 @@ def spectral_energy(sol: SpectralSolution) -> float:
 def initial_energies(cfg: StringConfig) -> tuple[float, float]:
     """Exact (calE(0), E(0)) by quadrature of the raw initial data."""
     data = initial_data(cfg)
-    p = data_layout(data, 0.0, cfg.L, data.knots, lambda rate: 2.0 * rate)
+    p = data_layout(data, 0.0, cfg.L, data.knots, lambda rate: 2.0 * rate, "the preset's mode")
 
     def integrands(x, seg):
         return densities(cfg.v, np.asarray(data.phi0_x(x), dtype=float),

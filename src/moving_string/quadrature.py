@@ -215,19 +215,21 @@ class Panelization:
 
 
 def data_layout(data: InitialData, a: float, b: float, breakpoints: tuple,
-                band) -> Panelization:
+                band, name: str) -> Panelization:
     """Layout of an integral of the raw initial data over (a, b).
 
     Data that declare their rate get Gauss-Legendre panels sized to
     ``band(data.rate)``, the integrand's band in radians per unit length,
     at most ``_DATA_RAD_PER_PANEL`` radians of it per panel; a band of 0
-    (the squares of data of rate 0) is one panel per segment.  Data that
-    declare no rate get composite Simpson.
+    (the squares of data of rate 0) is one panel per segment.  ``name``
+    names the inputs that set the band.  Data that declare no rate get
+    composite Simpson.
     """
     if data.rate is None:
         return Panelization(a, b, breakpoints)
     return Panelization(a, b, breakpoints,
-                        band=band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL))
+                        band=band(data.rate) * (_RAD_PER_PANEL / _DATA_RAD_PER_PANEL),
+                        name=name)
 
 
 def require_finite(nodes: np.ndarray, values: np.ndarray) -> None:

@@ -49,6 +49,18 @@ def test_twenty_checks_in_fixed_order(sine_v03):
     assert all(c.passed for c in checks)
 
 
+@pytest.mark.parametrize("v", [0.3, 0.7])
+@pytest.mark.parametrize("mode", [1, 2])
+def test_velocity_data_reproduce_against_the_energy_scale(v, mode):
+    # phi0 = 0: the t = 0 gap is read against the displacement the energy
+    # bounds, not against 1e-10 absolute as for zero data
+    sol = get_solution(v, "sine_velocity", amplitude=0.1, mode=mode)
+    check = certify(sol)[-1]
+    assert check.name == "initial_data_reproduction"
+    assert check.passed and 0 < check.residual < 1e-3
+    assert all(c.passed for c in certify(sol))
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_invalid_tolerance_rejected(sine_v03, tol):
     with pytest.raises(ConfigurationError, match="tolerance"):

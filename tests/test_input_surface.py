@@ -309,8 +309,9 @@ def write_config(root: Path, **doc) -> Path:
 
 @pytest.mark.parametrize("argv, doc, message", [
     (["coeffs"], {"n_max": 10**10}, "a phasor table of 20000000000 modes"),
+    # the band of the coefficient integrals, set by n_max and the mode
     (["coeffs"], {"initial": {"preset": {"name": "sine_mode", "params": {"mode": 10**9}}}},
-     "nodes, more than the 10000000 allowed"),
+     "nodes, more than the 10000000 allowed; lower n_max or the preset's mode"),
     (["simulate", "--nx", "10000000", "--nt", "10000000"], {},
      "physical memory; lower --nx or --nt"),
     (["energy", "--times", "1000000000000"], {}, "an energy sweep of 1000000000000 times"),

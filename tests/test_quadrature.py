@@ -173,7 +173,7 @@ class TestDataLayout:
         return InitialData(np.sin, np.cos, np.sin, rate=rate)
 
     def test_declared_rate_sizes_gauss_panels(self):
-        p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), lambda rate: 10.0 * rate)
+        p = data_layout(self._data(2.0), 0.0, 2.0, (0.7,), lambda rate: 10.0 * rate, "mode")
         assert p.rule == "gauss-legendre"
         assert [len(s.nodes) for s in p.segments] == [
             _GAUSS_NODES * math.ceil(20.0 * 0.7 / _DATA_RAD_PER_PANEL),
@@ -181,7 +181,7 @@ class TestDataLayout:
 
     def test_zero_rate_gets_band_zero(self):
         # rate 0 squared is band 0: one panel per segment
-        p = data_layout(self._data(0.0), 0.0, 2.0, (0.7,), lambda rate: 2.0 * rate)
+        p = data_layout(self._data(0.0), 0.0, 2.0, (0.7,), lambda rate: 2.0 * rate, "mode")
         assert p.rule == "gauss-legendre"
         assert [len(s.nodes) for s in p.segments] == [_GAUSS_NODES, _GAUSS_NODES]
         assert integrate(lambda x, seg: np.full_like(x, 3.0), p) == pytest.approx(6.0, rel=1e-15)

@@ -23,7 +23,7 @@ says there is no pass/fail change; the summary line counts the flips.
 
 Exit status: 1 if any output from ``configs/`` or a generated config
 differs, else 0 (differences on ``perfbench/configs`` are reported only).
-On a 2-core host it runs its 360 jobs in about 70 s.
+On a 2-core host its 360 jobs take about 90 s.
 
 Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 """

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from moving_string import oracle
 from moving_string.cli import main
 
+from cli_inputs import REFUSED
+
 # the subcommands whose failed identity check exits 1
 CHECKING = {"energy", "observe", "validate"}
 
@@ -312,15 +314,15 @@ def write_config(root: Path, **doc) -> Path:
     # the band of the coefficient integrals, set by n_max and the mode
     (["coeffs"], {"initial": {"preset": {"name": "sine_mode", "params": {"mode": 10**9}}}},
      "nodes, more than the 10000000 allowed; lower n_max or the preset's mode"),
-    (["simulate", "--nx", "10000000", "--nt", "10000000"], {},
+    # the argv of tests/cli_inputs.py, here on a config of their own
+    (REFUSED["bad_horizon_or_sample_count_names_flag"]["simulate-grid-too-large"][0], {},
      "physical memory; lower --nx or --nt"),
-    (["energy", "--times", "1000000000000"], {}, "an energy sweep of 1000000000000 times"),
-    (["observe", "--endpoint", "left", "--horizon", "1e7"], {}, "nodes, more than"),
+    (REFUSED["impossible_size"]["energy"][0], {}, "an energy sweep of 1000000000000 times"),
+    (REFUSED["oversized_observation_horizon"]["horizon-1e7"][0], {}, "nodes, more than"),
     (["observe", "--endpoint", "right", "--periods", "1000000"], {}, "nodes, more than"),
     (["oracle", "--samples", "1000000000000"], {}, "x, t and the series at 1000000000000"),
     (["oracle", "--samples", "4", "--nx", "1000000000000"], {}, "one FD level of"),
-    (["oracle", "--samples", "4", "--method", "fd", "--cfl", "1e-300"], {},
-     "node-steps, above the bound"),
+    (REFUSED["past_float_range"]["cfl-1e-300"][0], {}, "node-steps, above the bound"),
     # counts one digit past the 4,300 that str(int) prints
     (["coeffs"], {"n_max": int("9" * 4300)}, "a phasor table of 1" + "9" * 4299 + "8 modes"),
     (["oracle", "--samples", "4", "--nx", "9" * 4300], {}, f"one FD level of 1{'0' * 4300} nodes"),

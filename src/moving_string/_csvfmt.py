@@ -37,11 +37,11 @@ bail-out, "Printing floating-point numbers quickly and accurately", PLDI
    line).  The words hold no NUL inside the text, so the chunk's text is
    its nonzero bytes, in order.
 
-Zeros are written by the kernel (``0`` and ``-0``).  Handed back, with only
+Zeros are written by the kernel (``0`` and ``-0``), and an integer-valued
+double below 2**53 gets the bytes ``%d`` would give.  Handed back, with only
 their separator written, are non-finite values, values outside
-1e-190 <= |x| < 1e190 (subnormals included), near-ties (exact ties such as
-123456789012345.625 included), and integers of magnitude 2**53 or more in
-integer columns: below 2**53 the float path gives the ``%d`` bytes.
+1e-190 <= |x| < 1e190 (subnormals included) and near-ties (exact ties such
+as 123456789012345.625 included).
 
 The tables are built on the first call (:func:`_tables`), not at import.
 """
@@ -146,17 +146,13 @@ def _byte(char: str, position: int) -> np.uint64:
 
 
 class Encoder:
-    """Formats a table chunk by chunk (:meth:`encode`).
-
-    ``int_columns`` marks the columns written as ``%d``.  The buffers for
-    ``max_rows`` rows are allocated once and reused by every chunk: fresh
-    arrays of that size cost a page fault per 4 KiB, which doubled the time
-    of a field-bump write.
+    """Formats a float64 table of ``cols`` columns chunk by chunk
+    (:meth:`encode`).  The buffers for ``max_rows`` rows are allocated once
+    and reused by every chunk: fresh arrays of that size cost a page fault
+    per 4 KiB, which doubled the time of a field-bump write.
     """
 
-    def __init__(self, int_columns: np.ndarray, max_rows: int):
-        self._int_columns = np.asarray(int_columns, bool)
-        cols = self._int_columns.size
+    def __init__(self, cols: int, max_rows: int):
         n = max_rows * cols
         self._digits = np.empty((3, n), np.uint64)
         self._layout = np.empty((_ROW_WORDS, n), np.uint64)
@@ -179,9 +175,6 @@ class Encoder:
         a = np.abs(x)
         zero = a == 0.0
         fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
-        if self._int_columns.any():
-            ints = a.reshape(rows, cols)[:, self._int_columns]
-            fast.reshape(rows, cols)[:, self._int_columns] &= ints < 2.0 ** 53
         a = np.where(fast, a, 1.0)
 
         e = np.floor(np.log10(a)).astype(np.intp)

@@ -97,41 +97,35 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], rows, block_size: int = 0) -> None:
-    """Write CSV rows; with ``block_size`` > 0 a blank line separates every
-    block of that many rows (gnuplot grid scans).
+def write_csv(path: Path, header: list[str], rows: np.ndarray, block_size: int = 0) -> None:
+    """Write the rows of a 2-D float64 array as CSV; with ``block_size`` > 0
+    a blank line separates every block of that many rows (gnuplot grid
+    scans).
 
-    Columns that hold integers in the first row are written as ``%d``, the
-    others as ``%.17g``: the bytes ``fmt`` gives.  The numpy kernel
+    Every value is written ``%.17g``, the bytes ``fmt`` gives, so an
+    integer-valued entry below 2**53 reads as an integer.  The numpy kernel
     ``_csvfmt.Encoder`` formats ``_CHUNK_ROWS`` rows at a time into buffers
     it reuses, and each chunk is written as it finishes, so only one chunk's
     text is held at once.  ``fmt`` formats, in place, each value the kernel
-    cannot prove: non-finite values, values outside 1e-190 <= |x| < 1e190,
-    values within a safety margin of a rounding tie, and integers of
-    magnitude 2**53 or more.
+    cannot prove: non-finite values, values outside 1e-190 <= |x| < 1e190
+    and values within a safety margin of a rounding tie.
     """
     # imported here, so that subcommands writing no CSV never load it
     from . import _csvfmt
 
     with path.open("wb") as out:
         out.write((",".join(header) + "\n").encode("utf-8"))
-        if not len(rows):
-            return
-        first = rows[0].tolist() if isinstance(rows, np.ndarray) else rows[0]
-        encoder = _csvfmt.Encoder([isinstance(v, (int, np.integer)) for v in first],
-                                  _CHUNK_ROWS)
+        encoder = _csvfmt.Encoder(rows.shape[1], _CHUNK_ROWS)
         block = block_size or len(rows)
         for start in range(0, len(rows), _CHUNK_ROWS):
             chunk = rows[start:start + _CHUNK_ROWS]
             ends = np.arange(start + 1, start + len(chunk) + 1)
             blank_after = (ends % block == 0) & (ends < len(rows))
-            text, slots, offsets = encoder.encode(np.asarray(chunk, dtype=np.float64),
-                                                  blank_after)
+            text, slots, offsets = encoder.encode(chunk, blank_after)
             pos = 0
             for slot, offset in zip(slots.tolist(), offsets.tolist()):
-                row, col = divmod(slot, len(first))
                 out.write(text[pos:offset])
-                out.write(fmt(chunk[row][col]).encode("ascii"))
+                out.write(fmt(chunk.flat[slot]).encode("ascii"))
                 pos = offset
             out.write(text[pos:])
 
@@ -203,10 +197,11 @@ def cmd_coeffs(args) -> int:
     cfg = load_config(args.config)
     sol = solve(cfg)
     man = Manifest(args, sol, n_max=cfg.n_max)
-    rows = [
-        (int(n), cp.real, cp.imag, cm.real, cm.imag, abs(cp - cm))
-        for n, cp, cm in zip(sol.n, sol.c, sol.c_minus)
-    ]
+    # |c_n - c_minus_n| as abs(complex) takes it: numpy's complex np.abs can
+    # differ from hypot in the last bit
+    d = sol.c - sol.c_minus
+    rows = np.column_stack([sol.n, sol.c.real, sol.c.imag, sol.c_minus.real, sol.c_minus.imag,
+                            np.hypot(d.real, d.imag)])
     man.emit_csv("coeffs.csv",
                  ["n", "re_plus", "im_plus", "re_minus", "im_minus", "abs_diff"], rows)
     man.finish()
@@ -259,8 +254,8 @@ def cmd_energy(args) -> int:
     rep = energy_report(sol, times, tol=args.tol)
     man = Manifest(args, sol)
     spec = rep.spectral
-    rows = [(t, cE, E, spec, abs(cE - spec) / spec if spec > 0 else abs(cE))
-            for t, cE, E in zip(rep.times, rep.calE, rep.E)]
+    resid = np.abs(rep.calE - spec) / spec if spec > 0 else np.abs(rep.calE)
+    rows = np.column_stack([rep.times, rep.calE, rep.E, np.full(len(rep.times), spec), resid])
     man.emit_csv("energy.csv", ["t", "calE", "E", "spectral", "resid"], rows)
     checks = [
         Check("energy_conservation", rep.residual_conservation <= args.tol,

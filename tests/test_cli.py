@@ -388,10 +388,15 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("block_size", [0, 1, 2, 3])
     def test_mixed_rows_match_fmt(self, tmp_path, block_size):
-        rows = self.ROWS + [(np.int64(11), np.float64(0.7), 2.0, -1.5, 1e-5)]
+        # an integer-valued column beside zeros, subnormals, huge and
+        # non-finite values: it reads as integers
+        rows = np.array(self.ROWS + [(11, 0.7, 2.0, -1.5, 1e-5)])
         path = tmp_path / "t.csv"
         write_csv(path, list("abcde"), rows, block_size)
-        assert path.read_text() == self.reference(list("abcde"), rows, block_size)
+        text = path.read_text()
+        assert text == self.reference(list("abcde"), rows.tolist(), block_size)
+        assert [line.split(",")[0] for line in text.splitlines()[1:] if line] == \
+            ["3", "-7", "0", "11"]
 
     def test_ndarray_rows_match_fmt(self, tmp_path):
         rows = np.array([r[1:] for r in self.ROWS] * 3)
@@ -401,19 +406,17 @@ class TestWriteCsv:
 
     def test_no_rows_writes_header(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [], block_size=3)
+        write_csv(path, ["a", "b"], np.empty((0, 2)), block_size=3)
         assert path.read_text() == "a,b\n"
 
     @staticmethod
-    def per_row(header, rows, block_size=0):
-        """The writer's earlier form: one ``%`` per row."""
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
+    def per_row(header, rows, block_size=0, int_columns=()):
+        """The writer's earlier form: one ``%`` per row, and ``%d`` for the
+        columns of ``int_columns``."""
         lines = [",".join(header)]
         if len(rows):
-            row_fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
-                               for v in rows[0])
-            body = [row_fmt % tuple(row) for row in rows]
+            row_fmt = ",".join("%d" if k in int_columns else "%.17g" for k in range(len(header)))
+            body = [row_fmt % tuple(row) for row in rows.tolist()]
             step = block_size or len(body)
             for i in range(0, len(body), step):
                 if i:
@@ -425,19 +428,22 @@ class TestWriteCsv:
     @pytest.mark.parametrize("kind", ["ndarray", "int column", "none"])
     def test_block_format_matches_per_row(self, tmp_path, kind, block_size):
         # 12 rows: block sizes that divide the count, that do not, and one
-        # block larger than the count
+        # block larger than the count; an integer-valued column gives the
+        # bytes of %d
         rng = np.random.default_rng(4)
+        int_columns = ()
         if kind == "ndarray":
             rows = rng.standard_normal((12, 4)) * 10.0 ** rng.integers(-300, 300, (12, 4))
         elif kind == "int column":
-            rows = [(i, *np.float64(rng.standard_normal(3)).tolist(), np.float64(0.1 * i))
-                    for i in range(12)]
+            rows = np.column_stack([np.arange(12), rng.standard_normal((12, 3)),
+                                    0.1 * np.arange(12)])
+            int_columns = (0,)
         else:
             rows = np.empty((0, 4))
-        header = list("abcde")[:len(rows[0]) if len(rows) else 4]
+        header = list("abcde")[:rows.shape[1]]
         path = tmp_path / "t.csv"
         write_csv(path, header, rows, block_size)
-        assert path.read_bytes() == self.per_row(header, rows, block_size).encode()
+        assert path.read_bytes() == self.per_row(header, rows, block_size, int_columns).encode()
 
 
 def _is_tie(v):
@@ -541,7 +547,7 @@ class TestCsvKernel:
         layouts |= {("zero", 0, False), ("zero", 0, True)}
         assert cells == {(cell, sep) for cell in layouts for sep in (",", "\n", "\n\n")}
         # the kernel wrote every one of them itself: none was handed back
-        _, slots, _ = _csvfmt.Encoder([False] * 3, len(rows)).encode(
+        _, slots, _ = _csvfmt.Encoder(3, len(rows)).encode(
             rows, np.ones(len(rows), bool))
         assert slots.size == 0
 
@@ -586,19 +592,21 @@ class TestCsvKernel:
         assert _csv(tmp_path / "k.csv", values[:, None]) == _fmt_csv(values[:, None].tolist())
         # inside its range the kernel hands back exact ties only
         inside = values[(np.abs(values) >= 1e-190) & (np.abs(values) < 1e190)]
-        _, slots, _ = _csvfmt.Encoder([False], inside.size).encode(
+        _, slots, _ = _csvfmt.Encoder(1, inside.size).encode(
             inside[:, None], np.zeros(inside.size, bool))
         assert [v for v in inside.tolist() if _is_tie(v)] == inside[slots].tolist()
 
     def test_int_column(self, tmp_path):
-        ints = [0, 7, -5, 2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, 2 ** 53 + 1, -(2 ** 60),
-                10 ** 30, np.int64(-(2 ** 62))]
-        rows = [(n, 0.1 * i, float(n)) for i, n in enumerate(ints)]
-        assert _csv(tmp_path / "k.csv", rows, 3) == _fmt_csv(rows, 3)
+        # integer-valued doubles below 2**53, such as coeffs.csv's n, give
+        # the bytes of %d
+        ints = [0, 7, -5, 2 ** 53 - 1, -(2 ** 53 - 1)]
+        rows = np.array([(n, 0.1 * i, n) for i, n in enumerate(ints)], dtype=np.float64)
+        expected = TestWriteCsv.per_row(list("abc"), rows, 3, int_columns=(0, 2)).encode()
+        assert _csv(tmp_path / "k.csv", rows, 3) == expected == _fmt_csv(rows.tolist(), 3)
 
     def test_field_bump_grid_needs_no_fallback(self, tmp_path, field_bump_rows):
         rows = field_bump_rows
-        encoder = _csvfmt.Encoder([False] * 5, len(rows) // 90)
+        encoder = _csvfmt.Encoder(5, len(rows) // 90)
         blank = np.zeros(len(rows) // 90, bool)
         for chunk in np.split(rows, 90):
             _, slots, _ = encoder.encode(chunk, blank)
@@ -607,7 +615,7 @@ class TestCsvKernel:
 
     def test_field_bump_write_memory(self, tmp_path, field_bump_rows):
         # the chunked writer holds about 1,000 rows of work at a time
-        write_csv(tmp_path / "warm.csv", ["a"], [(1.0,)])
+        write_csv(tmp_path / "warm.csv", ["a"], np.ones((1, 1)))
         tracemalloc.start()
         try:
             write_csv(tmp_path / "field.csv", list("abcde"), field_bump_rows, 300)

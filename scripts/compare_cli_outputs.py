@@ -11,9 +11,10 @@ byte.  Two runs go at once, each child with one BLAS thread.  Only the
 manifest's ``duration_seconds`` and ``out_dir`` are ignored, and stderr
 reads each tree's root as ``<root>`` and each run's output directory as
 ``<out>``.  Two versions of a file with equal line counts pair line by
-line by index; otherwise they are aligned (``difflib.SequenceMatcher``),
-so a line added or removed does not shift the comparison of the lines
-after it.  For each differing file it prints how many aligned lines differ
+line by index, and only the stretch from the first to the last pair that
+is not numeric field by field is aligned (``difflib.SequenceMatcher``);
+files of unequal line counts are aligned whole.  So a line added or
+removed does not shift the comparison of the lines after it.  For each differing file it prints how many aligned lines differ
 and the first of them, how many lines were removed and added and the
 first of each and, over all differing aligned lines whose fields parse as
 numbers pair by pair, the largest absolute difference and the line and
@@ -174,16 +175,25 @@ def describe_difference(a: bytes, b: bytes) -> str:
     # equal length pair line by line, all other changes are removals and
     # additions
     pairs, removed, added = [], [], []
-    if len(la) == len(lb):  # no line added or removed: pair by index
+    lo, old, new = 0, la, lb    # the stretch to align, from line lo + 1
+    if len(la) == len(lb):
+        # pair by index, and align only from the first to the last pair that
+        # is not numeric field by field: a line removed there and one added
+        # further down shift the lines between
         pairs = [(i, x, y) for i, (x, y) in enumerate(zip(la, lb), 1) if x != y]
-    else:
-        matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
+        opaque = [i for i, x, y in pairs if _abs_diff(x, y) is None]
+        lo, hi = (opaque[0] - 1, opaque[-1]) if opaque else (0, 0)
+        pairs = [pair for pair in pairs if not lo < pair[0] <= hi]
+        old, new = la[lo:hi], lb[lo:hi]
+    if old or new:
+        matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
         for tag, i1, i2, j1, j2 in matcher.get_opcodes():
             if tag == "replace" and i2 - i1 == j2 - j1:
-                pairs += [(j1 + k + 1, la[i1 + k], lb[j1 + k]) for k in range(i2 - i1)]
+                pairs += [(lo + j1 + k + 1, old[i1 + k], new[j1 + k]) for k in range(i2 - i1)]
             elif tag != "equal":
-                removed += la[i1:i2]
-                added += [(j + 1, lb[j]) for j in range(j1, j2)]
+                removed += old[i1:i2]
+                added += [(lo + j + 1, new[j]) for j in range(j1, j2)]
+        pairs.sort(key=lambda pair: pair[0])
     parts = []
     if pairs:
         i, x, y = pairs[0]

@@ -65,6 +65,26 @@ def test_same_line_count_pairs_without_alignment(monkeypatch):
         describe_difference(old, new + b"extra\n")
 
 
+def _validate_json(failed, residual):
+    """A validate.json of ten checks, ``failed`` listed, check_3's residual."""
+    checks = [{"name": f"check_{k}", "passed": f"check_{k}" not in failed,
+               "residual": residual if k == 3 else 1e-15} for k in range(10)]
+    return json.dumps({"summary": {"checks_failed": len(failed), "failed_names": failed},
+                       "checks": checks}, indent=2).encode()
+
+
+def test_same_line_count_aligns_a_shifted_stretch():
+    # check_1 leaves the failed list and check_6 joins it further down: the
+    # line count stays, and the names between shift by one line
+    old = _validate_json([f"check_{k}" for k in (1, 2, 3, 4, 5, 8)], 2.5e-6)
+    new = _validate_json([f"check_{k}" for k in (2, 3, 4, 5, 6, 8)], 3.5e-6)
+    assert describe_difference(old, new) == (
+        "3 lines differ, first line 21: '\"passed\": false,' -> '\"passed\": true,'; "
+        "1 lines removed, first '\"check_1\",'; 1 lines added, first line 9: '\"check_6\",'; "
+        "largest abs diff 1e-06 at line 32 field 2 ('\"residual\": 3.5e-06'); "
+        "2 differing lines not numeric field by field")
+
+
 def test_jobs_are_configs_times_subcommands(tmp_path):
     # every subcommand runs once per shipped config, the refused command
     # lines once, on configs/sine_v03.json, and each generated config its

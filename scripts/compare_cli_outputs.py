@@ -24,7 +24,7 @@ says there is no pass/fail change; the summary line counts the flips.
 
 Exit status: 1 if any output from ``configs/`` or a generated config
 differs, else 0 (differences on ``perfbench/configs`` are reported only).
-On a 2-core host its 360 jobs take about 90 s.
+On a 2-core host its 362 jobs take about 90 s.
 
 Usage: python scripts/compare_cli_outputs.py OLD_ROOT NEW_ROOT
 """

@@ -34,7 +34,6 @@ from .certify import Check, certify
 from .coefficients import solve
 from .domain import (
     DEFAULT_TOL,
-    check_time,
     check_tolerance,
     derive_constants,
     load_config,
@@ -45,7 +44,7 @@ from .observability import (check_observation, observe_both_endpoints, observe_h
                             observe_one_endpoint)
 from .oracle import (DEFAULT_FD_CFL, DEFAULT_FD_NX, check_fd_grid, check_samples,
                      cross_validate)
-from .series import check_grid, sample_moving_grid
+from .series import check_grid, check_horizon, sample_moving_grid
 
 # Unused here: the benchmark's span tracer (perfbench/spans.py) wraps these
 # names in this module, so they stay bound until it traces certify instead.
@@ -228,7 +227,7 @@ splot "field.csv" using 1:2:3 with pm3d
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    check_time(args.t_final, "--t-final")
+    check_horizon(args.t_final, cfg.L, cfg.v, cfg.n_max, "--t-final")
     check_grid(args.nx, args.nt, "--")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else sol.consts.T_v
@@ -246,7 +245,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config)
-    check_time(args.t_final, "--t-final")
+    check_horizon(args.t_final, cfg.L, cfg.v, cfg.n_max, "--t-final")
     check_sweep(args.times, "--times")
     sol = solve(cfg)
     t_final = args.t_final if args.t_final is not None else 2.0 * sol.consts.T_v

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .coefficients import SpectralSolution
-from .domain import check_memory, check_moving_interval, check_time, edge_slack
+from .domain import check_memory, check_moving_interval, check_time, derive_constants, edge_slack
 from .errors import ConfigurationError
 
 __all__ = [
@@ -137,11 +137,24 @@ def _mode_powers(z: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate([pos[::-1].conj(), pos])
 
 
+def check_horizon(t, L: float, v: float, n_max: int, name: str, slack: float = 0.0) -> None:
+    """Refuse a time, or any of an array of times, that ``check_time``
+    refuses or that puts the grid evaluator's largest time phase,
+    2 pi n_max t / T_v, past float range (None passes)."""
+    check_time(t, name, slack)
+    t = np.asarray(0.0 if t is None else t, dtype=float)
+    top = float(np.max(t, initial=0.0))
+    # the product as field_on_moving_grid forms it: (2 pi / T_v) (t n)
+    if not math.isfinite(2.0 * math.pi / derive_constants(L, v).T_v * (top * n_max)):
+        raise ConfigurationError(f"{name} = {top} puts the top mode's phase 2 pi n_max t / T_v "
+                                 f"past float range at n_max = {n_max}; lower {name}")
+
+
 def field_on_moving_grid(sol: SpectralSolution, times, s):
     """(phi, phi_x, phi_t, imag_residual) at x = v t_k + s_j.
 
     ``times`` and ``s`` are 1-D; each field has shape (len(times), len(s)).
-    Times must be finite and nonnegative and every s must lie in [0, L].
+    Times must pass ``check_horizon`` and every s must lie in [0, L].
     ``imag_residual`` is the max |Im| over the three sums, as in
     ``field_components``.  The abscissae go through in blocks so that the
     mode-shape tables stay about as small as a Horner block.
@@ -153,7 +166,7 @@ def field_on_moving_grid(sol: SpectralSolution, times, s):
     slack = edge_slack(L)
     if times.ndim != 1 or s.ndim != 1:
         raise ConfigurationError("times and s must be one-dimensional")
-    check_time(times, "time", slack)
+    check_horizon(times, L, v, sol.n_max, "time", slack)
     if not np.all(np.isfinite(s) & (s >= -slack) & (s <= L + slack)):
         raise ConfigurationError("s outside the reference interval [0, L]")
     m, k = sol.n_max, times.size

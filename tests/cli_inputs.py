@@ -28,6 +28,8 @@ _T_FINAL = "--t-final must be finite and nonnegative, got "
 _HORIZON = "--horizon must be positive and finite, got "
 _NODES = "nodes, more than the 10000000 allowed; lower "
 _FD = "oracle --samples 4 --method fd --cfl "
+_PHASE = ("--t-final = 1e+307 puts the top mode's phase 2 pi n_max t / T_v past float "
+          "range at n_max = 40; lower --t-final")
 
 # each command line as one string, split on spaces below
 _REFUSED = {
@@ -113,6 +115,9 @@ _REFUSED = {
                                        "--cfl or use --method characteristics"),
         "cfl-1e-304": (_FD + "1e-304", "needs 1.61e+307 time steps x 513 nodes = inf "
                                        "node-steps, above the bound"),
+        # the grid evaluator's top time phase 2 pi n_max t / T_v overflows
+        "simulate-t-final-1e307": ("simulate --nx 4 --nt 4 --t-final 1e307", _PHASE),
+        "energy-t-final-1e307": ("energy --times 4 --t-final 1e307", _PHASE),
         "times-0": ("energy --times 0", "--times must be at least 1, got 0"),
         "times-minus-3": ("energy --times -3", "--times must be at least 1, got -3")},
 }

@@ -335,15 +335,12 @@ class TestNumericFailure:
     numpy's floating-point warnings, which carry source lines and read like
     a traceback, are not printed."""
 
-    @pytest.mark.parametrize("argv, amplitude", [
-        (["validate"], 1e308),
-        (["coeffs"], 1e308),
-        (["simulate", "--nx", "4", "--nt", "4", "--t-final", "1e308"], 0.1),
-        (["energy", "--times", "4", "--t-final", "1e308"], 0.1),
-    ], ids=["validate-amplitude", "coeffs-amplitude", "simulate-t-final", "energy-t-final"])
-    def test_exit_three_prints_one_line(self, tmp_path, argv, amplitude):
+    # a --t-final past the series' phase range is refused (TestBadInputExitsTwo)
+    @pytest.mark.parametrize("argv", [["validate"], ["coeffs"]],
+                             ids=["validate-amplitude", "coeffs-amplitude"])
+    def test_exit_three_prints_one_line(self, tmp_path, argv):
         cfg = write_cfg(tmp_path, preset={"name": "sine_mode",
-                                          "params": {"amplitude": amplitude, "mode": 1}})
+                                          "params": {"amplitude": 1e308, "mode": 1}})
         src = str(Path(moving_string.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "moving_string.cli", *argv, "--config", cfg,

@@ -92,11 +92,11 @@ def test_jobs_are_configs_times_subcommands(tmp_path):
     # subcommand on the other 12 but the default FD oracle runs at v = 0.99
     root = Path(__file__).resolve().parents[1]
     jobs = compare_cli_outputs.jobs(root, tmp_path)
-    assert jobs[7 * 16:7 * 16 + 64] == [(root / "configs" / "sine_v03.json", s)
+    assert jobs[7 * 16:7 * 16 + 66] == [(root / "configs" / "sine_v03.json", s)
                                        for s in compare_cli_outputs.REFUSALS]
-    assert jobs[7 * 16 + 64:] == [(tmp_path / f"{row.name}.json", s)
+    assert jobs[7 * 16 + 66:] == [(tmp_path / f"{row.name}.json", s)
                                   for row in compare_cli_outputs.generated(root) for s in row.runs]
-    assert len(jobs) == 7 * 16 + 64 + 2 * 2 + 6 * 16 + 6 * 14 == 360
+    assert len(jobs) == 7 * 16 + 66 + 2 * 2 + 6 * 16 + 6 * 14 == 362
 
 
 def test_generated_configs_load(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moving_string import check_periodicity, field_components
+from moving_string import ConfigurationError, check_periodicity, field_components
 from moving_string.observability import _support_trace, _trace_band
 from moving_string.quadrature import Panelization, _gauss_segment
 from moving_string.series import (
@@ -235,6 +235,15 @@ class TestMovingGrid:
     def test_interval_ends_admitted(self, sine_v03):
         phi, _, _, _ = field_on_moving_grid(sine_v03, [0.0, 2.5], [0.0, sine_v03.consts.L])
         assert np.max(np.abs(phi)) < 1e-8
+
+    def test_time_phase_past_float_range_refused(self, sine_v03):
+        # the top mode's time phase 2 pi n_max t / T_v passes float range at
+        # t ~ 1.6e306 here: a refused time, not non-finite sums
+        with pytest.raises(ConfigurationError,
+                           match=r"time = 1e\+307 puts the top mode's phase .* n_max = 40"):
+            field_on_moving_grid(sine_v03, [0.0, 1e307], [1.0])
+        phi, phx, pht, _ = field_on_moving_grid(sine_v03, [1e306], [1.0])
+        assert np.all(np.isfinite([phi, phx, pht]))
 
 
 class TestGridSampler:

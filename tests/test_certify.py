@@ -12,6 +12,7 @@ from moving_string import (
     certify,
     energy_report,
     load_config,
+    parseval_sum,
     solve,
     spectral_energy,
     velocity_trace_equivalent,
@@ -59,6 +60,21 @@ def test_velocity_data_reproduce_against_the_energy_scale(v, mode):
     assert check.name == "initial_data_reproduction"
     assert check.passed and 0 < check.residual < 1e-3
     assert all(c.passed for c in certify(sol))
+
+
+def test_near_critical_traveling_sine_fails_by_truncation():
+    # sign +1 makes phi = phi0(x + t), a wave on the e^{i n pi (1-v)(t+x)/L}
+    # family, whose wavenumbers reach the data's pi/L only at n = 1/(1-v) =
+    # 100: at n_max = 40 nearly all of the data's energy lies past the
+    # table, and raising n_max closes the characteristics gap
+    def solution(n_max):
+        return get_solution(0.99, "traveling_sine", n_max=n_max, amplitude=0.1, sign=1)
+
+    tails = [parseval_sum(solution(n_max)).truncation_fraction for n_max in (40, 160)]
+    assert tails[0] > 0.9 and tails[1] < 0.5
+    checks = {ch.name: ch for ch in certify(solution(320))}
+    assert checks["parseval_truncation_fraction"].residual < 0.2
+    assert checks["characteristics_agreement"].passed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
